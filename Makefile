@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench bench-fleet bench-pshard bench-json bench-transport bench-autoscale bench-obs fmt serve-smoke
+.PHONY: ci vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench bench-fleet bench-pshard bench-json bench-transport bench-autoscale bench-obs bench-smoke fmt serve-smoke
 
-ci: vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench-fleet bench-pshard bench-transport bench-autoscale bench-obs serve-smoke
+ci: vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench-fleet bench-pshard bench-transport bench-autoscale bench-obs bench-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -163,6 +163,13 @@ bench-autoscale:
 bench-obs:
 	$(GO) test ./internal/online -run '^$$' -bench TrainStep -benchtime 1x
 	$(GO) test ./internal/online -run InstrumentationOverheadBudget -count=1 -v
+
+# The repository benchmark (perfbench/) is its own Go module, so the root
+# `go build ./...` never compiles it: build it and run its smoke test
+# (every workload at tiny length) so an API change cannot break it
+# silently.
+bench-smoke:
+	cd perfbench && $(GO) test -count=1 ./...
 
 fmt:
 	gofmt -l .

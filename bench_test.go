@@ -196,7 +196,7 @@ func BenchmarkTable5Distributed(b *testing.B) {
 			ds := benchData(b)
 			m := benchModel(b, deepmd.OptAll)
 			dp := cluster.NewDataParallelFEKF(gpus, m)
-			dp.KCfg = dp.KCfg.WithOpt3()
+			dp.FEKF.KCfg = dp.FEKF.KCfg.WithOpt3()
 			idx := batchIdx(ds.Len(), 8*gpus)
 			if _, err := dp.Step(ds, idx); err != nil {
 				b.Fatal(err)

@@ -158,8 +158,8 @@ func main() {
 
 func runDistributed(m *deepmd.Model, trainSet, testSet *dataset.Dataset, bs, gpus, epochs int, target float64, seed int64, pipeline bool) {
 	dp := cluster.NewDataParallelFEKF(gpus, m)
-	dp.KCfg = dp.KCfg.WithOpt3()
-	dp.Pipeline = pipeline
+	dp.FEKF.KCfg = dp.FEKF.KCfg.WithOpt3()
+	dp.FEKF.Pipeline = pipeline
 	rng := rand.New(rand.NewSource(seed))
 	start := time.Now()
 	iters := trainSet.Len() / bs
@@ -168,7 +168,8 @@ func runDistributed(m *deepmd.Model, trainSet, testSet *dataset.Dataset, bs, gpu
 	}
 	converged := false
 	epoch := 0
-	for epoch = 1; epoch <= epochs; epoch++ {
+	for !converged && epoch < epochs {
+		epoch++
 		for i := 0; i < iters; i++ {
 			if _, err := dp.Step(trainSet, trainSet.SampleBatch(bs, rng)); err != nil {
 				log.Fatalf("train: %v", err)
@@ -180,10 +181,7 @@ func runDistributed(m *deepmd.Model, trainSet, testSet *dataset.Dataset, bs, gpu
 		}
 		fmt.Printf("epoch %3d: train E/atom RMSE %.5f eV, F RMSE %.4f eV/Å\n",
 			epoch, met.EnergyPerAtomRMSE, met.ForceRMSE)
-		if target > 0 && met.EnergyPerAtomRMSE <= target {
-			converged = true
-			break
-		}
+		converged = target > 0 && met.EnergyPerAtomRMSE <= target
 	}
 	fmt.Printf("wire traffic: %.2f MB, modeled device+comm time: %.3fs, replica drift: %g\n",
 		float64(dp.Ring().WireBytes())/(1<<20), dp.ModeledIterationNs()/1e9, dp.ReplicaDrift())

@@ -39,7 +39,7 @@ func main() {
 		}
 
 		dp := cluster.NewDataParallelFEKF(workers, base)
-		dp.KCfg = dp.KCfg.WithOpt3()
+		dp.FEKF.KCfg = dp.FEKF.KCfg.WithOpt3()
 		rng := rand.New(rand.NewSource(1))
 		bs := 16 * workers // scale the batch with the rank count
 		for iter := 0; iter < 6; iter++ {

@@ -4,21 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
 	"fekf/internal/device"
 	"fekf/internal/optimize"
 )
-
-// SpanSink receives per-phase timings from a rank's step execution —
-// backward, ring allreduce, Kalman gain, covariance drain.  Implemented by
-// obs.StepRecorder; implementations must be safe for concurrent calls
-// (ranks run concurrently and drains complete on background goroutines).
-type SpanSink interface {
-	Span(rank int, name string, start time.Time, dur time.Duration)
-}
 
 // DataParallelFEKF trains FEKF over r simulated GPU ranks: the minibatch
 // is split into r chunks (Figure 5(a)), each rank computes its partial
@@ -27,16 +18,11 @@ type SpanSink interface {
 // update against its local P replica — which therefore stays consistent
 // with zero P communication (Section 3.3).
 type DataParallelFEKF struct {
-	KCfg        optimize.KalmanConfig
-	Factor      optimize.QuasiLRFactor
-	ForceGroups int
-	EnergyDiv   optimize.TrustDiv
-	ForceDiv    optimize.TrustDiv
-	// Pipeline overlaps each rank's replicated P drain of force group k
-	// with group k+1's backward and ring allreduce (and the energy drain
-	// with the force forward pass); bitwise identical to the serial
-	// schedule.  Defaults to optimize.PipelineDefault().
-	Pipeline bool
+	// FEKF is the filter configuration every rank applies — KCfg,
+	// Factor, ForceGroups, the trust divisors and Pipeline (which also
+	// overlaps each group's ring allreduce with the previous drain).  Its
+	// own single-device Kalman state stays unused: each rank holds one.
+	FEKF *optimize.FEKF
 
 	ring     *Ring
 	replicas []*deepmd.Model
@@ -61,15 +47,7 @@ func NewDataParallelFEKF(workers int, m *deepmd.Model) *DataParallelFEKF {
 // a fault-injecting wrapper.  The trainer has ring.Size() ranks.
 func NewDataParallelFEKFOver(ring *Ring, m *deepmd.Model) *DataParallelFEKF {
 	workers := ring.Size()
-	dp := &DataParallelFEKF{
-		KCfg:        optimize.DefaultKalmanConfig(),
-		Factor:      optimize.FactorSqrtBS,
-		ForceGroups: 4,
-		EnergyDiv:   optimize.DivSqrtAtoms,
-		ForceDiv:    optimize.DivAtoms,
-		Pipeline:    optimize.PipelineDefault(),
-		ring:        ring,
-	}
+	dp := &DataParallelFEKF{FEKF: optimize.NewFEKF(), ring: ring}
 	for w := 0; w < workers; w++ {
 		dev := device.New(fmt.Sprintf("gpu%d", w), device.A100())
 		dp.devs = append(dp.devs, dev)
@@ -128,202 +106,9 @@ func chunkOf(idx []int, rank, size int) []int {
 	return idx[lo:hi]
 }
 
-// StepParams are the per-step scalars every rank of a distributed FEKF
-// step must agree on.  They are derived once from the *global* batch (the
-// union of every rank's share) and handed to each rank, so ranks holding
-// different local shares still apply identical Kalman updates.
-type StepParams struct {
-	// Scale is the quasi-learning-rate factor of the global batch.
-	Scale float64
-	// EnergyDiv and ForceDiv are the measurement-error divisors (already
-	// evaluated for the system's atom count).
-	EnergyDiv, ForceDiv float64
-	// ForceGroups is the number of sequential force measurement updates.
-	ForceGroups int
-	// Pipeline overlaps each measurement's P drain with the next group's
-	// backward and allreduce (bitwise identical to the serial schedule).
-	Pipeline bool
-	// Spans, when non-nil, receives the step's phase timings (backward,
-	// allreduce, gain, drain).  Nil costs one pointer check per phase.
-	Spans SpanSink
-}
-
-// RankStep executes one rank's role in a distributed FEKF step over ring:
-// build the local environment, funnel-aggregate gradient and ABE partials
-// with the other ranks, and apply the identical reduced Kalman update every
-// rank applies.  ds/idx are this rank's private share of the global batch;
-// a nil ds or empty idx means the rank contributes zero partials but still
-// runs the full collective schedule and applies the reduced updates — the
-// empty-shard / rank-failure path that keeps every replica's weights and P
-// bit-identical across partial failures.  inject, when non-nil, injects a
-// failure after the environment build succeeds (the consistency tests use
-// it to prove a failing rank cannot make the replicas diverge).
-//
-// Every rank must call RankStep with the same StepParams; each Kalman
-// update is gated on the reduced sample count, so a step in which no rank
-// contributed aborts atomically on every rank.
-func RankStep(ring *Ring, rank int, m *deepmd.Model, ks *optimize.KalmanState, p StepParams, ds *dataset.Dataset, idx []int, inject func() error) (optimize.StepInfo, error) {
-	nParams := m.Params.NumParams()
-	var env *deepmd.Env
-	var lab *deepmd.Labels
-	var err error
-	if ds != nil && len(idx) > 0 {
-		env, err = deepmd.BuildBatchEnv(m.Cfg, ds, idx)
-		if err == nil && inject != nil {
-			err = inject()
-		}
-		if err == nil {
-			lab = deepmd.BatchLabels(ds, idx)
-		}
-	}
-	active := err == nil && env != nil && lab != nil
-
-	// Phase tracing: when p.Spans is set every backward / allreduce /
-	// gain region is timed, and each deferred covariance drain is wrapped
-	// so its background execution reports a "drain" span.  Disabled, the
-	// instrumentation is a handful of nil checks.
-	trace := p.Spans
-	var t0 time.Time
-	span := func(name string) {
-		if trace != nil {
-			trace.Span(rank, name, t0, time.Since(t0))
-		}
-	}
-	mark := func() {
-		if trace != nil {
-			t0 = time.Now()
-		}
-	}
-
-	// ---- energy update: every rank reduces and applies; a failed or idle
-	// rank's partials stay zero.  With the pipeline on, the energy P drain
-	// overlaps the force forward pass below.
-	buf := make([]float64, nParams+2)
-	var out *deepmd.Output
-	mark()
-	if active {
-		out = m.Forward(env, false)
-		seedE, absSum := optimize.EnergySeed(out, lab)
-		copy(buf, m.EnergyGrad(out, seedE))
-		buf[nParams] = absSum
-		buf[nParams+1] = float64(len(idx))
-	}
-	span("backward")
-	mark()
-	if cerr := ring.Allreduce(rank, buf); cerr != nil {
-		// The ring broke mid-collective: the reduced buffer is in an
-		// unspecified partial state and must not be applied.  No Kalman
-		// update has started yet, so the rank's state is untouched.
-		if out != nil {
-			out.Graph.Release()
-		}
-		return optimize.StepInfo{}, fmt.Errorf("energy allreduce: %w", cerr)
-	}
-	span("allreduce")
-	abe := 0.0
-	wait := func() {}
-	// tracedDrain wraps a deferred covariance drain so the background
-	// goroutine (or the inline call, pipeline off) reports its own span.
-	tracedDrain := func(drain func()) func() {
-		if trace == nil {
-			return drain
-		}
-		return func() {
-			d0 := time.Now()
-			drain()
-			trace.Span(rank, "drain", d0, time.Since(d0))
-		}
-	}
-	if buf[nParams+1] > 0 {
-		abe = buf[nParams] / (buf[nParams+1] * p.EnergyDiv)
-		mark()
-		delta, drain := ks.UpdateSplit(buf[:nParams], abe, p.Scale)
-		m.Params.AddFlat(delta)
-		span("gain")
-		wait = optimize.StartDrain(tracedDrain(drain), p.Pipeline)
-	}
-	if out != nil {
-		out.Graph.Release()
-	}
-
-	// ---- force updates: group k+1's backward and its gradient/ABE ring
-	// allreduce overlap group k's replicated P drain.  The hand-off (wait
-	// before UpdateSplit) keeps the sequential measurement semantics: each
-	// group's gain stage reads the drained P, and its backward reads the
-	// post-update weights of the previous group.  Every rank applies the
-	// same reduced buffers, so the replicas stay bit-identical — including
-	// across the rank-failure zero-partial path, whose count gates are
-	// unchanged.
-	var out2 *deepmd.Output
-	fErr := make([]float64, 2) // Σ|ΔF| and component count, for StepInfo
-	mark()
-	if active {
-		out2 = m.Forward(env, true)
-		sum, count := optimize.ForceErrorSum(out2, lab)
-		fErr[0], fErr[1] = sum, float64(count)
-	}
-	span("backward")
-	for grp := 0; grp < p.ForceGroups; grp++ {
-		fbuf := make([]float64, nParams+2)
-		mark()
-		if out2 != nil {
-			seedF, fSum, count := optimize.ForceSeed(out2, lab, grp, p.ForceGroups)
-			copy(fbuf, m.ForceGrad(out2, seedF))
-			fbuf[nParams] = fSum
-			fbuf[nParams+1] = float64(count)
-		}
-		span("backward")
-		mark()
-		if cerr := ring.Allreduce(rank, fbuf); cerr != nil {
-			// Join the previous group's in-flight P drain before bailing:
-			// the drain mutates the covariance in the background and must
-			// not outlive the step.  The partially reduced buffer is
-			// dropped, so the last completed group's state stands.
-			wait()
-			if out2 != nil {
-				out2.Graph.Release()
-			}
-			return optimize.StepInfo{EnergyABE: abe}, fmt.Errorf("force group %d allreduce: %w", grp, cerr)
-		}
-		span("allreduce")
-		if fbuf[nParams+1] > 0 {
-			fabe := fbuf[nParams] / (fbuf[nParams+1] * p.ForceDiv)
-			wait()
-			mark()
-			delta, drain := ks.UpdateSplit(fbuf[:nParams], fabe, p.Scale)
-			m.Params.AddFlat(delta)
-			span("gain")
-			wait = optimize.StartDrain(tracedDrain(drain), p.Pipeline)
-		}
-	}
-
-	// ---- reduce the force-error diagnostic so the distributed StepInfo
-	// matches the single-device contract (batch-global mean absolute
-	// force-component error).  It overlaps the last group's drain, which is
-	// joined before the step returns.
-	mark()
-	if cerr := ring.AllreduceScalars(rank, fErr); cerr != nil {
-		wait()
-		if out2 != nil {
-			out2.Graph.Release()
-		}
-		return optimize.StepInfo{EnergyABE: abe}, fmt.Errorf("force-error allreduce: %w", cerr)
-	}
-	span("allreduce")
-	forceABE := 0.0
-	if fErr[1] > 0 {
-		forceABE = fErr[0] / fErr[1]
-	}
-	wait()
-	if out2 != nil {
-		out2.Graph.Release()
-	}
-	return optimize.StepInfo{EnergyABE: abe, ForceABE: forceABE}, err
-}
-
 // Step performs one distributed FEKF iteration over the minibatch idx,
 // chunking it contiguously across the ranks and running each rank's
-// RankStep concurrently.
+// share of the step schedule (optimize.RankStep) concurrently.
 //
 // Failure semantics: a rank whose environment build fails still runs the
 // full collective schedule, contributing zero gradient/error partials, and
@@ -339,17 +124,10 @@ func (dp *DataParallelFEKF) Step(ds *dataset.Dataset, idx []int) (optimize.StepI
 	if dp.states == nil {
 		for w := 0; w < r; w++ {
 			dp.states = append(dp.states,
-				optimize.NewKalmanState(dp.KCfg, dp.replicas[w].Params.LayerSizes(), dp.devs[w]))
+				optimize.NewKalmanState(dp.FEKF.KCfg, dp.replicas[w].Params.LayerSizes(), dp.devs[w]))
 		}
 	}
-	na := ds.Snapshots[idx[0]].NumAtoms()
-	p := StepParams{
-		Scale:       dp.Factor.Apply(len(idx)),
-		EnergyDiv:   dp.EnergyDiv.Value(na),
-		ForceDiv:    dp.ForceDiv.Value(na),
-		ForceGroups: dp.ForceGroups,
-		Pipeline:    dp.Pipeline,
-	}
+	p := dp.FEKF.StepParams(len(idx), ds.Snapshots[idx[0]].NumAtoms())
 
 	var wg sync.WaitGroup
 	errs := make([]error, r)
@@ -362,15 +140,12 @@ func (dp *DataParallelFEKF) Step(ds *dataset.Dataset, idx []int) (optimize.StepI
 			if dp.envFail != nil {
 				inject = func() error { return dp.envFail(rank) }
 			}
-			infos[rank], errs[rank] = RankStep(dp.ring, rank, dp.replicas[rank], dp.states[rank], p,
+			infos[rank], errs[rank] = optimize.RankStep(dp.ring, rank, dp.replicas[rank], dp.states[rank], p,
 				ds, chunkOf(idx, rank, r), inject)
 		}(w)
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return infos[0], err
-	}
-	return infos[0], nil
+	return infos[0], errors.Join(errs...)
 }
 
 // ModeledIterationNs returns the modeled wall time of everything executed

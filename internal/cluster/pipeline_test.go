@@ -13,8 +13,8 @@ func runClusterSteps(t *testing.T, pipeline bool, groups, ranks, steps int) *Dat
 	t.Helper()
 	ds, m := clusterSetup(t)
 	dp := NewDataParallelFEKF(ranks, m)
-	dp.Pipeline = pipeline
-	dp.ForceGroups = groups
+	dp.FEKF.Pipeline = pipeline
+	dp.FEKF.ForceGroups = groups
 	idx := []int{0, 1, 2, 3, 4, 5}
 	for s := 0; s < steps; s++ {
 		if _, err := dp.Step(ds, idx); err != nil {
@@ -73,7 +73,7 @@ func TestPipelinedRankFailureBitwiseMatchesSerial(t *testing.T) {
 	run := func(pipeline bool) *DataParallelFEKF {
 		ds, m := clusterSetup(t)
 		dp := NewDataParallelFEKF(3, m)
-		dp.Pipeline = pipeline
+		dp.FEKF.Pipeline = pipeline
 		idx := []int{0, 1, 2, 3, 4, 5}
 		if _, err := dp.Step(ds, idx); err != nil {
 			t.Fatal(err)
@@ -120,8 +120,8 @@ func TestPipelinedClusterAccountingMatchesSerial(t *testing.T) {
 	run := func(pipeline bool) *DataParallelFEKF {
 		ds, m := clusterSetup(t)
 		dp := NewDataParallelFEKF(2, m)
-		dp.KCfg = dp.KCfg.WithOpt3()
-		dp.Pipeline = pipeline
+		dp.FEKF.KCfg = dp.FEKF.KCfg.WithOpt3()
+		dp.FEKF.Pipeline = pipeline
 		idx := []int{0, 1, 2, 3}
 		for s := 0; s < 2; s++ {
 			if _, err := dp.Step(ds, idx); err != nil {

@@ -106,7 +106,7 @@ func Comm(w io.Writer, opts Options) error {
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, gpus := range []int{2, 4, 8} {
 		dp := cluster.NewDataParallelFEKF(gpus, m)
-		dp.KCfg = dp.KCfg.WithOpt3()
+		dp.FEKF.KCfg = dp.FEKF.KCfg.WithOpt3()
 		if _, err := dp.Step(trainSet, idx); err != nil {
 			return err
 		}

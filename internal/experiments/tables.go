@@ -149,11 +149,11 @@ func Table5(w io.Writer, opts Options) ([]Table5Row, error) {
 			return nil, err
 		}
 		dp := cluster.NewDataParallelFEKF(cfg.gpus, m)
-		dp.KCfg = dp.KCfg.WithOpt3()
+		dp.FEKF.KCfg = dp.FEKF.KCfg.WithOpt3()
 		if cfg.bs >= 512 {
 			// the paper's large-batch λ/ν recommendation (Section 3.2)
 			lb := optimize.LargeBatchKalmanConfig().WithOpt3()
-			dp.KCfg = lb
+			dp.FEKF.KCfg = lb
 		}
 		start := time.Now()
 		row := Table5Row{Label: "FEKF", BatchSize: cfg.bs, GPUs: cfg.gpus}

@@ -9,12 +9,13 @@
 // training step is a lockstep collective: each live replica samples a
 // private minibatch from its replay buffer, the per-replica gradients and
 // absolute-error sums are funnel-aggregated over the ring *before* the
-// Kalman update (cluster.RankStep), and every replica then applies the
-// identical reduced update to its local weights and P.  Because the
-// reduced buffers are bit-identical on every rank after the allgather,
-// all replicas hold bitwise-identical weights and error covariance with
-// zero P communication — the fleet invariant WeightDrift == PDrift == 0,
-// asserted after every step.
+// Kalman update (the step schedule optimize.RankStep, with the replica's
+// full P or, in pshard mode, its slab share as the covariance), and every
+// replica then applies the identical reduced update to its local weights
+// and P.  Because the reduced buffers are bit-identical on every rank
+// after the allgather, all replicas hold bitwise-identical weights and
+// error covariance with zero P communication — the fleet invariant
+// WeightDrift == PDrift == 0, asserted after every step.
 //
 // Serving: a snapshot router load-balances predictions across the
 // replicas' copy-on-write model snapshots with health checks.  A killed

@@ -890,14 +890,7 @@ func (f *Fleet) step() {
 			return
 		}
 	}
-	ref := f.reps[live[0]].opt
-	params := cluster.StepParams{
-		Scale:       ref.Factor.Apply(total),
-		EnergyDiv:   ref.EnergyDiv.Value(na),
-		ForceDiv:    ref.ForceDiv.Value(na),
-		ForceGroups: ref.ForceGroups,
-		Pipeline:    ref.Pipeline,
-	}
+	params := f.reps[live[0]].opt.StepParams(total, na)
 	if rec != nil {
 		params.Spans = rec
 	}
@@ -925,19 +918,13 @@ func (f *Fleet) step() {
 	progress := make([]atomic.Int32, len(live))
 	for k, id := range live {
 		wg.Add(1)
-		go func(rank, id int) {
+		go func(rank, id int, cov optimize.Covariance) {
 			defer wg.Done()
-			r := f.reps[id]
 			inject := f.buildInject(id, stepNo, hangID, hangCh, &progress[rank])
-			if f.cfg.PShard {
-				infos[rank], errs[rank] = pshard.RankStep(ring, rank, r.model, f.pstates[id], params,
-					shares[rank].ds, shares[rank].idx, inject)
-			} else {
-				infos[rank], errs[rank] = cluster.RankStep(ring, rank, r.model, r.opt.State(), params,
-					shares[rank].ds, shares[rank].idx, inject)
-			}
+			infos[rank], errs[rank] = optimize.RankStep(ring, rank, f.reps[id].model, cov, params,
+				shares[rank].ds, shares[rank].idx, inject)
 			progress[rank].Store(2)
-		}(k, id)
+		}(k, id, f.covariance(id, ring))
 	}
 	f.awaitStep(&wg, ring, live, stepNo, progress, hangCh)
 

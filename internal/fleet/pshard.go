@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fekf/internal/cluster"
 	"fekf/internal/deepmd"
 	"fekf/internal/optimize"
 	"fekf/internal/pshard"
@@ -31,6 +32,16 @@ type PShardStats struct {
 	// collectives of one lockstep step: (1 energy + ForceGroups force
 	// updates) × one full parameter vector each.
 	ExchangeBytesPerStep int64 `json:"exchange_bytes_per_step"`
+}
+
+// covariance returns the Kalman state replica id updates in a step over
+// ring: its slab share bound to the ring in pshard mode, its full P
+// replica otherwise.
+func (f *Fleet) covariance(id int, ring *cluster.Ring) optimize.Covariance {
+	if f.cfg.PShard {
+		return f.pstates[id].Over(ring)
+	}
+	return f.reps[id].opt.State()
 }
 
 // initShards builds the initial sharded filter during New: a fresh

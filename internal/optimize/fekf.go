@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"errors"
 	"math"
 
 	"fekf/internal/dataset"
@@ -125,58 +126,14 @@ func (f *FEKF) InitState(m *deepmd.Model) *KalmanState {
 
 // Step implements Optimizer: one energy measurement update followed by
 // ForceGroups force measurement updates, all on batch-reduced gradients
-// and errors (the funnel dataflow of Figure 3(b)).
-//
-// With Pipeline on, each measurement update is split into its gain stage
-// (P·g, a, K, Δw — applied immediately, preserving the sequential
-// measurement semantics) and its covariance drain, which runs on a
-// background goroutine while the next group's backward — or, for the
-// energy update, the force forward pass — executes.  The hand-off is
-// explicit: the drain of group k must complete before group k+1's gain
-// stage reads P, and group k+1's backward starts only after group k's
-// weight increment has been applied, so the weight vector it
-// differentiates against is the post-update weight of group k.  The drain
-// touches only P and the gain scratch (disjoint from weights and graph),
-// so the pipelined step is bitwise identical to the serial one.
+// and errors (the funnel dataflow of Figure 3(b)) — the step schedule
+// RankStep on a single device.  With Pipeline on, each measurement's
+// covariance drain overlaps the next measurement's forward/backward,
+// bitwise identical to the serial order.
 func (f *FEKF) Step(m *deepmd.Model, ds *dataset.Dataset, idx []int) (StepInfo, error) {
-	if f.ks == nil {
-		f.ks = NewKalmanState(f.KCfg, m.Params.LayerSizes(), m.Dev)
+	if len(idx) == 0 {
+		return StepInfo{}, errors.New("optimize: FEKF step on an empty batch")
 	}
-	env, err := deepmd.BuildBatchEnv(m.Cfg, ds, idx)
-	if err != nil {
-		return StepInfo{}, err
-	}
-	lab := deepmd.BatchLabels(ds, idx)
-	scale := f.Factor.Apply(len(idx))
-	eDiv := f.EnergyDiv.Value(lab.NaPer)
-	fDiv := f.ForceDiv.Value(lab.NaPer)
-
-	// Energy update: reduce signs/errors over the batch, one backward for
-	// the reduced gradient (early reduction), one Kalman update.  Its P
-	// drain overlaps the force forward pass below.
-	out := m.Forward(env, false)
-	seedE, eABE := energyMeasurement(out, lab, eDiv)
-	gE := m.EnergyGrad(out, seedE)
-	deltaE, drainE := f.ks.UpdateSplit(gE, eABE, scale)
-	m.Params.AddFlat(deltaE)
-	wait := StartDrain(drainE, f.Pipeline)
-	out.Graph.Release()
-
-	// Force updates: one forward with the post-energy-update weights,
-	// then ForceGroups sequential measurement updates.  The group
-	// gradients come from this single graph (weights as of the forward),
-	// the standard approximation of the reference implementation.
-	out2 := m.Forward(env, true)
-	info := StepInfo{EnergyABE: eABE, ForceABE: meanAbsForceError(out2, lab)}
-	for grp := 0; grp < f.ForceGroups; grp++ {
-		seedF, fABE := forceMeasurement(out2, lab, grp, f.ForceGroups, fDiv)
-		gF := m.ForceGrad(out2, seedF)
-		wait()
-		deltaF, drainF := f.ks.UpdateSplit(gF, fABE, scale)
-		m.Params.AddFlat(deltaF)
-		wait = StartDrain(drainF, f.Pipeline)
-	}
-	wait()
-	out2.Graph.Release()
-	return info, nil
+	p := f.StepParams(len(idx), ds.Snapshots[idx[0]].NumAtoms())
+	return RankStep(nil, 0, m, f.InitState(m), p, ds, idx, nil)
 }

@@ -20,7 +20,7 @@ type Optimizer interface {
 }
 
 // PipelineDefault reports the default for the two-stage force-group
-// pipeline (FEKF.Pipeline and the cluster trainer's Pipeline field):
+// pipeline (FEKF.Pipeline, which every step reads through StepParams):
 // enabled unless the FEKF_PIPELINE environment variable is set to one of
 // 0/false/off/no.  The pipeline is bitwise identical to the serial
 // measurement order (see DESIGN.md), so the switch exists for ablation

@@ -63,15 +63,9 @@ func runShardedSteps(t *testing.T, ring *cluster.Ring, ds *dataset.Dataset, base
 		models = append(models, base.CloneFor(dev))
 		states = append(states, NewState(cfg, assign, r, dev))
 	}
-	na := ds.Snapshots[idx[0]].NumAtoms()
 	f := optimize.NewFEKF()
-	p := cluster.StepParams{
-		Scale:       f.Factor.Apply(len(idx)),
-		EnergyDiv:   f.EnergyDiv.Value(na),
-		ForceDiv:    f.ForceDiv.Value(na),
-		ForceGroups: f.ForceGroups,
-		Pipeline:    true,
-	}
+	f.Pipeline = true
+	p := f.StepParams(len(idx), ds.Snapshots[idx[0]].NumAtoms())
 	for s := 0; s < steps; s++ {
 		var wg sync.WaitGroup
 		errs := make([]error, ranks)
@@ -79,7 +73,7 @@ func runShardedSteps(t *testing.T, ring *cluster.Ring, ds *dataset.Dataset, base
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				_, errs[rank] = RankStep(ring, rank, models[rank], states[rank], p,
+				_, errs[rank] = optimize.RankStep(ring, rank, models[rank], states[rank].Over(ring), p,
 					ds, chunk(idx, rank, ranks), nil)
 			}(r)
 		}
@@ -118,7 +112,7 @@ func runSingleHost(t *testing.T, ds *dataset.Dataset, base *deepmd.Model, steps 
 }
 
 // runReplicated runs the same schedule through the unsharded distributed
-// pipeline — cluster.RankStep with every rank holding a full P replica —
+// pipeline — optimize.RankStep with every rank holding a full P replica —
 // the reference the sharded step must match at rank counts > 1 (the ring
 // allreduce fixes the gradient summation order, which differs bitwise
 // from one full-batch backward; sharding must not change it further).
@@ -134,15 +128,9 @@ func runReplicated(t *testing.T, ds *dataset.Dataset, base *deepmd.Model, ranks,
 		models = append(models, m)
 		states = append(states, optimize.NewKalmanState(cfg, m.Params.LayerSizes(), dev))
 	}
-	na := ds.Snapshots[idx[0]].NumAtoms()
 	f := optimize.NewFEKF()
-	p := cluster.StepParams{
-		Scale:       f.Factor.Apply(len(idx)),
-		EnergyDiv:   f.EnergyDiv.Value(na),
-		ForceDiv:    f.ForceDiv.Value(na),
-		ForceGroups: f.ForceGroups,
-		Pipeline:    true,
-	}
+	f.Pipeline = true
+	p := f.StepParams(len(idx), ds.Snapshots[idx[0]].NumAtoms())
 	for s := 0; s < steps; s++ {
 		var wg sync.WaitGroup
 		errs := make([]error, ranks)
@@ -150,7 +138,7 @@ func runReplicated(t *testing.T, ds *dataset.Dataset, base *deepmd.Model, ranks,
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				_, errs[rank] = cluster.RankStep(ring, rank, models[rank], states[rank], p,
+				_, errs[rank] = optimize.RankStep(ring, rank, models[rank], states[rank], p,
 					ds, chunk(idx, rank, ranks), nil)
 			}(r)
 		}

@@ -16,7 +16,7 @@ import (
 // it advances identically everywhere because every rank applies the same
 // reduced measurement.
 //
-// The per-step protocol (see RankStep):
+// The per-measurement protocol (see Over):
 //
 //	pg := st.GainOwned(g)                    // owned rows of P·g
 //	ring.AllgatherSegments(rank, pg, segs)   // everyone gets the full P·g
@@ -142,6 +142,38 @@ func (st *State) GainOwned(g []float64) []float64 {
 		st.Dev.LaunchPhase("p_matvec", device.PhaseOptimizer, 2*rows*n, rows*n*8)
 	}
 	return st.pg
+}
+
+// Over binds st to ring — at ring rank st.Rank — as the covariance of
+// the step schedule (optimize.RankStep).  Each measurement computes the
+// owned P·g rows, allgathers the rest from the other owners (the
+// "exchange" collective absent from the replicated step), then finishes
+// the update from the now-identical full P·g, so every rank applies the
+// same weight increment.  A broken exchange leaves the measurement
+// unapplied: GainOwned writes only scratch.
+func (st *State) Over(ring *cluster.Ring) optimize.Covariance {
+	return ringShare{st, ring}
+}
+
+// ringShare is a State bound to the ring its exchange runs on.
+type ringShare struct {
+	st   *State
+	ring *cluster.Ring
+}
+
+// Measure implements optimize.Covariance, timing the owned-rows gain, the
+// exchange and the finishing gain as separate phases.
+func (c ringShare) Measure(g []float64, abe, scale float64, pt *optimize.PhaseTimer) ([]float64, func(), error) {
+	pg := c.st.GainOwned(g)
+	pt.End("gain")
+	pt.Start()
+	if err := c.ring.AllgatherSegments(c.st.Rank, pg, c.st.Segments()); err != nil {
+		return nil, nil, fmt.Errorf("exchange: %w", err)
+	}
+	pt.End("exchange")
+	pt.Start()
+	delta, drain := c.st.FinishUpdate(g, abe, scale)
+	return delta, drain, nil
 }
 
 // FinishUpdate completes the measurement after the P·g exchange: per
