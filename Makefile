@@ -113,13 +113,17 @@ serve-smoke:
 	$(GO) run ./cmd/serve -smoke-transport
 
 # Short fuzz pass over the kernels whose parallel==serial bitwise contract
-# the pipeline relies on (go test runs one fuzz target per invocation).
+# the pipeline relies on, plus the checkpoint loaders that read untrusted
+# files (go test runs one fuzz target per invocation).  The loader target's
+# seeds are whole ~20 kB checkpoints: minimizing every new input byte by
+# byte would eat the whole budget, so it keeps inputs as found.
 fuzz:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGEMMParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzPUpdateFusedParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzSymMatVecParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime 5s
 	$(GO) test ./internal/pshard -run '^$$' -fuzz '^FuzzBlockPartition$$' -fuzztime 5s
+	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 5s -fuzzminimizetime 1x
 
 # Host-parallelism speedup curve (Kalman block update, GEMM family, the
 # pipelined FEKF iteration).

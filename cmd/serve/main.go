@@ -341,7 +341,7 @@ func gateConfig(on bool, threshold float64) online.GateConfig {
 func buildTrainer(system string, bootstrap int, seed int64, resume bool, ckptPath string, ckptKeep int, tcfg online.TrainerConfig) (*online.Trainer, error) {
 	dev := device.New("gpu0", device.A100())
 	if resume && ckptPath != "" {
-		ck, seq, quarantined, err := online.LoadNewestCheckpoint(ckptPath, ckptKeep)
+		ck, seq, quarantined, err := guard.LoadNewest[online.Checkpoint](ckptPath, ckptKeep)
 		for _, q := range quarantined {
 			log.Printf("quarantined corrupt checkpoint generation: %s.corrupt", q)
 		}
@@ -415,7 +415,7 @@ func bootstrapModel(system string, bootstrap int, seed int64, dev *device.Device
 // seeding the sharded stream with the bootstrap frames.
 func buildFleet(system string, bootstrap int, seed int64, resume bool, ckptPath string, ckptKeep int, fcfg fleet.Config) (*fleet.Fleet, error) {
 	if resume && ckptPath != "" {
-		ck, seq, quarantined, err := fleet.LoadNewestCheckpoint(ckptPath, ckptKeep)
+		ck, seq, quarantined, err := guard.LoadNewest[fleet.Checkpoint](ckptPath, ckptKeep)
 		for _, q := range quarantined {
 			log.Printf("quarantined corrupt checkpoint generation: %s.corrupt", q)
 		}
@@ -715,7 +715,7 @@ func runSmoke(system string, seed int64, chaos bool) error {
 
 	// kill→restart: resume from the newest ring generation and verify the
 	// schedule position survived
-	ck, _, _, err := online.LoadNewestCheckpoint(ckpt, 3)
+	ck, _, _, err := guard.LoadNewest[online.Checkpoint](ckpt, 3)
 	if err != nil {
 		return err
 	}
@@ -981,7 +981,7 @@ func runFleetSmoke(system string, seed int64, replicas int, shard fleet.ShardPol
 
 	// kill→restart: the resumed fleet holds the schedule position and the
 	// bitwise-consistency invariant
-	ck, _, _, err := fleet.LoadNewestCheckpoint(ckpt, 3)
+	ck, _, _, err := guard.LoadNewest[fleet.Checkpoint](ckpt, 3)
 	if err != nil {
 		return err
 	}

@@ -295,19 +295,19 @@ func TestAutoscaleDownReShardsBacklog(t *testing.T) {
 			t.Fatalf("ingest %d: %v %v", i, ok, err)
 		}
 	}
-	if d := f.reps[1].queue.Depth(); d != 4 {
+	if d := f.reps[1].Queue.Depth(); d != 4 {
 		t.Fatalf("replica 1 queued %d, want 4", d)
 	}
-	before := f.reps[0].accepted.Load()
+	before := f.FleetStats().Replica[0].FramesAccepted
 	f.scaleDown(f.liveIDs())
 	if f.reps[1].alive.Load() {
 		t.Fatal("scale-down left the victim alive")
 	}
-	if d := f.reps[1].queue.Depth(); d != 0 {
+	if d := f.reps[1].Queue.Depth(); d != 0 {
 		t.Fatalf("victim still holds %d queued frames after the drain", d)
 	}
 	// The victim's 4 frames flowed through the survivor's gate/replay.
-	if got := f.reps[0].accepted.Load() - before; got != 4 {
+	if got := f.FleetStats().Replica[0].FramesAccepted - before; got != 4 {
 		t.Fatalf("survivor admitted %d re-sharded frames, want 4", got)
 	}
 	if lastErr := f.Stats().LastError; lastErr != "" {

@@ -2,17 +2,12 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
-	"fekf/internal/device"
-	"fekf/internal/guard"
 	"fekf/internal/md"
 	"fekf/internal/online"
 	"fekf/internal/optimize"
@@ -66,18 +61,6 @@ func encodeModel(m *deepmd.Model) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeModelOn rebuilds a model from its checkpoint stream onto dev.
-func decodeModelOn(b []byte, dev *device.Device) (*deepmd.Model, error) {
-	m, err := deepmd.DecodeModel(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	if dev != nil {
-		m.Dev = dev
-	}
-	return m, nil
-}
-
 // buildCheckpoint captures the fleet state, taking the shared model and
 // filter from the first live replica (any would do — they are bitwise
 // identical).  Conductor goroutine only (or after the loop has exited).
@@ -102,13 +85,14 @@ func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 		Opt:         src.opt.Checkpoint(),
 	}
 	for _, r := range f.reps {
+		replay, gate, accepted, gatedOut := r.Checkpoint()
 		ck.Replicas = append(ck.Replicas, &ReplicaCheckpoint{
 			ID:             r.id,
 			Alive:          r.alive.Load(),
-			FramesAccepted: r.accepted.Load(),
-			FramesGatedOut: r.gatedOut.Load(),
-			Replay:         r.replay.Checkpoint(),
-			Gate:           r.gate.Checkpoint(),
+			FramesAccepted: accepted,
+			FramesGatedOut: gatedOut,
+			Replay:         replay,
+			Gate:           gate,
 		})
 	}
 	if f.cfg.PShard {
@@ -128,29 +112,17 @@ func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint persists the fleet state crash-safely (temp file, fsync,
-// atomic rename): into the checksummed retention ring when one is
-// configured for path (see Config.CheckpointKeep), as a legacy plain gob
-// file otherwise.  Conductor goroutine only; external callers use
-// CheckpointNow or Stop.
+// WriteCheckpoint persists the fleet state crash-safely: into the
+// checksummed retention ring when one is configured for path (see
+// Config.CheckpointKeep), as an atomically replaced plain gob file
+// otherwise.  Load it back with guard.Load or guard.LoadNewest.  Conductor
+// goroutine only; external callers use CheckpointNow or Stop.
 func (f *Fleet) WriteCheckpoint(path string) error {
 	ck, err := f.buildCheckpoint()
 	if err != nil {
 		return err
 	}
-	if f.ckRing != nil && path == f.cfg.CheckpointPath {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-			return fmt.Errorf("fleet: encode checkpoint %s: %w", path, err)
-		}
-		seq, err := f.ckRing.Write(buf.Bytes())
-		if err != nil {
-			return err
-		}
-		f.health.NoteCheckpoint(seq, f.clock.Now())
-		return nil
-	}
-	return online.WriteGobAtomic(path, ck)
+	return f.keeper.Save(path, ck)
 }
 
 func (f *Fleet) writeCheckpointCounted(path string) error {
@@ -165,54 +137,6 @@ func (f *Fleet) writeCheckpointCounted(path string) error {
 	return err
 }
 
-// LoadCheckpoint reads a checkpoint written by WriteCheckpoint — either a
-// legacy plain gob file or a checksummed ring generation (see
-// guard.EncodeFrame).  A framed file that is torn or bit-flipped fails
-// with an error wrapping guard.ErrCorrupt rather than an opaque gob decode
-// error.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	payload := b
-	if _, p, err := guard.DecodeFrame(bytes.NewReader(b)); err == nil {
-		payload = p
-	} else if !errors.Is(err, guard.ErrNotFramed) {
-		return nil, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
-	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("fleet: decode checkpoint %s: %w", path, err)
-	}
-	return &ck, nil
-}
-
-// LoadNewestCheckpoint resolves the newest valid generation of the fleet
-// checkpoint ring around path (see Config.CheckpointKeep): corrupt or torn
-// generation files are quarantined (their pre-quarantine paths are
-// returned) and the next older generation is tried; with no generation
-// files at all it falls back to a legacy single-file checkpoint at path
-// itself.  The returned sequence number is 0 for the legacy fallback.
-func LoadNewestCheckpoint(path string, keep int) (*Checkpoint, uint64, []string, error) {
-	ring := guard.NewRing(path, keep)
-	seq, payload, quarantined, err := ring.LoadNewest()
-	if err != nil {
-		if errors.Is(err, guard.ErrNoCheckpoint) {
-			if _, statErr := os.Stat(path); statErr == nil {
-				ck, lerr := LoadCheckpoint(path)
-				return ck, 0, quarantined, lerr
-			}
-		}
-		return nil, 0, quarantined, err
-	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, 0, quarantined, fmt.Errorf("fleet: decode checkpoint generation %d: %w", seq, err)
-	}
-	return &ck, seq, quarantined, nil
-}
-
 // Resume reconstructs a fleet from a checkpoint: every replica gets the
 // shared model weights and full Kalman filter (λ, update counter, every P
 // block — bitwise), plus its own replay buffer with the sampling RNG at
@@ -222,14 +146,10 @@ func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	if len(ck.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: checkpoint has no replicas")
 	}
-	if ck.Opt == nil {
-		return nil, fmt.Errorf("fleet: checkpoint has no optimizer state")
+	if ck.PShard && ck.PCk == nil {
+		return nil, fmt.Errorf("fleet: sharded checkpoint has no covariance slabs")
 	}
-	m, err := decodeModelOn(ck.Model, nil)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := optimize.RestoreFEKF(ck.Opt, m)
+	m, opt, err := online.RestoreModel(ck.Model, ck.Opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -237,13 +157,22 @@ func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	cfg.ShardPolicy = ck.ShardPolicy
 	cfg.PShard = ck.PShard
 	cfg.pshardResume = ck.PCk
-	if ck.PShard && ck.PCk == nil {
-		return nil, fmt.Errorf("fleet: sharded checkpoint has no covariance slabs")
-	}
-	proto := &dataset.Dataset{System: ck.System, Species: ck.Species}
-	f, err := New(m, opt, proto, cfg)
+	f, err := New(m, opt, &dataset.Dataset{System: ck.System, Species: ck.Species}, cfg)
 	if err != nil {
 		return nil, err
+	}
+	f.restoreStream(ck)
+	return f, nil
+}
+
+// restoreStream rewinds every replica's liveness and ingest lane and the
+// fleet counters to ck, and refreshes the λ mirror from the restored
+// filter.  Conductor only (or before Start).
+func (f *Fleet) restoreStream(ck *Checkpoint) {
+	for i, rck := range ck.Replicas {
+		r := f.reps[i]
+		r.alive.Store(rck.Alive)
+		r.Restore(rck.Replay, rck.Gate, rck.FramesAccepted, rck.FramesGatedOut)
 	}
 	f.naPer.Store(ck.NumAtoms)
 	f.steps.Store(ck.Steps)
@@ -251,24 +180,6 @@ func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	if ck.PShard {
 		f.lambdaBits.Store(math.Float64bits(ck.PCk.Lambda))
 	} else {
-		f.lambdaBits.Store(math.Float64bits(opt.Lambda()))
+		f.lambdaBits.Store(math.Float64bits(f.reps[0].opt.Lambda()))
 	}
-	for i, rck := range ck.Replicas {
-		r := f.reps[i]
-		r.alive.Store(rck.Alive)
-		r.accepted.Store(rck.FramesAccepted)
-		r.gatedOut.Store(rck.FramesGatedOut)
-		if rck.Replay != nil {
-			r.replay = online.RestoreReplay(rck.Replay)
-			r.replayLen.Store(int64(r.replay.Len()))
-			r.replayWin.Store(int64(r.replay.WindowLen()))
-			r.replayRes.Store(int64(r.replay.ReservoirLen()))
-			r.seen.Store(r.replay.Seen())
-		}
-		if rck.Gate != nil {
-			r.gate = online.RestoreGate(rck.Gate, cfg.Gate)
-			r.gateEMA.Store(math.Float64bits(r.gate.EMA()))
-		}
-	}
-	return f, nil
 }

@@ -2,10 +2,12 @@
 // internal/cluster ring — the paper's §6 endgame of distributed online
 // learning.
 //
-// Topology: an ingest sharder partitions the labelled-frame stream across
-// per-replica bounded queues (hash or round-robin, reusing the
-// internal/online queue policies); each replica drains its shard through
-// its own ALKPU-style uncertainty gate into its own replay buffer.  Every
+// Topology: each replica embeds the single trainer's ingest lane
+// (online.Lane: bounded queue, ALKPU-style uncertainty gate, replay
+// buffer, published snapshot).  An ingest sharder partitions the
+// labelled-frame stream across the replicas' queues (hash or round-robin,
+// reusing the internal/online queue policies); the conductor drains each
+// shard through that replica's lane.  Every
 // training step is a lockstep collective: each live replica samples a
 // private minibatch from its replay buffer, the per-replica gradients and
 // absolute-error sums are funnel-aggregated over the ring *before* the
@@ -24,4 +26,8 @@
 // through a re-formed ring, and the dead replica rejoins via a
 // checkpoint of the shared state taken from any survivor — after which
 // drift is again exactly zero.
+//
+// Self-healing: the conductor holds a guard.Keeper, the same one the single
+// trainer uses — checkpoint ring, sentinel and rollback — and adds only the
+// fleet-wide in-place restore and the step watchdog.
 package fleet

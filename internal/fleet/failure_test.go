@@ -117,13 +117,13 @@ func TestKillKeepsPredictAvailability(t *testing.T) {
 	}
 
 	// ingest keeps flowing, sharded over the survivors only
-	pushed1 := f.reps[1].queue.Pushed()
+	pushed1 := f.reps[1].Queue.Pushed()
 	for i := 0; i < 6; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("post-kill ingest %d: %v %v", i, ok, err)
 		}
 	}
-	if got := f.reps[1].queue.Pushed(); got != pushed1 {
+	if got := f.reps[1].Queue.Pushed(); got != pushed1 {
 		t.Fatalf("sharder sent %d frames to the dead replica", got-pushed1)
 	}
 }
@@ -172,7 +172,7 @@ func TestReviveCatchesUpBitwise(t *testing.T) {
 	}
 	// the revived replica is bitwise identical again, including P and λ
 	assertBitwiseConsistent(t, f)
-	if s := f.reps[2].snap.Load(); s == nil {
+	if s := f.reps[2].Snapshot(); s == nil {
 		t.Fatal("revived replica published no snapshot")
 	}
 

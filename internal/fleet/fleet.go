@@ -201,13 +201,10 @@ type Fleet struct {
 
 	rr atomic.Uint64 // round-robin shard cursor
 
-	// self-healing state: the checksummed checkpoint ring (nil without
-	// CheckpointKeep), the numerical sentinel (nil unless Guard.Enabled),
-	// the always-present health ledger, and the conductor-owned one-shot
-	// flags for the chaos injectors.
-	ckRing    *guard.Ring
-	sentinel  *guard.Sentinel
-	health    *guard.Health
+	// self-healing state: the keeper (checkpoint ring, sentinel, health
+	// ledger) and the conductor-owned one-shot flags for the chaos
+	// injectors.
+	keeper    *guard.Keeper
 	poisoned  bool // conductor-owned: chaos weight poison fired
 	hangFired bool // conductor-owned: chaos rank hang fired
 
@@ -287,20 +284,14 @@ func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config
 		}
 	}
 	for i := 0; i < slots; i++ {
-		r, err := newReplica(i, m, opt, cfg)
+		r, err := newReplica(i, m, opt, proto, cfg)
 		if err != nil {
 			return nil, err
 		}
 		r.alive.Store(i < live)
 		f.reps = append(f.reps, r)
 	}
-	if cfg.CheckpointPath != "" && cfg.CheckpointKeep > 0 {
-		f.ckRing = guard.NewRing(cfg.CheckpointPath, cfg.CheckpointKeep)
-	}
-	if cfg.Guard.Enabled {
-		f.sentinel = guard.NewSentinel(cfg.Guard)
-	}
-	f.health = guard.NewHealth(0)
+	f.keeper = guard.NewKeeper(cfg.CheckpointPath, cfg.CheckpointKeep, cfg.Guard, cfg.Clock.Now)
 	f.router = &Router{f: f}
 	if proto.Len() > 0 {
 		f.naPer.Store(int64(proto.Snapshots[0].NumAtoms()))
@@ -358,7 +349,7 @@ func (f *Fleet) Ingest(s dataset.Snapshot) (bool, error) {
 	if id < 0 {
 		return false, ErrNoReplica
 	}
-	return f.reps[id].queue.Push(s)
+	return f.reps[id].Queue.Push(s)
 }
 
 // Snapshot returns a model snapshot through the predict router: the next
@@ -371,12 +362,7 @@ func (f *Fleet) Start() {
 	if !f.started.CompareAndSwap(false, true) {
 		return
 	}
-	step := f.steps.Load()
-	for _, r := range f.reps {
-		if r.alive.Load() {
-			r.publish(step)
-		}
-	}
+	f.publish(f.liveIDs(), f.steps.Load())
 	go f.loop()
 }
 
@@ -391,7 +377,7 @@ func (f *Fleet) Stop(ctx context.Context) error {
 	}
 	f.stopOnce.Do(func() {
 		for _, r := range f.reps {
-			r.queue.Close()
+			r.Queue.Close()
 		}
 		close(f.stop)
 	})
@@ -402,12 +388,7 @@ func (f *Fleet) Stop(ctx context.Context) error {
 	}
 	// The conductor has exited: this goroutine now owns the state.
 	f.retireRing() // release transport sockets/goroutines; stats accumulate
-	step := f.steps.Load()
-	for _, r := range f.reps {
-		if r.alive.Load() {
-			r.publish(step)
-		}
-	}
+	f.publish(f.liveIDs(), f.steps.Load())
 	if f.cfg.CheckpointPath != "" {
 		return f.WriteCheckpoint(f.cfg.CheckpointPath)
 	}
@@ -493,7 +474,7 @@ func (f *Fleet) reviveLocked(id int) error {
 		return err
 	}
 	r.alive.Store(true)
-	r.publish(f.steps.Load())
+	f.publish([]int{id}, f.steps.Load())
 	if m := f.cfg.Metrics; m != nil {
 		m.Revives.Inc()
 	}
@@ -557,7 +538,7 @@ func (f *Fleet) notePressure() {
 		if !r.alive.Load() {
 			continue
 		}
-		if occ := r.queue.Occupancy(); occ > f.peakOcc {
+		if occ := r.Queue.Occupancy(); occ > f.peakOcc {
 			f.peakOcc = occ
 		}
 	}
@@ -577,23 +558,21 @@ func (f *Fleet) maybeAutoscale() {
 	}
 	f.lastEval = now
 	live := f.liveIDs()
-	backlog := 0
-	var accepted, gated int64
+	var agg online.Stats
 	for _, r := range f.reps {
-		backlog += r.queue.Depth()
-		accepted += r.accepted.Load()
-		gated += r.gatedOut.Load()
+		r.AddTo(&agg)
 	}
+	agg.DeriveRatios()
 	acceptRate := 1.0 // unscored stream: no evidence of redundancy
-	if scored := accepted + gated; scored > 0 {
-		acceptRate = float64(accepted) / float64(scored)
+	if agg.FramesAccepted+agg.FramesGatedOut > 0 {
+		acceptRate = agg.GateAcceptRate
 	}
 	s := Sample{
 		Live:           len(live),
 		QueueOccupancy: f.peakOcc,
 		GateAcceptRate: acceptRate,
 		StepLatency:    f.stepLatency(),
-		Backlog:        backlog,
+		Backlog:        agg.QueueDepth,
 	}
 	if f.cfg.PShard && f.passign.Ranks > 0 {
 		// Shard-reassignment cost of the candidate transitions: growing or
@@ -654,14 +633,22 @@ func (f *Fleet) scaleDown(live []int) {
 		f.setErr(fmt.Errorf("fleet: autoscale down replica %d: %w", id, err))
 		return
 	}
-	victim := f.reps[id]
+	f.reshard(f.reps[id])
+}
+
+// reshard re-admits every frame queued on a dead replica's shard through
+// the live shards' gates, returning the number re-admitted.  Conductor
+// only.
+func (f *Fleet) reshard(dead *replica) int {
+	got := 0
 	for {
-		s, ok := victim.queue.Pop(0)
+		s, ok := dead.Queue.Pop(0)
 		if !ok {
-			break
+			return got
 		}
 		if tid := f.shardOf(&s); tid >= 0 {
 			f.admit(f.reps[tid], s)
+			got++
 		}
 	}
 }
@@ -681,20 +668,11 @@ func (f *Fleet) drainAll() int {
 	got := 0
 	for _, r := range f.reps {
 		if !r.alive.Load() {
-			for {
-				s, ok := r.queue.Pop(0)
-				if !ok {
-					break
-				}
-				if tid := f.shardOf(&s); tid >= 0 {
-					f.admit(f.reps[tid], s)
-					got++
-				}
-			}
+			got += f.reshard(r)
 			continue
 		}
 		for {
-			s, ok := r.queue.Pop(0)
+			s, ok := r.Queue.Pop(0)
 			if !ok {
 				break
 			}
@@ -714,7 +692,7 @@ func (f *Fleet) replayTotal() int {
 	total := 0
 	for _, r := range f.reps {
 		if r.alive.Load() {
-			total += r.replay.Len()
+			total += r.Replay().Len()
 		}
 	}
 	return total
@@ -811,10 +789,7 @@ func (f *Fleet) recoverRing(ring *cluster.Ring, cause error) []int {
 			f.setErr(fmt.Errorf("fleet: reconcile replica %d: %w", id, err))
 		}
 	}
-	step := f.steps.Load()
-	for _, id := range survivors {
-		f.reps[id].publish(step)
-	}
+	f.publish(survivors, f.steps.Load())
 	return survivors
 }
 
@@ -854,7 +829,7 @@ func (f *Fleet) step() {
 	na := int(f.naPer.Load())
 	s0 := time.Now()
 	for k, id := range live {
-		batch := f.reps[id].replay.Sample(f.cfg.BatchSize)
+		batch := f.reps[id].Replay().Sample(f.cfg.BatchSize)
 		if len(batch) == 0 {
 			continue // empty replica: zero-partial contribution
 		}
@@ -947,14 +922,22 @@ func (f *Fleet) step() {
 			f.storeLambda(live)
 		}
 	}
-	f.maybePoison(n, live)
+	if d := f.cfg.Chaos.MaybePoison(n, &f.poisoned, f.reps[live[0]].model.NumParams()); d != nil {
+		// The same delta lands on every live replica — a poisoned reduced
+		// gradient reaches all ranks identically under the funnel
+		// schedule, so the bitwise drift invariant holds over the broken
+		// state.
+		for _, id := range live {
+			f.reps[id].model.Params.AddFlat(d)
+		}
+	}
 	f.updateInvariants(live)
 	lat := f.clock.Now().Sub(t0)
 	f.noteStepLatency(lat)
 	if m := f.cfg.Metrics; m != nil {
 		m.StepSeconds.Observe(lat.Seconds())
 	}
-	if ev := f.checkHealth(n, live, infos); ev != nil {
+	if ev := f.keeper.Check(n, func() guard.Sample { return f.healthSample(live, infos) }); ev != nil {
 		// Divergence: roll the whole fleet back to the newest valid
 		// checkpoint generation before anything downstream (snapshot
 		// publish, checkpoint write, OnStep) can observe or persist the
@@ -969,9 +952,7 @@ func (f *Fleet) step() {
 	}
 	if n%int64(f.cfg.SnapshotEvery) == 0 {
 		p0 := time.Now()
-		for _, id := range live {
-			f.reps[id].publish(n)
-		}
+		f.publish(live, n)
 		rec.Span(-1, "snapshot_publish", p0, time.Since(p0))
 	}
 	if f.cfg.CheckpointEvery > 0 && f.cfg.CheckpointPath != "" && n%int64(f.cfg.CheckpointEvery) == 0 {
@@ -1117,21 +1098,23 @@ func (f *Fleet) FleetStats() Stats {
 		st.Transport.Add(ring.TransportStats())
 	}
 	for _, r := range f.reps {
+		var ls online.Stats
+		r.AddTo(&ls)
 		rs := ReplicaStats{
 			ID:             r.id,
 			Alive:          r.alive.Load(),
-			QueueDepth:     r.queue.Depth(),
-			QueueCapacity:  r.queue.Cap(),
-			FramesQueued:   r.queue.Pushed(),
-			FramesDropped:  r.queue.Dropped(),
-			FramesAccepted: r.accepted.Load(),
-			FramesGatedOut: r.gatedOut.Load(),
-			ReplaySize:     r.replayLen.Load(),
-			GateEMA:        math.Float64frombits(r.gateEMA.Load()),
+			QueueDepth:     ls.QueueDepth,
+			QueueCapacity:  ls.QueueCapacity,
+			FramesQueued:   ls.FramesQueued,
+			FramesDropped:  ls.FramesDropped,
+			FramesAccepted: ls.FramesAccepted,
+			FramesGatedOut: ls.FramesGatedOut,
+			ReplaySize:     ls.ReplaySize,
+			GateEMA:        r.GateEMA(),
 			PredictsRouted: r.routed.Load(),
 			PResidentBytes: r.pBytes.Load(),
 		}
-		if s := r.snap.Load(); s != nil {
+		if s := r.Snapshot(); s != nil {
 			rs.SnapshotStep = s.Step
 			rs.SnapshotAgeMs = f.clock.Now().Sub(s.Published).Milliseconds()
 		}
@@ -1163,34 +1146,16 @@ func (f *Fleet) Stats() online.Stats {
 	var emaN int64
 	for _, r := range f.reps {
 		st.PResidentBytes += r.pBytes.Load()
-		st.QueueDepth += r.queue.Depth()
-		st.QueueCapacity += r.queue.Cap()
-		st.FramesQueued += r.queue.Pushed()
-		st.FramesDropped += r.queue.Dropped()
-		st.FramesAccepted += r.accepted.Load()
-		st.FramesGatedOut += r.gatedOut.Load()
-		st.FramesSeen += r.seen.Load()
-		st.ReplaySize += r.replayLen.Load()
-		st.ReplayWindowLen += r.replayWin.Load()
-		st.ReplayReservoirLen += r.replayRes.Load()
-		st.ReplayCapacity += int64(f.cfg.WindowSize + f.cfg.ReservoirSize)
+		r.AddTo(&st)
 		if r.alive.Load() {
-			emaSum += math.Float64frombits(r.gateEMA.Load())
+			emaSum += r.GateEMA()
 			emaN++
 		}
 	}
 	if emaN > 0 {
 		st.GateEMA = emaSum / float64(emaN)
 	}
-	if st.ReplayCapacity > 0 {
-		st.ReplayOccupancy = float64(st.ReplaySize) / float64(st.ReplayCapacity)
-	}
-	if st.QueueCapacity > 0 {
-		st.QueueOccupancy = float64(st.QueueDepth) / float64(st.QueueCapacity)
-	}
-	if scored := st.FramesAccepted + st.FramesGatedOut; scored > 0 {
-		st.GateAcceptRate = float64(st.FramesAccepted) / float64(scored)
-	}
+	st.DeriveRatios()
 	if s := f.router.freshest(); s != nil {
 		st.SnapshotStep = s.Step
 		st.SnapshotAgeMs = f.clock.Now().Sub(s.Published).Milliseconds()
@@ -1198,8 +1163,8 @@ func (f *Fleet) Stats() online.Stats {
 	if e := f.lastErr.Load(); e != nil {
 		st.LastError = *e
 	}
-	if f.ckRing != nil || f.sentinel != nil || f.cfg.StepTimeout > 0 {
-		st.Guard = f.health.Status(f.clock.Now())
+	if f.keeper.Armed() || f.cfg.StepTimeout > 0 {
+		st.Guard = f.keeper.Health.Status(f.clock.Now())
 	}
 	return st
 }

@@ -10,6 +10,7 @@ import (
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
 	"fekf/internal/device"
+	"fekf/internal/guard"
 	"fekf/internal/online"
 	"fekf/internal/optimize"
 )
@@ -128,7 +129,7 @@ func TestShardPolicies(t *testing.T) {
 		}
 	}
 	for _, r := range f.reps {
-		if d := r.queue.Depth(); d != 4 {
+		if d := r.Queue.Depth(); d != 4 {
 			t.Fatalf("round-robin left %d frames on replica %d, want 4", d, r.id)
 		}
 	}
@@ -247,7 +248,7 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 	if err := f.WriteCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(path)
+	ck, err := guard.Load[Checkpoint](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 		if d := f.reps[i].opt.State().PDrift(f2.reps[i].opt.State()); d != 0 {
 			t.Fatalf("replica %d P differs after resume by %g", i, d)
 		}
-		if f.reps[i].replay.Seen() != f2.reps[i].replay.Seen() {
+		if f.reps[i].Replay().Seen() != f2.reps[i].Replay().Seen() {
 			t.Fatalf("replica %d replay did not resume", i)
 		}
 	}

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sync"
@@ -12,16 +10,15 @@ import (
 	"fekf/internal/cluster"
 	"fekf/internal/guard"
 	"fekf/internal/obs"
-	"fekf/internal/online"
 	"fekf/internal/optimize"
 )
 
-// This file is the fleet half of the self-healing layer: the step watchdog,
-// the chaos injectors, the post-step sentinel check, and the fleet-wide
-// rollback that restores every replica (and the covariance shards under
-// PShard) bitwise from the newest valid checkpoint generation.  Everything
-// here runs on the conductor goroutine except buildInject's returned
-// closure, which runs on a rank goroutine and touches only its own
+// This file is what the fleet adds to the shared self-healing layer
+// (guard.Keeper): the step watchdog, the chaos-hang injection, the
+// sentinel's view of the fleet, and the in-place restore that rolls every
+// replica (and the covariance shards under PShard) back bitwise.
+// Everything here runs on the conductor goroutine except buildInject's
+// returned closure, which runs on a rank goroutine and touches only its own
 // arguments.
 
 // buildInject composes the per-rank step injection: the failStep test seam,
@@ -89,42 +86,16 @@ func (f *Fleet) awaitStep(wg *sync.WaitGroup, ring *cluster.Ring, live []int, st
 		if hangCh != nil {
 			close(hangCh)
 		}
-		f.health.NoteWatchdog(stepNo + 1)
+		f.keeper.Health.NoteWatchdog(stepNo + 1)
 		f.rec.Span(-1, "watchdog_abort", f.clock.Now(), 0)
 		<-stepDone
 	}
 }
 
-// maybePoison applies the configured chaos weight poison after step n: the
-// same non-finite delta lands on every live replica — modeling a poisoned
-// reduced gradient, which under the funnel schedule reaches all ranks
-// identically, so the bitwise drift invariant still holds over the broken
-// state.  One-shot: the re-run after rollback proceeds clean.
-func (f *Fleet) maybePoison(n int64, live []int) {
-	c := f.cfg.Chaos
-	if f.poisoned || c.PoisonStep == 0 || n != c.PoisonStep {
-		return
-	}
-	f.poisoned = true
-	for _, id := range live {
-		r := f.reps[id]
-		delta := make([]float64, r.model.NumParams())
-		idx := c.PoisonIndex
-		if idx < 0 || idx >= len(delta) {
-			idx = 0
-		}
-		delta[idx] = c.PoisonValue()
-		r.model.Params.AddFlat(delta)
-	}
-}
-
-// checkHealth runs the sentinel over the post-step fleet state (the first
-// live replica stands in for all — the drift invariant makes them
-// identical), returning the divergence event if an invariant broke.
-func (f *Fleet) checkHealth(n int64, live []int, infos []optimize.StepInfo) *guard.DivergenceEvent {
-	if f.sentinel == nil {
-		return nil
-	}
+// healthSample is the sentinel's view of the post-step fleet state: the
+// first live replica stands in for all (the drift invariant makes them
+// identical), with the owned P-slab diagonal under PShard.
+func (f *Fleet) healthSample(live []int, infos []optimize.StepInfo) guard.Sample {
 	ref := f.reps[live[0]]
 	smp := guard.Sample{
 		Lambda:  math.Float64frombits(f.lambdaBits.Load()),
@@ -138,121 +109,64 @@ func (f *Fleet) checkHealth(n int64, live []int, infos []optimize.StepInfo) *gua
 	} else {
 		smp.PDiag = ref.opt.PDiagonal()
 	}
-	if ev := f.sentinel.Check(n, smp); ev != nil {
-		return ev
-	}
-	f.health.NoteHealthy()
-	return nil
+	return smp
 }
 
-// handleDivergence records a sentinel event and rolls the fleet back to the
-// newest valid checkpoint generation.  A failed rollback (no ring, no valid
-// generation) leaves the event in last_error and the fleet degraded;
-// training continues from the diverged state rather than crashing the
-// conductor, so operators can still drain and inspect it.
+// handleDivergence records a sentinel event and rolls the whole fleet back
+// to the newest valid checkpoint generation.  A failed rollback (no ring,
+// no valid generation) leaves the event in last_error and the fleet
+// degraded; training continues from the diverged state rather than
+// crashing the conductor, so operators can still drain and inspect it.
 func (f *Fleet) handleDivergence(ev *guard.DivergenceEvent, rec *obs.StepRecorder) {
-	f.health.NoteDivergence(ev)
 	f.setErr(ev)
 	r0 := time.Now()
-	err := f.rollbackLocked()
+	err := guard.Rollback(f.keeper, ev, f.applyCheckpoint)
 	rec.Span(-1, "rollback", r0, time.Since(r0))
 	if err != nil {
-		f.setErr(fmt.Errorf("guard: rollback after %v: %w", ev, err))
+		f.setErr(err)
 	}
-}
-
-// rollbackLocked restores the newest valid ring generation across the whole
-// fleet: the in-flight ring is retired (aborting anything still on the
-// wire), every replica gets the checkpointed shared model + filter bitwise,
-// private replay buffers and gates rewind to their checkpointed positions,
-// and under PShard the covariance slabs are retiled from the checkpoint.
-// Quarantined generations are counted in the health ledger.  Conductor
-// only.
-func (f *Fleet) rollbackLocked() error {
-	if f.ckRing == nil {
-		return fmt.Errorf("fleet: no checkpoint ring to roll back to (set CheckpointKeep)")
-	}
-	f.retireRing()
-	seq, payload, quarantined, err := f.ckRing.LoadNewest()
-	f.health.NoteQuarantine(len(quarantined))
-	if err != nil {
-		return err
-	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return fmt.Errorf("fleet: decode checkpoint generation %d: %w", seq, err)
-	}
-	if err := f.applyCheckpoint(&ck); err != nil {
-		return err
-	}
-	if f.sentinel != nil {
-		f.sentinel.Reset()
-	}
-	f.health.NoteRollback(seq, ck.Steps)
-	f.health.NoteCheckpoint(seq, f.clock.Now())
-	return nil
 }
 
 // applyCheckpoint restores a fleet checkpoint in place — the same
-// restoration Resume performs on a fresh fleet, against the live structure.
-// Conductor only.
-func (f *Fleet) applyCheckpoint(ck *Checkpoint) error {
+// restoration Resume performs on a fresh fleet, against the live
+// structure: the in-flight ring is retired (aborting anything still on the
+// wire), every replica gets the checkpointed shared model + filter
+// bitwise, the lanes rewind to their checkpointed positions, under PShard
+// the covariance slabs are retiled, and clean snapshots are republished.
+// It returns the restored step.  Conductor only.
+func (f *Fleet) applyCheckpoint(ck *Checkpoint) (int64, error) {
+	f.retireRing()
 	if len(ck.Replicas) != len(f.reps) {
-		return fmt.Errorf("fleet: checkpoint has %d replicas, fleet has %d", len(ck.Replicas), len(f.reps))
-	}
-	if ck.Opt == nil {
-		return fmt.Errorf("fleet: checkpoint has no optimizer state")
+		return 0, fmt.Errorf("fleet: checkpoint has %d replicas, fleet has %d", len(ck.Replicas), len(f.reps))
 	}
 	if ck.PShard != f.cfg.PShard {
-		return fmt.Errorf("fleet: checkpoint pshard=%v, fleet pshard=%v", ck.PShard, f.cfg.PShard)
+		return 0, fmt.Errorf("fleet: checkpoint pshard=%v, fleet pshard=%v", ck.PShard, f.cfg.PShard)
+	}
+	if ck.PShard && ck.PCk == nil {
+		return 0, fmt.Errorf("fleet: sharded checkpoint has no covariance slabs")
 	}
 	for i, rck := range ck.Replicas {
 		r := f.reps[i]
 		if rck.ID != r.id {
-			return fmt.Errorf("fleet: checkpoint replica %d has id %d", i, rck.ID)
+			return 0, fmt.Errorf("fleet: checkpoint replica %d has id %d", i, rck.ID)
 		}
 		if err := r.restoreShared(ck.Model, ck.Opt); err != nil {
-			return err
-		}
-		r.alive.Store(rck.Alive)
-		r.accepted.Store(rck.FramesAccepted)
-		r.gatedOut.Store(rck.FramesGatedOut)
-		if rck.Replay != nil {
-			r.replay = online.RestoreReplay(rck.Replay)
-			r.replayLen.Store(int64(r.replay.Len()))
-			r.replayWin.Store(int64(r.replay.WindowLen()))
-			r.replayRes.Store(int64(r.replay.ReservoirLen()))
-			r.seen.Store(r.replay.Seen())
-		}
-		if rck.Gate != nil {
-			r.gate = online.RestoreGate(rck.Gate, f.cfg.Gate)
-			r.gateEMA.Store(math.Float64bits(r.gate.EMA()))
+			return 0, err
 		}
 	}
-	f.naPer.Store(ck.NumAtoms)
-	f.steps.Store(ck.Steps)
-	f.rr.Store(ck.RR)
+	f.restoreStream(ck)
 	live := f.liveIDs()
 	if len(live) == 0 {
-		return fmt.Errorf("fleet: checkpoint has no live replica")
+		return 0, fmt.Errorf("fleet: checkpoint has no live replica")
 	}
 	if f.cfg.PShard {
-		if ck.PCk == nil {
-			return fmt.Errorf("fleet: sharded checkpoint has no covariance slabs")
-		}
 		if err := f.restoreShards(ck.PCk, live); err != nil {
-			return err
+			return 0, err
 		}
-		f.lambdaBits.Store(math.Float64bits(ck.PCk.Lambda))
-	} else {
-		f.lambdaBits.Store(math.Float64bits(f.reps[live[0]].opt.Lambda()))
 	}
 	// Republish clean snapshots at the restored step so the predict tier
 	// never serves the diverged weights.
-	step := f.steps.Load()
-	for _, id := range live {
-		f.reps[id].publish(step)
-	}
+	f.publish(live, ck.Steps)
 	f.updateInvariants(live)
-	return nil
+	return ck.Steps, nil
 }

@@ -117,7 +117,7 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 				for i := 0; i < 4; i++ {
 					f.step()
 				}
-				ck, seq, quarantined, err := LoadNewestCheckpoint(path, 3)
+				ck, seq, quarantined, err := guard.LoadNewest[Checkpoint](path, 3)
 				if err != nil || len(quarantined) != 0 {
 					t.Fatalf("load newest: seq=%d q=%v err=%v", seq, quarantined, err)
 				}
@@ -227,7 +227,7 @@ func TestFleetRollbackSkipsCorruptGeneration(t *testing.T) {
 	if st.Guard.Quarantined != 1 {
 		t.Fatalf("quarantined = %d, want 1", st.Guard.Quarantined)
 	}
-	ck, seq, _, err := LoadNewestCheckpoint(path, 3)
+	ck, seq, _, err := guard.LoadNewest[Checkpoint](path, 3)
 	if err != nil || seq != 1 {
 		t.Fatalf("newest after quarantine: seq=%d err=%v", seq, err)
 	}

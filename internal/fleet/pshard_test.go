@@ -10,6 +10,7 @@ import (
 
 	"fekf/internal/dataset"
 	"fekf/internal/fleet/clocktest"
+	"fekf/internal/guard"
 	"fekf/internal/online"
 	"fekf/internal/pshard"
 	"fekf/internal/tensor"
@@ -272,7 +273,7 @@ func TestPShardCheckpointResumeBitwise(t *testing.T) {
 	if err := f.WriteCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(path)
+	ck, err := guard.Load[Checkpoint](path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
-	"time"
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
@@ -14,17 +12,19 @@ import (
 )
 
 // replica is one member of the fleet: a full model + Kalman filter pair
-// (bitwise identical to every other live replica's), plus the private
-// per-shard ingest state — queue, gate, replay buffer — and the published
-// copy-on-write snapshot the predict router reads.
+// (bitwise identical to every other live replica's) plus its own ingest
+// lane — the same queue, gate, replay buffer and published snapshot the
+// single trainer holds — that the shard router feeds and the predict
+// router reads.
 //
-// The model, optimizer, gate and replay buffer are owned by the fleet's
-// conductor goroutine; the queue, the snapshot pointer and the mirrored
-// atomic counters are the concurrent surface.
+// The model, optimizer and the lane's gate and replay buffer are owned by
+// the fleet's conductor goroutine; the lane's queue, snapshot and mirrors,
+// and the atomics below are the concurrent surface.
 type replica struct {
+	*online.Lane
+
 	id    int
 	dev   *device.Device
-	clock Clock
 	model *deepmd.Model
 	opt   *optimize.FEKF
 	// pshard marks the sharded-covariance fleet mode: the replica's own
@@ -32,32 +32,17 @@ type replica struct {
 	// sharding) — the conductor holds the rank's P slabs in Fleet.pstates.
 	pshard bool
 
-	queue  *online.Queue
-	replay *online.ReplayBuffer
-	gate   *online.Gate
-
-	snap  atomic.Pointer[online.ModelSnapshot]
 	alive atomic.Bool
 	// pBytes mirrors the replica's resident covariance bytes (full P
 	// replicated, or the owned slabs under pshard) for the stats readers;
 	// the conductor refreshes it after steps and membership changes.
 	pBytes atomic.Int64
-
-	// mirrored observability (written by the conductor / router, read by
-	// Stats from any goroutine)
-	accepted  atomic.Int64
-	gatedOut  atomic.Int64
-	seen      atomic.Int64
-	replayLen atomic.Int64
-	replayWin atomic.Int64
-	replayRes atomic.Int64
-	gateEMA   atomic.Uint64
-	routed    atomic.Int64
+	routed atomic.Int64
 }
 
 // newReplica clones the prototype model and optimizer onto a fresh
-// simulated device and builds the replica's private shard state.
-func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, cfg Config) (*replica, error) {
+// simulated device and builds the replica's private ingest lane.
+func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config) (*replica, error) {
 	dev := device.New(fmt.Sprintf("fleet%d", id), device.A100())
 	model := m.CloneFor(dev)
 	ropt, err := optimize.RestoreFEKF(opt.Checkpoint(), model)
@@ -73,34 +58,28 @@ func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, cfg Config) (*repli
 		ropt.InitState(model)
 	}
 	r := &replica{
+		Lane: online.NewLane(proto.System, proto.Species, online.NewQueue(cfg.QueueSize, cfg.QueuePolicy),
+			online.NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed+int64(id)), cfg.Gate),
 		id:     id,
 		dev:    dev,
-		clock:  cfg.Clock,
 		model:  model,
 		opt:    ropt,
 		pshard: cfg.PShard,
-		queue:  online.NewQueue(cfg.QueueSize, cfg.QueuePolicy),
-		replay: online.NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed+int64(id)),
-		gate:   online.NewGate(cfg.Gate),
 	}
 	r.alive.Store(true)
 	r.pBytes.Store(ropt.PBytes())
 	return r, nil
 }
 
-// admit runs one frame through the replica's gate into its replay buffer.
-// Conductor goroutine only.
+// admit runs one frame through the replica's lane.  Under pshard each
+// replica gates on the diagonal of its own owned P rows (zeros elsewhere)
+// — a documented approximation: scores touching unowned rows read 0, so
+// the partial gate is more permissive than the full diagonal, never
+// stricter.  Conductor goroutine only.
 func (f *Fleet) admit(r *replica, s dataset.Snapshot) {
 	if f.cfg.Trace != nil && f.rec == nil {
 		f.rec = f.cfg.Trace.Begin()
 	}
-	a0 := time.Now()
-	defer func() { f.rec.Span(r.id, "ingest_admit", a0, time.Since(a0)) }()
-	scratch := &dataset.Dataset{System: f.system, Species: f.species, Snapshots: []dataset.Snapshot{s}}
-	// Under pshard each replica gates on the diagonal of its own owned P
-	// rows (zeros elsewhere) — a documented approximation: scores touching
-	// unowned rows read 0, so the partial gate is more permissive than the
-	// full diagonal, never stricter.
 	pd := r.opt.PDiagonal()
 	if f.cfg.PShard {
 		pd = nil
@@ -108,54 +87,29 @@ func (f *Fleet) admit(r *replica, s dataset.Snapshot) {
 			pd = st.PDiagonalOwned()
 		}
 	}
-	g0 := time.Now()
-	ok, _, err := r.gate.Admit(r.model, pd, scratch, 0)
-	f.rec.Span(r.id, "gate", g0, time.Since(g0))
-	if err != nil {
+	if err := r.Admit(s, r.model, pd, f.rec, r.id); err != nil {
 		f.setErr(fmt.Errorf("replica %d gate: %w", r.id, err))
-		return
 	}
-	r.gateEMA.Store(math.Float64bits(r.gate.EMA()))
-	if !ok {
-		r.gatedOut.Add(1)
-		return
-	}
-	r.replay.Add(s)
-	r.accepted.Add(1)
-	r.replayLen.Store(int64(r.replay.Len()))
-	r.replayWin.Store(int64(r.replay.WindowLen()))
-	r.replayRes.Store(int64(r.replay.ReservoirLen()))
-	r.seen.Store(r.replay.Seen())
 }
 
-// publish swaps in a fresh copy-on-write snapshot of the replica's model,
-// stamped from the fleet clock so snapshot ages are deterministic under a
-// fake clock.  Conductor goroutine only (the clone must see quiescent
-// weights).
-func (r *replica) publish(step int64) {
-	now := time.Now()
-	if r.clock != nil {
-		now = r.clock.Now()
+// publish swaps in fresh copy-on-write snapshots of the given replicas'
+// models at step, stamped from the fleet clock so snapshot ages are
+// deterministic under a fake clock.  Conductor goroutine only (the clones
+// must see quiescent weights).
+func (f *Fleet) publish(ids []int, step int64) {
+	for _, id := range ids {
+		r := f.reps[id]
+		r.Publish(r.model, step, r.opt.Lambda(), f.clock.Now())
 	}
-	r.snap.Store(&online.ModelSnapshot{
-		Model:     r.model.Clone(),
-		Step:      step,
-		Lambda:    r.opt.Lambda(),
-		Published: now,
-	})
 }
 
 // restoreShared replaces the replica's model and filter with the shared
 // state carried by a fleet checkpoint — the rejoin/catch-up path.
 // Conductor goroutine only.
 func (r *replica) restoreShared(modelBytes []byte, opt *optimize.FEKFCheckpoint) error {
-	m, err := decodeModelOn(modelBytes, r.dev)
+	m, ropt, err := online.RestoreModel(modelBytes, opt, r.dev)
 	if err != nil {
-		return fmt.Errorf("fleet: replica %d model: %w", r.id, err)
-	}
-	ropt, err := optimize.RestoreFEKF(opt, m)
-	if err != nil {
-		return fmt.Errorf("fleet: replica %d optimizer: %w", r.id, err)
+		return fmt.Errorf("fleet: replica %d: %w", r.id, err)
 	}
 	// In pshard mode the checkpoint carries no Kalman state (P lives in
 	// the conductor's shard states) and none is materialized here.

@@ -36,7 +36,7 @@ func (rt *Router) Snapshot() *online.ModelSnapshot {
 		if !r.alive.Load() {
 			continue
 		}
-		if s := r.snap.Load(); s != nil {
+		if s := r.Snapshot(); s != nil {
 			r.routed.Add(1)
 			return s
 		}
@@ -49,7 +49,7 @@ func (rt *Router) Snapshot() *online.ModelSnapshot {
 func (rt *Router) freshest() *online.ModelSnapshot {
 	var best *online.ModelSnapshot
 	for _, r := range rt.f.reps {
-		if s := r.snap.Load(); s != nil {
+		if s := r.Snapshot(); s != nil {
 			if best == nil || s.Published.After(best.Published) {
 				best = s
 			}

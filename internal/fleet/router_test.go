@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"fekf/internal/deepmd"
 	"fekf/internal/online"
 )
 
@@ -11,17 +12,14 @@ import (
 // provenance the table controls directly: published[i] == 0 means replica
 // i never published; otherwise it is both the snapshot's step and its
 // publication-time offset in seconds.
-func routerFleet(alive []bool, published []int64) *Fleet {
+func routerFleet(m *deepmd.Model, alive []bool, published []int64) *Fleet {
 	f := &Fleet{}
 	base := time.Unix(1000, 0)
 	for i := range alive {
-		r := &replica{id: i}
+		r := &replica{id: i, Lane: online.NewLane("", nil, nil, online.NewReplay(1, 1, 0), online.GateConfig{})}
 		r.alive.Store(alive[i])
 		if published[i] > 0 {
-			r.snap.Store(&online.ModelSnapshot{
-				Step:      published[i],
-				Published: base.Add(time.Duration(published[i]) * time.Second),
-			})
+			r.Publish(m, published[i], 0, base.Add(time.Duration(published[i])*time.Second))
 		}
 		f.reps = append(f.reps, r)
 	}
@@ -86,9 +84,10 @@ func TestRouterFreshestFallback(t *testing.T) {
 			want: []int64{0, 0},
 		},
 	}
+	_, m, _ := fleetSetup(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := routerFleet(tc.alive, tc.published)
+			f := routerFleet(m, tc.alive, tc.published)
 			for i, want := range tc.want {
 				s := f.Snapshot()
 				if want == 0 {

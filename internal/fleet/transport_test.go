@@ -17,10 +17,7 @@ import (
 // Snapshot panicked on reps[-k].
 func TestRouterSnapshotSurvivesWraparound(t *testing.T) {
 	_, f := newTestFleet(t, 3, Config{Seed: 5, Gate: online.GateConfig{Enabled: false}})
-	step := f.steps.Load()
-	for _, r := range f.reps {
-		r.publish(step)
-	}
+	f.publish(f.liveIDs(), f.steps.Load())
 	// Park the counter just below wraparound and rotate across it.
 	f.router.next.Store(math.MaxUint64 - 2)
 	seen := make(map[int]bool)

@@ -45,6 +45,25 @@ func (c ChaosConfig) PoisonValue() float64 {
 	return math.NaN()
 }
 
+// MaybePoison returns the weight delta the poison injector applies after
+// completed step n — zeros with PoisonValue at PoisonIndex (clamped to 0
+// when out of range) over nParams weights — or nil when none is due.
+// One-shot: *fired is set on the first injection, so the re-run of step n
+// after a rollback sees the clean gradient, not the fault again.
+func (c ChaosConfig) MaybePoison(n int64, fired *bool, nParams int) []float64 {
+	if *fired || c.PoisonStep == 0 || n != c.PoisonStep {
+		return nil
+	}
+	*fired = true
+	delta := make([]float64, nParams)
+	idx := c.PoisonIndex
+	if idx < 0 || idx >= nParams {
+		idx = 0
+	}
+	delta[idx] = c.PoisonValue()
+	return delta
+}
+
 // FlipByte XORs 0xFF into the byte at offset of the file at path
 // (negative offsets count from the end), simulating on-disk corruption of
 // a checkpoint generation.  Test harness use.

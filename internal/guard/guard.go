@@ -7,8 +7,10 @@
 //
 // The package is a leaf: it knows nothing about models, optimizers or
 // fleets.  Callers feed the sentinel flat float64 views of their state
-// (weights, λ, a P diagonal) and gob payloads into the ring; the fleet
-// conductor and the online trainer own the rollback choreography.
+// (weights, λ, a P diagonal) and their checkpoint structs into a Keeper,
+// which runs the save and rollback choreography for the online trainer and
+// the fleet conductor alike; each caller supplies only how a decoded
+// checkpoint is applied in place.
 package guard
 
 import (

@@ -2,19 +2,18 @@ package online
 
 import (
 	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
+	"time"
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
 	"fekf/internal/device"
 	"fekf/internal/guard"
 	"fekf/internal/md"
+	"fekf/internal/obs"
 	"fekf/internal/optimize"
+	"fekf/internal/train"
 )
 
 // Checkpoint is the combined on-disk state of an online trainer: the model
@@ -45,79 +44,54 @@ func (t *Trainer) buildCheckpoint() (*Checkpoint, error) {
 	if err := t.model.EncodeTo(&buf); err != nil {
 		return nil, err
 	}
+	replay, gate, accepted, gatedOut := t.lane.Checkpoint()
 	return &Checkpoint{
 		System:         t.system,
 		Species:        t.species,
 		NumAtoms:       t.naPer.Load(),
 		Steps:          t.steps.Load(),
-		FramesGatedOut: t.gatedOut.Load(),
-		FramesAccepted: t.accepted.Load(),
+		FramesGatedOut: gatedOut,
+		FramesAccepted: accepted,
 		Model:          buf.Bytes(),
 		Opt:            t.opt.Checkpoint(),
-		Replay:         t.replay.Checkpoint(),
-		Gate:           t.gate.Checkpoint(),
+		Replay:         replay,
+		Gate:           gate,
 	}, nil
 }
 
-// WriteCheckpoint persists the trainer state crash-safely (temp file in
-// the target directory, fsync, atomic rename).  Must run on the trainer
-// goroutine or after the loop has exited; external callers use
-// CheckpointNow or Stop.
+// WriteCheckpoint persists the trainer state crash-safely: into the
+// checksummed retention ring when one is configured for path (see
+// TrainerConfig.CheckpointKeep), as an atomically replaced plain gob file
+// otherwise.  Load it back with guard.Load or guard.LoadNewest.  Must run
+// on the trainer goroutine or after the loop has exited; external callers
+// use CheckpointNow or Stop.
 func (t *Trainer) WriteCheckpoint(path string) error {
 	ck, err := t.buildCheckpoint()
 	if err != nil {
 		return err
 	}
-	return WriteGobAtomic(path, ck)
+	return t.keeper.Save(path, ck)
 }
 
-// LoadCheckpoint reads a checkpoint written by WriteCheckpoint — either a
-// legacy plain gob file or a checksummed ring generation (see
-// guard.EncodeFrame).  A framed file that is torn or bit-flipped fails
-// with an error wrapping guard.ErrCorrupt rather than an opaque gob
-// decode error.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	b, err := os.ReadFile(path)
+// RestoreModel rebuilds a model from its checkpoint stream onto dev (nil
+// keeps the default device) together with the FEKF optimizer checkpointed
+// alongside it — λ, update counter and every P block, bitwise.
+func RestoreModel(model []byte, opt *optimize.FEKFCheckpoint, dev *device.Device) (*deepmd.Model, *optimize.FEKF, error) {
+	if opt == nil {
+		return nil, nil, fmt.Errorf("online: checkpoint has no optimizer state")
+	}
+	m, err := deepmd.DecodeModel(bytes.NewReader(model))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	payload := b
-	if _, p, err := guard.DecodeFrame(bytes.NewReader(b)); err == nil {
-		payload = p
-	} else if !errors.Is(err, guard.ErrNotFramed) {
-		return nil, fmt.Errorf("online: checkpoint %s: %w", path, err)
+	if dev != nil {
+		m.Dev = dev
 	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("online: decode checkpoint %s: %w", path, err)
-	}
-	return &ck, nil
-}
-
-// LoadNewestCheckpoint resolves the newest valid generation of the
-// checkpoint ring around path (see TrainerConfig.CheckpointKeep):
-// corrupt or torn generation files are quarantined (their pre-quarantine
-// paths are returned) and the next older generation is tried; with no
-// generation files at all it falls back to a legacy single-file
-// checkpoint at path itself.  The returned sequence number is 0 for the
-// legacy fallback.
-func LoadNewestCheckpoint(path string, keep int) (*Checkpoint, uint64, []string, error) {
-	ring := guard.NewRing(path, keep)
-	seq, payload, quarantined, err := ring.LoadNewest()
+	o, err := optimize.RestoreFEKF(opt, m)
 	if err != nil {
-		if errors.Is(err, guard.ErrNoCheckpoint) {
-			if _, statErr := os.Stat(path); statErr == nil {
-				ck, lerr := LoadCheckpoint(path)
-				return ck, 0, quarantined, lerr
-			}
-		}
-		return nil, 0, quarantined, err
+		return nil, nil, err
 	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, 0, quarantined, fmt.Errorf("online: decode checkpoint generation %d: %w", seq, err)
-	}
-	return &ck, seq, quarantined, nil
+	return m, o, nil
 }
 
 // ResumeTrainer reconstructs a trainer from a checkpoint: model weights,
@@ -127,76 +101,59 @@ func LoadNewestCheckpoint(path string, keep int) (*Checkpoint, uint64, []string,
 // with its replay/gate capacities overridden by the checkpointed ones so
 // the restored buffer structure matches.
 func ResumeTrainer(ck *Checkpoint, dev *device.Device, cfg TrainerConfig) (*Trainer, error) {
-	m, err := deepmd.DecodeModel(bytes.NewReader(ck.Model))
+	m, opt, err := RestoreModel(ck.Model, ck.Opt, dev)
 	if err != nil {
 		return nil, err
 	}
-	if dev != nil {
-		m.Dev = dev
-	}
-	if ck.Opt == nil {
-		return nil, fmt.Errorf("online: checkpoint has no optimizer state")
-	}
-	opt, err := optimize.RestoreFEKF(ck.Opt, m)
+	t, err := NewTrainer(m, opt, &dataset.Dataset{System: ck.System, Species: ck.Species}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	proto := &dataset.Dataset{System: ck.System, Species: ck.Species}
-	t, err := NewTrainer(m, opt, proto, cfg)
-	if err != nil {
-		return nil, err
-	}
-	t.naPer.Store(ck.NumAtoms)
-	t.steps.Store(ck.Steps)
-	t.gatedOut.Store(ck.FramesGatedOut)
-	t.accepted.Store(ck.FramesAccepted)
-	t.lambdaBits.Store(math.Float64bits(opt.Lambda()))
-	if ck.Replay != nil {
-		// the sampling stream resumes at the checkpointed RNG state, so
-		// the resumed trainer draws exactly the minibatch sequence the
-		// uninterrupted one would have
-		t.replay = RestoreReplay(ck.Replay)
-		t.replayLen.Store(int64(t.replay.Len()))
-		t.replayWin.Store(int64(t.replay.WindowLen()))
-		t.replayRes.Store(int64(t.replay.ReservoirLen()))
-		t.replayCap.Store(int64(ck.Replay.WindowCap + ck.Replay.ResCap))
-		t.seen.Store(t.replay.Seen())
-	}
-	if ck.Gate != nil {
-		t.gate = RestoreGate(ck.Gate, t.cfg.Gate)
-		t.gateEMA.Store(math.Float64bits(t.gate.EMA()))
-	}
+	t.restoreStream(ck)
 	return t, nil
 }
 
-// WriteGobAtomic writes v gob-encoded to path via a fsynced temp file and
-// an atomic rename, so a crash mid-write never corrupts an existing
-// checkpoint.  Shared by the trainer and fleet checkpoint writers.
-func WriteGobAtomic(path string, v any) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-")
+// restoreStream rewinds the stream side of the trainer — counters, replay
+// buffer at its checkpointed sampling-RNG position (so the resumed trainer
+// draws exactly the minibatch sequence the uninterrupted one would have),
+// gate — and refreshes the filter mirrors from the current optimizer.
+func (t *Trainer) restoreStream(ck *Checkpoint) {
+	t.naPer.Store(ck.NumAtoms)
+	t.steps.Store(ck.Steps)
+	t.lane.Restore(ck.Replay, ck.Gate, ck.FramesAccepted, ck.FramesGatedOut)
+	t.lambdaBits.Store(math.Float64bits(t.opt.Lambda()))
+	t.pBytes.Store(t.opt.PBytes())
+}
+
+// handleDivergence records a sentinel event and rolls the trainer back to
+// the newest valid checkpoint generation.  A failed rollback (no ring, no
+// valid generation) leaves the event in last_error and the trainer
+// degraded; training continues from the diverged state rather than
+// crashing the loop, so operators can still drain and inspect it.
+func (t *Trainer) handleDivergence(ev *guard.DivergenceEvent, rec *obs.StepRecorder) {
+	t.setErr(ev)
+	r0 := time.Now()
+	err := guard.Rollback(t.keeper, ev, t.rollbackTo)
+	rec.Span(-1, "rollback", r0, time.Since(r0))
 	if err != nil {
-		return err
+		t.setErr(err)
 	}
-	tmp := f.Name()
-	if err := gob.NewEncoder(f).Encode(v); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("online: encode checkpoint %s: %w", path, err)
+}
+
+// rollbackTo restores a checkpoint in place — model, optimizer, replay
+// buffer, gate and counters, as ResumeTrainer does on a fresh trainer —
+// and republishes a healthy snapshot.  Frames admitted after the
+// checkpoint was taken are dropped along with the diverged state: the
+// stream replays forward from the restored RNG position exactly as the
+// uninterrupted trainer would have.
+func (t *Trainer) rollbackTo(ck *Checkpoint) (int64, error) {
+	m, opt, err := RestoreModel(ck.Model, ck.Opt, t.model.Dev)
+	if err != nil {
+		return 0, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// The rename is durable only once the directory entry is: fsync the
-	// parent so a power loss cannot forget the just-renamed checkpoint.
-	return guard.SyncDir(filepath.Dir(path))
+	t.model, t.opt = m, opt
+	t.stepper = train.OptStepper{M: m, Opt: opt}
+	t.restoreStream(ck)
+	t.publish()
+	return ck.Steps, nil
 }

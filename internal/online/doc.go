@@ -7,8 +7,8 @@
 //
 // The dataflow is
 //
-//	producer ──► Queue (bounded, backpressure/drop policies)
-//	                │ trainer goroutine
+//	producer ──► Lane.Queue (bounded, backpressure/drop policies)
+//	                │ trainer goroutine: Lane.Admit
 //	                ▼
 //	            Gate (ALKPU-style uncertainty score against diag(P))
 //	                │ accepted frames
@@ -17,9 +17,14 @@
 //	                │ minibatches
 //	                ▼
 //	            FEKF.Step via the shared train.Stepper
-//	                │ every SnapshotEvery steps
+//	                │ every SnapshotEvery steps: Lane.Publish
 //	                ▼
 //	            atomic snapshot pointer ──► readers (internal/serve)
+//
+// The queue, gate, replay buffer, snapshot pointer and stats mirrors form
+// one Lane — the same type every internal/fleet replica embeds — and the
+// checkpoint ring, health sentinel and rollback come from one
+// guard.Keeper, shared with the fleet conductor.
 //
 // All mutable training state — the model weights, the Kalman P, the gate
 // EMA and the replay buffer — is owned by the single trainer goroutine;

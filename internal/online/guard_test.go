@@ -62,7 +62,7 @@ func TestGuardRollbackBitwiseTwin(t *testing.T) {
 		tr.step()
 	}
 	// CheckpointEvery 2 → ring generations 1 (step 2) and 2 (step 4).
-	ck, seq, quarantined, err := LoadNewestCheckpoint(path, 3)
+	ck, seq, quarantined, err := guard.LoadNewest[Checkpoint](path, 3)
 	if err != nil || len(quarantined) != 0 {
 		t.Fatalf("load newest: seq=%d q=%v err=%v", seq, quarantined, err)
 	}
@@ -159,7 +159,7 @@ func TestLoadNewestCheckpointQuarantinesAndFallsBack(t *testing.T) {
 	}
 	ring := guard.NewRing(path, 3)
 	// A valid framed generation loads through the plain single-file API too.
-	if ck, err := LoadCheckpoint(ring.GenPath(1)); err != nil || ck.Steps != 1 {
+	if ck, err := guard.Load[Checkpoint](ring.GenPath(1)); err != nil || ck.Steps != 1 {
 		t.Fatalf("framed load: steps=%v err=%v", ck, err)
 	}
 	// Tear the newest write short and flip a payload byte in the second.
@@ -169,7 +169,7 @@ func TestLoadNewestCheckpointQuarantinesAndFallsBack(t *testing.T) {
 	if err := guard.FlipByte(ring.GenPath(2), -3); err != nil {
 		t.Fatal(err)
 	}
-	ck, seq, quarantined, err := LoadNewestCheckpoint(path, 3)
+	ck, seq, quarantined, err := guard.LoadNewest[Checkpoint](path, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestLoadNewestCheckpointQuarantinesAndFallsBack(t *testing.T) {
 	}
 	// The corrupt files fail with the typed sentinel error.
 	for _, p := range quarantined {
-		if _, err := LoadCheckpoint(p + ".corrupt"); !errors.Is(err, guard.ErrCorrupt) {
+		if _, err := guard.Load[Checkpoint](p + ".corrupt"); !errors.Is(err, guard.ErrCorrupt) {
 			t.Fatalf("corrupt checkpoint %s: err = %v, want guard.ErrCorrupt", p, err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestLoadNewestCheckpointQuarantinesAndFallsBack(t *testing.T) {
 	if err := tr.WriteCheckpoint(legacy); err != nil {
 		t.Fatal(err)
 	}
-	lck, lseq, _, err := LoadNewestCheckpoint(legacy, 3)
+	lck, lseq, _, err := guard.LoadNewest[Checkpoint](legacy, 3)
 	if err != nil || lseq != 0 || lck.Steps != 3 {
 		t.Fatalf("legacy fallback: seq=%d steps=%v err=%v", lseq, lck, err)
 	}

@@ -79,6 +79,9 @@ func (rb *ReplayBuffer) WindowLen() int { return rb.wLen }
 // ReservoirLen returns the number of frames in the reservoir.
 func (rb *ReplayBuffer) ReservoirLen() int { return len(rb.reservoir) }
 
+// Cap returns the buffer's combined window and reservoir capacity.
+func (rb *ReplayBuffer) Cap() int { return len(rb.window) + rb.resCap }
+
 // Sample draws bs frames uniformly (with replacement) from the pool.
 // It returns nil while the buffer is empty.
 func (rb *ReplayBuffer) Sample(bs int) []dataset.Snapshot {

@@ -124,21 +124,16 @@ type Trainer struct {
 	species []md.Species
 	naPer   atomic.Int64 // per-frame atom count, fixed by the first frame
 
-	queue  *Queue
-	replay *ReplayBuffer
-	gate   *Gate
+	lane *Lane
 
 	// rec accumulates the phase spans of the upcoming step (ingest/gate
 	// activity happens between steps and is attributed to the step it
 	// feeds).  Owned by the loop goroutine; nil when tracing is off.
 	rec *obs.StepRecorder
 
-	// self-healing state: the checkpoint retention ring (nil in legacy
-	// single-file mode), the post-step health sentinel (nil when
-	// disabled) and the divergence/rollback ledger stats expose.
-	ring     *guard.Ring
-	sentinel *guard.Sentinel
-	health   *guard.Health
+	// keeper holds the self-healing state: checkpoint ring, sentinel
+	// and health ledger.
+	keeper *guard.Keeper
 	// chaosFired makes the configured poison injection one-shot, so the
 	// re-run of the poisoned step after rollback proceeds clean.
 	chaosFired bool
@@ -149,18 +144,9 @@ type Trainer struct {
 	// runs from any goroutine).
 	forceGroups int
 
-	snap       atomic.Pointer[ModelSnapshot]
 	steps      atomic.Int64
 	lambdaBits atomic.Uint64
 	pBytes     atomic.Int64
-	gateEMA    atomic.Uint64
-	accepted   atomic.Int64
-	gatedOut   atomic.Int64
-	replayLen  atomic.Int64
-	replayWin  atomic.Int64
-	replayRes  atomic.Int64
-	replayCap  atomic.Int64
-	seen       atomic.Int64
 	ckWrites   atomic.Int64
 	lastErr    atomic.Pointer[string]
 
@@ -194,25 +180,17 @@ func NewTrainer(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg
 		stepper: train.OptStepper{M: m, Opt: opt},
 		system:  proto.System,
 		species: proto.Species,
-		queue:   NewQueue(cfg.QueueSize, cfg.QueuePolicy),
-		replay:  NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed),
-		gate:    NewGate(cfg.Gate),
+		lane: NewLane(proto.System, proto.Species, NewQueue(cfg.QueueSize, cfg.QueuePolicy),
+			NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed), cfg.Gate),
+		keeper: guard.NewKeeper(cfg.CheckpointPath, cfg.CheckpointKeep, cfg.Guard, time.Now),
 
 		ckReq:    make(chan chan error),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	if cfg.CheckpointPath != "" && cfg.CheckpointKeep > 0 {
-		t.ring = guard.NewRing(cfg.CheckpointPath, cfg.CheckpointKeep)
-	}
-	if cfg.Guard.Enabled {
-		t.sentinel = guard.NewSentinel(cfg.Guard)
-	}
-	t.health = guard.NewHealth(0)
 	if proto.Len() > 0 {
 		t.naPer.Store(int64(proto.Snapshots[0].NumAtoms()))
 	}
-	t.replayCap.Store(int64(cfg.WindowSize + cfg.ReservoirSize))
 	t.lambdaBits.Store(math.Float64bits(opt.Lambda()))
 	t.pBytes.Store(opt.PBytes())
 	t.forceGroups = opt.ForceGroups
@@ -276,12 +254,12 @@ func (t *Trainer) Ingest(s dataset.Snapshot) (bool, error) {
 		return false, err
 	}
 	t.naPer.CompareAndSwap(0, int64(s.NumAtoms()))
-	return t.queue.Push(s)
+	return t.lane.Queue.Push(s)
 }
 
 // Snapshot returns the latest published model snapshot; never nil after
 // Start.  Readers use Snapshot().Model freely and concurrently.
-func (t *Trainer) Snapshot() *ModelSnapshot { return t.snap.Load() }
+func (t *Trainer) Snapshot() *ModelSnapshot { return t.lane.Snapshot() }
 
 // Start publishes the initial snapshot and launches the trainer loop.
 func (t *Trainer) Start() {
@@ -302,7 +280,7 @@ func (t *Trainer) Stop(ctx context.Context) error {
 		return fmt.Errorf("online: Stop before Start")
 	}
 	t.stopOnce.Do(func() {
-		t.queue.Close()
+		t.lane.Queue.Close()
 		close(t.stop)
 	})
 	select {
@@ -313,7 +291,7 @@ func (t *Trainer) Stop(ctx context.Context) error {
 	// The loop has exited: this goroutine now owns the training state.
 	t.publish()
 	if t.cfg.CheckpointPath != "" {
-		return t.writeCheckpoint(t.cfg.CheckpointPath)
+		return t.WriteCheckpoint(t.cfg.CheckpointPath)
 	}
 	return nil
 }
@@ -349,7 +327,7 @@ func (t *Trainer) loop() {
 			// graceful drain: everything still queued flows through the
 			// gate into the replay buffer so the final checkpoint sees it.
 			for {
-				s, ok := t.queue.Pop(0)
+				s, ok := t.lane.Queue.Pop(0)
 				if !ok {
 					return
 				}
@@ -364,20 +342,20 @@ func (t *Trainer) loop() {
 		// 1. drain whatever is queued right now
 		got := 0
 		for {
-			s, ok := t.queue.Pop(0)
+			s, ok := t.lane.Queue.Pop(0)
 			if !ok {
 				break
 			}
 			t.admit(s)
 			got++
 		}
-		ready := t.replay.Len() >= t.cfg.MinFrames
+		ready := t.lane.Replay().Len() >= t.cfg.MinFrames
 		if got == 0 && !(t.cfg.TrainIdle && ready) {
 			// nothing to do yet: wait briefly for a frame
-			if s, ok := t.queue.Pop(t.cfg.PollInterval); ok {
+			if s, ok := t.lane.Queue.Pop(t.cfg.PollInterval); ok {
 				t.admit(s)
 				got++
-				ready = t.replay.Len() >= t.cfg.MinFrames
+				ready = t.lane.Replay().Len() >= t.cfg.MinFrames
 			}
 		}
 
@@ -388,44 +366,29 @@ func (t *Trainer) loop() {
 	}
 }
 
-// admit runs one frame through the gate into the replay buffer, updating
-// the mirrored stats counters.
+// admit runs one frame through the trainer's lane, gating it against the
+// live filter's P diagonal.
 func (t *Trainer) admit(s dataset.Snapshot) {
+	if err := t.lane.Admit(s, t.model, t.opt.PDiagonal(), t.recorder(), -1); err != nil {
+		t.setErr(fmt.Errorf("gate: %w", err))
+	}
+}
+
+// recorder returns the span recorder of the upcoming step, beginning one
+// when tracing is on (nil otherwise).
+func (t *Trainer) recorder() *obs.StepRecorder {
 	if t.cfg.Trace != nil && t.rec == nil {
 		t.rec = t.cfg.Trace.Begin()
 	}
-	a0 := time.Now()
-	defer func() { t.rec.Span(-1, "ingest_admit", a0, time.Since(a0)) }()
-	scratch := &dataset.Dataset{System: t.system, Species: t.species, Snapshots: []dataset.Snapshot{s}}
-	g0 := time.Now()
-	ok, _, err := t.gate.Admit(t.model, t.opt.PDiagonal(), scratch, 0)
-	t.rec.Span(-1, "gate", g0, time.Since(g0))
-	if err != nil {
-		t.setErr(fmt.Errorf("gate: %w", err))
-		return
-	}
-	t.gateEMA.Store(math.Float64bits(t.gate.EMA()))
-	if !ok {
-		t.gatedOut.Add(1)
-		return
-	}
-	t.replay.Add(s)
-	t.accepted.Add(1)
-	t.replayLen.Store(int64(t.replay.Len()))
-	t.replayWin.Store(int64(t.replay.WindowLen()))
-	t.replayRes.Store(int64(t.replay.ReservoirLen()))
-	t.seen.Store(t.replay.Seen())
+	return t.rec
 }
 
 // step draws one replay minibatch and advances the optimizer, publishing
 // snapshots and periodic checkpoints on schedule.
 func (t *Trainer) step() {
-	if t.cfg.Trace != nil && t.rec == nil {
-		t.rec = t.cfg.Trace.Begin()
-	}
-	rec := t.rec
+	rec := t.recorder()
 	s0 := time.Now()
-	batch := t.replay.Sample(t.cfg.BatchSize)
+	batch := t.lane.Replay().Sample(t.cfg.BatchSize)
 	rec.Span(-1, "sample", s0, time.Since(s0))
 	if len(batch) == 0 {
 		return
@@ -449,15 +412,25 @@ func (t *Trainer) step() {
 		return
 	}
 	n := t.steps.Add(1)
-	t.maybePoison(n)
+	if d := t.cfg.Chaos.MaybePoison(n, &t.chaosFired, t.model.NumParams()); d != nil {
+		t.model.Params.AddFlat(d)
+	}
 	t.lambdaBits.Store(math.Float64bits(t.opt.Lambda()))
 	t.pBytes.Store(t.opt.PBytes())
-	if ev := t.checkHealth(n, info); ev != nil {
+	ev := t.keeper.Check(n, func() guard.Sample {
+		return guard.Sample{
+			Lambda:  t.opt.Lambda(),
+			Weights: t.model.Params.FlattenValues(),
+			PDiag:   t.opt.PDiagonal(),
+			Aux:     []float64{info.EnergyABE, info.ForceABE},
+		}
+	})
+	if ev != nil {
 		// Divergence: record it and roll back to the newest valid
 		// checkpoint generation before anything downstream (snapshot
 		// publish, checkpoint write, OnStep) can observe or persist the
 		// poisoned state.
-		t.handleDivergence(n, ev, rec)
+		t.handleDivergence(ev, rec)
 		rec.End(n)
 		t.rec = nil
 		return
@@ -485,17 +458,12 @@ func (t *Trainer) step() {
 // goroutine (or from Start/Stop while the loop is not running), so the
 // clone always sees a quiescent weight set.
 func (t *Trainer) publish() {
-	t.snap.Store(&ModelSnapshot{
-		Model:     t.model.Clone(),
-		Step:      t.steps.Load(),
-		Lambda:    t.opt.Lambda(),
-		Published: time.Now(),
-	})
+	t.lane.Publish(t.model, t.steps.Load(), t.opt.Lambda(), time.Now())
 }
 
 func (t *Trainer) writeCheckpointCounted(path string) error {
 	c0 := time.Now()
-	err := t.writeCheckpoint(path)
+	err := t.WriteCheckpoint(path)
 	if m := t.cfg.Metrics; m != nil {
 		m.CheckpointSeconds.Observe(time.Since(c0).Seconds())
 	}
@@ -554,30 +522,9 @@ type Stats struct {
 	Guard *guard.Status `json:"guard,omitempty"`
 }
 
-// Stats returns a consistent-enough view assembled from atomics; safe from
-// any goroutine.
-func (t *Trainer) Stats() Stats {
-	st := Stats{
-		System:         t.system,
-		Steps:          t.steps.Load(),
-		Lambda:         math.Float64frombits(t.lambdaBits.Load()),
-		KalmanUpdates:  t.steps.Load() * int64(1+t.forceGroups),
-		QueueDepth:     t.queue.Depth(),
-		QueueCapacity:  t.queue.Cap(),
-		FramesQueued:   t.queue.Pushed(),
-		FramesDropped:  t.queue.Dropped(),
-		FramesGatedOut: t.gatedOut.Load(),
-		FramesAccepted: t.accepted.Load(),
-		FramesSeen:     t.seen.Load(),
-		GateEMA:        math.Float64frombits(t.gateEMA.Load()),
-		ReplaySize:     t.replayLen.Load(),
-
-		ReplayWindowLen:    t.replayWin.Load(),
-		ReplayReservoirLen: t.replayRes.Load(),
-		ReplayCapacity:     t.replayCap.Load(),
-		Checkpoints:        t.ckWrites.Load(),
-		PResidentBytes:     t.pBytes.Load(),
-	}
+// DeriveRatios fills the occupancy and accept-rate ratios from the counts
+// already summed into st.
+func (st *Stats) DeriveRatios() {
 	if st.ReplayCapacity > 0 {
 		st.ReplayOccupancy = float64(st.ReplaySize) / float64(st.ReplayCapacity)
 	}
@@ -587,15 +534,31 @@ func (t *Trainer) Stats() Stats {
 	if scored := st.FramesAccepted + st.FramesGatedOut; scored > 0 {
 		st.GateAcceptRate = float64(st.FramesAccepted) / float64(scored)
 	}
-	if s := t.snap.Load(); s != nil {
+}
+
+// Stats returns a consistent-enough view assembled from atomics; safe from
+// any goroutine.
+func (t *Trainer) Stats() Stats {
+	st := Stats{
+		System:         t.system,
+		Steps:          t.steps.Load(),
+		Lambda:         math.Float64frombits(t.lambdaBits.Load()),
+		KalmanUpdates:  t.steps.Load() * int64(1+t.forceGroups),
+		GateEMA:        t.lane.GateEMA(),
+		Checkpoints:    t.ckWrites.Load(),
+		PResidentBytes: t.pBytes.Load(),
+	}
+	t.lane.AddTo(&st)
+	st.DeriveRatios()
+	if s := t.lane.Snapshot(); s != nil {
 		st.SnapshotStep = s.Step
 		st.SnapshotAgeMs = time.Since(s.Published).Milliseconds()
 	}
 	if e := t.lastErr.Load(); e != nil {
 		st.LastError = *e
 	}
-	if t.ring != nil || t.sentinel != nil {
-		st.Guard = t.health.Status(time.Now())
+	if t.keeper.Armed() {
+		st.Guard = t.keeper.Health.Status(time.Now())
 	}
 	return st
 }

@@ -11,6 +11,7 @@ import (
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
 	"fekf/internal/device"
+	"fekf/internal/guard"
 	"fekf/internal/optimize"
 )
 
@@ -232,7 +233,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 		t.Fatalf("checkpoint dir not clean: %v", entries)
 	}
 
-	ck, err := LoadCheckpoint(path)
+	ck, err := guard.Load[Checkpoint](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 			t.Fatalf("weight %d differs after resume", i)
 		}
 	}
-	if tr2.replay.Seen() != tr.replay.Seen() || tr2.replay.Len() != tr.replay.Len() {
+	if tr2.lane.Replay().Seen() != tr.lane.Replay().Seen() || tr2.lane.Replay().Len() != tr.lane.Replay().Len() {
 		t.Fatal("replay buffer did not resume")
 	}
 
@@ -315,10 +316,10 @@ func TestGracefulStopDrainsAndCheckpoints(t *testing.T) {
 	if err := tr.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.replay.Seen(); got != 8 {
+	if got := tr.lane.Replay().Seen(); got != 8 {
 		t.Fatalf("replay saw %d frames after drain, want 8", got)
 	}
-	ck, err := LoadCheckpoint(path)
+	ck, err := guard.Load[Checkpoint](path)
 	if err != nil {
 		t.Fatalf("final checkpoint missing: %v", err)
 	}

@@ -255,7 +255,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := online.LoadCheckpoint(path); err != nil {
+	if _, err := guard.Load[online.Checkpoint](path); err != nil {
 		t.Fatalf("final checkpoint missing after shutdown: %v", err)
 	}
 	if tr.Stats().Steps != tr.Snapshot().Step {
