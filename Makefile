@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench bench-fleet bench-pshard bench-json bench-transport bench-autoscale bench-obs bench-smoke fmt serve-smoke
+.PHONY: ci vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench bench-fleet bench-pshard bench-transport bench-autoscale bench-obs bench-smoke fmt loc serve-smoke
 
 ci: vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench-fleet bench-pshard bench-transport bench-autoscale bench-obs bench-smoke serve-smoke
 
@@ -141,12 +141,6 @@ bench-fleet:
 bench-pshard:
 	$(GO) test ./internal/fleet -run '^$$' -bench PShardStep -benchtime 1x
 
-# Dump the replicated-vs-sharded comparison (step wall time, per-rank
-# resident P bytes, exchange traffic) as a JSON table for offline
-# tracking.  Not part of ci — run it by hand when collecting numbers.
-bench-json:
-	FEKF_BENCH_JSON=$(CURDIR)/BENCH_pshard.json $(GO) test ./internal/fleet -run PShardBenchJSON -count=1 -v
-
 # In-process channel transport vs. TCP loopback on the same 3-rank
 # allreduce: the delta is the real socket cost the modeled RoCE numbers
 # abstract away.  Run once per iteration in ci as a smoke.
@@ -177,3 +171,11 @@ bench-smoke:
 
 fmt:
 	gofmt -l .
+
+# Non-test Go lines per package directory and in total for the root module
+# (perfbench/ is its own module and is left out) — the size measure the
+# simplicity changes report before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -print0 | \
+		xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

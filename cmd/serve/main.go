@@ -1017,7 +1017,6 @@ func runAutoscaleSmoke(system string, seed int64, transport string) error {
 		QueueSize: 8, QueuePolicy: online.DropNewest,
 		WindowSize: 64, ReservoirSize: 64, SnapshotEvery: 1,
 		Gate: gateConfig(false, 0), Seed: seed, Transport: transport,
-		PollInterval: time.Millisecond,
 		Autoscale: fleet.AutoscaleConfig{
 			Enabled: true, Min: 1, Max: 3,
 			Interval:   20 * time.Millisecond,

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fekf/internal/online"
 )
 
 // AutoscaleConfig controls the queue-pressure autoscaler.  When Enabled,
@@ -149,7 +151,7 @@ type Verdict struct {
 // to read from any goroutine.
 type Autoscaler struct {
 	cfg   AutoscaleConfig
-	clock Clock
+	clock online.Clock
 
 	// lastScale is the time of the last scale event in either direction,
 	// the reference point for both cooldowns.  Owner: the evaluating
@@ -169,13 +171,13 @@ type Autoscaler struct {
 
 // NewAutoscaler builds a controller over cfg (defaults applied against
 // replicas as the fallback Max) and a clock (nil means the system clock).
-func NewAutoscaler(cfg AutoscaleConfig, replicas int, clock Clock) (*Autoscaler, error) {
+func NewAutoscaler(cfg AutoscaleConfig, replicas int, clock online.Clock) (*Autoscaler, error) {
 	cfg = cfg.withDefaults(replicas)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if clock == nil {
-		clock = SystemClock
+		clock = online.SystemClock
 	}
 	return &Autoscaler{cfg: cfg, clock: clock}, nil
 }

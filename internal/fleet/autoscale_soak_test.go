@@ -21,7 +21,7 @@ import (
 func TestAutoscaleRaceSoak(t *testing.T) {
 	ds, f := newTestFleet(t, 1, Config{
 		SnapshotEvery: 1, QueueSize: 4, QueuePolicy: online.DropNewest,
-		PollInterval: time.Millisecond, Seed: 37,
+		Seed: 37,
 		Gate: online.GateConfig{Enabled: false},
 		Autoscale: AutoscaleConfig{
 			Enabled: true, Min: 1, Max: 3,

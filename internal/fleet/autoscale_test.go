@@ -191,8 +191,8 @@ func TestAutoscaleFleetTransitionsBitwise(t *testing.T) {
 		}
 	}
 	f.drainAll()
-	f.step()
-	f.step()
+	f.loop.Step()
+	f.loop.Step()
 
 	// Burst: fill the shard queue to 100% and run one control pass.
 	for i := 6; i < 14; i++ {
@@ -237,7 +237,7 @@ func TestAutoscaleFleetTransitionsBitwise(t *testing.T) {
 
 	// The widened fleet trains in lockstep, bitwise identical.
 	f.drainAll()
-	f.step()
+	f.loop.Step()
 	assertBitwiseConsistent(t, f)
 
 	// Quiescence: empty queues read as zero pressure; each decision
@@ -250,7 +250,7 @@ func TestAutoscaleFleetTransitionsBitwise(t *testing.T) {
 			t.Fatalf("scale-down to %d missing: live %v (reason %q)", want, live, f.FleetStats().Autoscale.LastReason)
 		}
 		assertBitwiseConsistent(t, f)
-		f.step()
+		f.loop.Step()
 		assertBitwiseConsistent(t, f)
 	}
 	clk.Advance(600 * time.Millisecond)

@@ -25,7 +25,7 @@ func BenchmarkFleetScaling(b *testing.B) {
 			f.drainAll()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.step()
+				f.loop.Step()
 			}
 			b.StopTimer()
 			if f.WeightDrift() != 0 || f.PDrift() != 0 {
@@ -74,7 +74,7 @@ func BenchmarkFleetScaleTransition(b *testing.B) {
 		}
 	}
 	f.drainAll()
-	f.step() // advance past init so catch-up copies real trained state
+	f.loop.Step() // advance past init so catch-up copies real trained state
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := f.reviveLocked(1); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"time"
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
@@ -78,7 +77,7 @@ func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 		System:      f.system,
 		Species:     f.species,
 		NumAtoms:    f.naPer.Load(),
-		Steps:       f.steps.Load(),
+		Steps:       f.loop.Steps.Load(),
 		ShardPolicy: f.cfg.ShardPolicy,
 		RR:          f.rr.Load(),
 		Model:       modelBytes,
@@ -112,30 +111,10 @@ func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint persists the fleet state crash-safely: into the
-// checksummed retention ring when one is configured for path (see
-// Config.CheckpointKeep), as an atomically replaced plain gob file
-// otherwise.  Load it back with guard.Load or guard.LoadNewest.  Conductor
-// goroutine only; external callers use CheckpointNow or Stop.
-func (f *Fleet) WriteCheckpoint(path string) error {
-	ck, err := f.buildCheckpoint()
-	if err != nil {
-		return err
-	}
-	return f.keeper.Save(path, ck)
-}
-
-func (f *Fleet) writeCheckpointCounted(path string) error {
-	c0 := time.Now()
-	err := f.WriteCheckpoint(path)
-	if m := f.cfg.Metrics; m != nil {
-		m.CheckpointSeconds.Observe(time.Since(c0).Seconds())
-	}
-	if err == nil {
-		f.ckWrites.Add(1)
-	}
-	return err
-}
+// WriteCheckpoint persists the fleet state crash-safely (see
+// online.Loop.WriteCheckpoint).  Must run before Start or after Stop; the
+// running conductor writes its own periodic checkpoints.
+func (f *Fleet) WriteCheckpoint(path string) error { return f.loop.WriteCheckpoint(path) }
 
 // Resume reconstructs a fleet from a checkpoint: every replica gets the
 // shared model weights and full Kalman filter (λ, update counter, every P
@@ -175,7 +154,7 @@ func (f *Fleet) restoreStream(ck *Checkpoint) {
 		r.Restore(rck.Replay, rck.Gate, rck.FramesAccepted, rck.FramesGatedOut)
 	}
 	f.naPer.Store(ck.NumAtoms)
-	f.steps.Store(ck.Steps)
+	f.loop.Steps.Store(ck.Steps)
 	f.rr.Store(ck.RR)
 	if ck.PShard {
 		f.lambdaBits.Store(math.Float64bits(ck.PCk.Lambda))

@@ -1,5 +1,5 @@
 // Package clocktest provides a deterministic fake clock satisfying
-// fleet.Clock, so control-loop tests (autoscaler decisions, cooldown
+// online.Clock, so control-loop tests (autoscaler decisions, cooldown
 // windows, snapshot ages) advance time explicitly instead of sleeping.
 // Waiters registered through After fire synchronously inside Advance the
 // moment the fake time passes their deadline — no wall time is involved
@@ -17,7 +17,7 @@ type waiter struct {
 	ch chan time.Time
 }
 
-// Clock is a fake fleet.Clock.  Now returns the controlled time; After
+// Clock is a fake online.Clock.  Now returns the controlled time; After
 // channels fire when Advance (or Set) moves the time past their deadline.
 // All methods are safe for concurrent use.
 type Clock struct {

@@ -4,12 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"fekf/internal/fleet"
 	"fekf/internal/fleet/clocktest"
+	"fekf/internal/online"
 )
 
-// The fake clock must satisfy the fleet's Clock seam.
-var _ fleet.Clock = (*clocktest.Clock)(nil)
+// The fake clock must satisfy the online loop's Clock seam.
+var _ online.Clock = (*clocktest.Clock)(nil)
 
 func TestNowAdvancesOnlyExplicitly(t *testing.T) {
 	start := time.Unix(1000, 0)

@@ -27,7 +27,12 @@
 // checkpoint of the shared state taken from any survivor — after which
 // drift is again exactly zero.
 //
-// Self-healing: the conductor holds a guard.Keeper, the same one the single
-// trainer uses — checkpoint ring, sentinel and rollback — and adds only the
-// fleet-wide in-place restore and the step watchdog.
+// Loop: the conductor is an online.Loop — the same loop the single trainer
+// runs — over the fleet's Backend hooks: Intake samples queue pressure,
+// drains every shard (redistributing dead ones) and runs the autoscaler,
+// whose next evaluation is the only deadline of the loop's idle wait;
+// ingest wakes it otherwise.  Step is the collective lockstep step;
+// Publish, Build and Apply cover every replica.  The loop's post-step tail
+// brings the self-healing layer (checkpoint ring, sentinel, rollback); the
+// fleet adds only the fleet-wide in-place restore and the step watchdog.
 package fleet

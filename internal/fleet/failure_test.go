@@ -22,7 +22,7 @@ func TestReplicaCrashMidStepKeepsConsistency(t *testing.T) {
 		}
 	}
 	f.drainAll()
-	f.step() // one healthy step first
+	f.loop.Step() // one healthy step first
 	assertBitwiseConsistent(t, f)
 
 	boom := errors.New("simulated mid-step crash")
@@ -32,7 +32,7 @@ func TestReplicaCrashMidStepKeepsConsistency(t *testing.T) {
 		}
 		return nil
 	}
-	f.step()
+	f.loop.Step()
 	f.failStep = nil
 
 	if f.Steps() != 2 {
@@ -45,7 +45,7 @@ func TestReplicaCrashMidStepKeepsConsistency(t *testing.T) {
 	// the decisive invariant: the crash did not break bitwise consistency,
 	// and training continues cleanly afterwards
 	assertBitwiseConsistent(t, f)
-	f.step()
+	f.loop.Step()
 	assertBitwiseConsistent(t, f)
 	if f.Steps() != 3 {
 		t.Fatalf("fleet stopped stepping after a replica crash: %d", f.Steps())
@@ -67,8 +67,8 @@ func TestKillKeepsPredictAvailability(t *testing.T) {
 		}
 	}
 	f.drainAll()
-	f.step() // SnapshotEvery 1: every step publishes routable snapshots
-	f.step()
+	f.loop.Step() // SnapshotEvery 1: every step publishes routable snapshots
+	f.loop.Step()
 	assertBitwiseConsistent(t, f)
 
 	// an in-flight prediction holds a snapshot across the kill
@@ -105,8 +105,8 @@ func TestKillKeepsPredictAvailability(t *testing.T) {
 	}
 
 	// survivors keep training, bitwise consistent
-	f.step()
-	f.step()
+	f.loop.Step()
+	f.loop.Step()
 	assertBitwiseConsistent(t, f)
 	st := f.FleetStats()
 	if st.Live != 2 {
@@ -139,7 +139,7 @@ func TestReviveCatchesUpBitwise(t *testing.T) {
 		}
 	}
 	f.drainAll()
-	f.step()
+	f.loop.Step()
 	assertBitwiseConsistent(t, f)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -148,8 +148,8 @@ func TestReviveCatchesUpBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	// survivors advance; the dead replica's state goes stale
-	f.step()
-	f.step()
+	f.loop.Step()
+	f.loop.Step()
 	assertBitwiseConsistent(t, f) // live-only invariant
 	stale := f.reps[2].model.Params.FlattenValues()
 	fresh := f.reps[0].model.Params.FlattenValues()
@@ -178,7 +178,7 @@ func TestReviveCatchesUpBitwise(t *testing.T) {
 
 	// and it participates in the next lockstep step without breaking the
 	// invariant (the ring re-forms over all three replicas)
-	f.step()
+	f.loop.Step()
 	assertBitwiseConsistent(t, f)
 	if st := f.FleetStats(); st.Live != 3 {
 		t.Fatalf("stats report %d live replicas after revive, want 3", st.Live)

@@ -86,8 +86,6 @@ type Config struct {
 	// TrainIdle keeps stepping on the replay buffers while no new frames
 	// arrive.
 	TrainIdle bool
-	// PollInterval is the conductor's idle wait (default 10ms).
-	PollInterval time.Duration
 	// Seed drives replay sampling; replica i uses Seed+i.
 	Seed int64
 	// OnStep, if non-nil, runs on the conductor after every fleet step.
@@ -101,10 +99,11 @@ type Config struct {
 	// outright — the fault-injection tests use it to wrap transports with
 	// deterministic drop/delay/sever rules.
 	RingFactory func(size int) (*cluster.Ring, error)
-	// Clock supplies time to the conductor: snapshot provenance, the idle
-	// wait, step-latency measurement and autoscaler cooldowns.  Nil means
-	// the system clock; tests inject clocktest.Clock for determinism.
-	Clock Clock
+	// Clock supplies time to the conductor: snapshot provenance,
+	// step-latency measurement, the step watchdog, autoscaler cooldowns and
+	// the autoscaler deadline of the loop's idle wait.  Nil means the
+	// system clock; tests inject clocktest.Clock for determinism.
+	Clock online.Clock
 	// Autoscale, when Enabled, lets the conductor grow and shrink the
 	// live replica count between Autoscale.Min and Autoscale.Max from
 	// measured queue pressure.  The fleet then allocates
@@ -142,11 +141,8 @@ func (c Config) withDefaults() Config {
 	if c.SnapshotEvery < 1 {
 		c.SnapshotEvery = 8
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 10 * time.Millisecond
-	}
 	if c.Clock == nil {
-		c.Clock = SystemClock
+		c.Clock = online.SystemClock
 	}
 	return c
 }
@@ -154,8 +150,9 @@ func (c Config) withDefaults() Config {
 // Fleet couples N online-trainer replicas through a ring: sharded ingest,
 // funnel-aggregated lockstep steps keeping every replica's weights and P
 // bitwise identical, a snapshot router for predictions, and kill / rejoin
-// with checkpoint catch-up.  One conductor goroutine owns all training
-// state; ingest, routing and stats are safe from any goroutine.
+// with checkpoint catch-up.  One conductor goroutine — the shared
+// online.Loop — owns all training state; ingest, routing and stats are
+// safe from any goroutine.
 type Fleet struct {
 	cfg     Config
 	system  string
@@ -164,12 +161,8 @@ type Fleet struct {
 
 	reps   []*replica
 	router *Router
-	clock  Clock
-
-	// rec accumulates the phase spans of the upcoming lockstep step
-	// (ingest/gate activity between steps is attributed to the step it
-	// feeds).  Owned by the conductor; nil when tracing is off.
-	rec *obs.StepRecorder
+	clock  online.Clock
+	loop   *online.Loop[Checkpoint]
 
 	// autoscaler state: the controller itself (nil when disabled), the
 	// conductor-owned evaluation bookkeeping, and the mirrored
@@ -201,19 +194,14 @@ type Fleet struct {
 
 	rr atomic.Uint64 // round-robin shard cursor
 
-	// self-healing state: the keeper (checkpoint ring, sentinel, health
-	// ledger) and the conductor-owned one-shot flags for the chaos
-	// injectors.
-	keeper    *guard.Keeper
-	poisoned  bool // conductor-owned: chaos weight poison fired
-	hangFired bool // conductor-owned: chaos rank hang fired
+	// conductor-owned one-shot flags for the chaos injectors (the
+	// checkpoint ring, sentinel and health ledger live in the loop).
+	poisoned  bool // chaos weight poison fired
+	hangFired bool // chaos rank hang fired
 
-	steps      atomic.Int64
 	lambdaBits atomic.Uint64
 	wDriftBits atomic.Uint64
 	pDriftBits atomic.Uint64
-	ckWrites   atomic.Int64
-	lastErr    atomic.Pointer[string]
 
 	// forceGroups is the optimizer's force-group count, cached at build
 	// time: it is invariant for the fleet's lifetime, and reading it off a
@@ -225,12 +213,6 @@ type Fleet struct {
 	// (after the environment build); the failure-path tests use it to
 	// prove a crashing replica cannot make the survivors diverge.
 	failStep func(id int, step int64) error
-
-	ctl      chan func()
-	stop     chan struct{}
-	loopDone chan struct{}
-	started  atomic.Bool
-	stopOnce sync.Once
 }
 
 // New builds a fleet of cfg.Replicas replicas cloned from an initialized
@@ -256,10 +238,6 @@ func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config
 		system:  proto.System,
 		species: proto.Species,
 		clock:   cfg.Clock,
-
-		ctl:      make(chan func()),
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
 	}
 	// With autoscaling, every slot the controller may ever grow into is
 	// allocated up front (replicas are cheap clones of one model); slots
@@ -291,7 +269,31 @@ func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config
 		r.alive.Store(i < live)
 		f.reps = append(f.reps, r)
 	}
-	f.keeper = guard.NewKeeper(cfg.CheckpointPath, cfg.CheckpointKeep, cfg.Guard, cfg.Clock.Now)
+	lc := online.LoopConfig{
+		SnapshotEvery:   cfg.SnapshotEvery,
+		CheckpointPath:  cfg.CheckpointPath,
+		CheckpointEvery: cfg.CheckpointEvery,
+		CheckpointKeep:  cfg.CheckpointKeep,
+		Guard:           cfg.Guard,
+		TrainIdle:       cfg.TrainIdle,
+		OnStep:          cfg.OnStep,
+		Trace:           cfg.Trace,
+		Clock:           cfg.Clock,
+	}
+	if cfg.Metrics != nil {
+		lc.CheckpointSeconds = cfg.Metrics.CheckpointSeconds
+	}
+	for _, r := range f.reps {
+		lc.Queues = append(lc.Queues, r.Queue)
+	}
+	f.loop = online.NewLoop(online.Backend[Checkpoint]{
+		Intake:  f.intake,
+		Ready:   func() bool { return f.replayTotal() >= f.cfg.MinFrames },
+		Step:    f.step,
+		Publish: func() { f.publish(f.liveIDs(), f.loop.Steps.Load()) },
+		Build:   f.buildCheckpoint,
+		Apply:   f.applyCheckpoint,
+	}, lc)
 	f.router = &Router{f: f}
 	if proto.Len() > 0 {
 		f.naPer.Store(int64(proto.Snapshots[0].NumAtoms()))
@@ -324,7 +326,7 @@ func (f *Fleet) Replicas() int { return len(f.reps) }
 func (f *Fleet) Router() *Router { return f.router }
 
 // Steps returns the number of completed lockstep steps.
-func (f *Fleet) Steps() int64 { return f.steps.Load() }
+func (f *Fleet) Steps() int64 { return f.loop.Steps.Load() }
 
 // liveIDs returns the ids of the live replicas, in id order.
 func (f *Fleet) liveIDs() []int {
@@ -349,7 +351,11 @@ func (f *Fleet) Ingest(s dataset.Snapshot) (bool, error) {
 	if id < 0 {
 		return false, ErrNoReplica
 	}
-	return f.reps[id].Queue.Push(s)
+	ok, err := f.reps[id].Queue.Push(s)
+	if ok {
+		f.loop.Wake()
+	}
+	return ok, err
 }
 
 // Snapshot returns a model snapshot through the predict router: the next
@@ -358,64 +364,14 @@ func (f *Fleet) Ingest(s dataset.Snapshot) (bool, error) {
 func (f *Fleet) Snapshot() *online.ModelSnapshot { return f.router.Snapshot() }
 
 // Start publishes the initial snapshots and launches the conductor.
-func (f *Fleet) Start() {
-	if !f.started.CompareAndSwap(false, true) {
-		return
-	}
-	f.publish(f.liveIDs(), f.steps.Load())
-	go f.loop()
-}
+func (f *Fleet) Start() { f.loop.Start() }
 
 // Stop shuts the fleet down gracefully: the shard queues close (rejecting
-// new frames), the conductor finishes its in-flight step and drains the
-// live replicas' backlogs through their gates, final snapshots are
-// published and — when CheckpointPath is set — a final fleet checkpoint
-// written.  ctx bounds the wait.
-func (f *Fleet) Stop(ctx context.Context) error {
-	if !f.started.Load() {
-		return fmt.Errorf("fleet: Stop before Start")
-	}
-	f.stopOnce.Do(func() {
-		for _, r := range f.reps {
-			r.Queue.Close()
-		}
-		close(f.stop)
-	})
-	select {
-	case <-f.loopDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	// The conductor has exited: this goroutine now owns the state.
-	f.retireRing() // release transport sockets/goroutines; stats accumulate
-	f.publish(f.liveIDs(), f.steps.Load())
-	if f.cfg.CheckpointPath != "" {
-		return f.WriteCheckpoint(f.cfg.CheckpointPath)
-	}
-	return nil
-}
-
-// do runs fn with exclusive ownership of the training state: on the
-// conductor between steps while the loop runs, inline otherwise.
-func (f *Fleet) do(ctx context.Context, fn func() error) error {
-	if !f.started.Load() {
-		return fn()
-	}
-	reply := make(chan error, 1)
-	select {
-	case f.ctl <- func() { reply <- fn() }:
-	case <-f.loopDone:
-		return fn()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case err := <-reply:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+// new frames), the conductor finishes its in-flight step, drains the live
+// replicas' backlogs through their gates and releases the ring, final
+// snapshots are published and — when CheckpointPath is set — a final
+// fleet checkpoint written.  ctx bounds the wait.
+func (f *Fleet) Stop(ctx context.Context) error { return f.loop.Stop(ctx) }
 
 // Kill marks a replica dead: the sharder and the predict router stop
 // routing to it, and the next step re-forms the ring over the survivors.
@@ -423,7 +379,7 @@ func (f *Fleet) do(ctx context.Context, fn func() error) error {
 // In-flight predictions served from its snapshot complete normally
 // (snapshots are immutable).
 func (f *Fleet) Kill(ctx context.Context, id int) error {
-	return f.do(ctx, func() error { return f.killLocked(id) })
+	return f.loop.Do(ctx, func() error { return f.killLocked(id) })
 }
 
 // killLocked is Kill's body: it requires exclusive ownership of the
@@ -448,7 +404,7 @@ func (f *Fleet) killLocked(id int) error {
 // identical — drift is exactly zero again — and then drains its backlog
 // queue on the next conductor pass.
 func (f *Fleet) Revive(ctx context.Context, id int) error {
-	return f.do(ctx, func() error { return f.reviveLocked(id) })
+	return f.loop.Do(ctx, func() error { return f.reviveLocked(id) })
 }
 
 // reviveLocked is Revive's body: it requires exclusive ownership of the
@@ -474,56 +430,30 @@ func (f *Fleet) reviveLocked(id int) error {
 		return err
 	}
 	r.alive.Store(true)
-	f.publish([]int{id}, f.steps.Load())
+	f.publish([]int{id}, f.loop.Steps.Load())
 	if m := f.cfg.Metrics; m != nil {
 		m.Revives.Inc()
 	}
 	return nil
 }
 
-// CheckpointNow asks the conductor to write a fleet checkpoint to
-// CheckpointPath between steps and waits for the result.
-func (f *Fleet) CheckpointNow(ctx context.Context) error {
-	if f.cfg.CheckpointPath == "" {
-		return fmt.Errorf("fleet: no CheckpointPath configured")
+// intake is the conductor's Backend.Intake: observe queue pressure, drain
+// every shard through its gate, run the autoscaler when its interval has
+// elapsed, and ask to be woken for the next evaluation.  The stop-time
+// drain skips the controller and releases the ring.
+func (f *Fleet) intake(final bool) (int, time.Time) {
+	if final {
+		f.drainAll()
+		f.retireRing() // release transport sockets/goroutines; stats accumulate
+		return 0, time.Time{}
 	}
-	return f.do(ctx, func() error { return f.writeCheckpointCounted(f.cfg.CheckpointPath) })
-}
-
-// loop is the conductor: observe pressure → drain shards → gate → replay
-// → autoscale → lockstep step → publish, with control requests (kill /
-// revive / checkpoint) executed between steps.
-func (f *Fleet) loop() {
-	defer close(f.loopDone)
-	for {
-		select {
-		case <-f.stop:
-			f.drainFinal()
-			return
-		case fn := <-f.ctl:
-			fn()
-			continue
-		default:
-		}
-		f.notePressure() // before the drain empties the queues
-		got := f.drainAll()
-		f.maybeAutoscale()
-		ready := f.replayTotal() >= f.cfg.MinFrames
-		if got == 0 && !(f.cfg.TrainIdle && ready) {
-			select {
-			case <-f.stop:
-				f.drainFinal()
-				return
-			case fn := <-f.ctl:
-				fn()
-			case <-f.clock.After(f.cfg.PollInterval):
-			}
-			continue
-		}
-		if ready && (got > 0 || f.cfg.TrainIdle) {
-			f.step()
-		}
+	f.notePressure() // before the drain empties the queues
+	got := f.drainAll()
+	f.maybeAutoscale()
+	if f.scaler == nil {
+		return got, time.Time{}
 	}
+	return got, f.lastEval.Add(f.scaler.Config().Interval)
 }
 
 // notePressure records the peak per-replica queue occupancy since the
@@ -613,11 +543,11 @@ func (f *Fleet) scaleUp(live []int) {
 			continue
 		}
 		if err := f.reviveLocked(r.id); err != nil {
-			f.setErr(fmt.Errorf("fleet: autoscale up replica %d: %w", r.id, err))
+			f.loop.SetErr(fmt.Errorf("fleet: autoscale up replica %d: %w", r.id, err))
 		}
 		return
 	}
-	f.setErr(fmt.Errorf("fleet: autoscale up: no dead slot among %d", len(f.reps)))
+	f.loop.SetErr(fmt.Errorf("fleet: autoscale up: no dead slot among %d", len(f.reps)))
 }
 
 // scaleDown kills the highest live slot and gracefully drains it: frames
@@ -630,7 +560,7 @@ func (f *Fleet) scaleDown(live []int) {
 	}
 	id := live[len(live)-1]
 	if err := f.killLocked(id); err != nil {
-		f.setErr(fmt.Errorf("fleet: autoscale down replica %d: %w", id, err))
+		f.loop.SetErr(fmt.Errorf("fleet: autoscale down replica %d: %w", id, err))
 		return
 	}
 	f.reshard(f.reps[id])
@@ -642,7 +572,7 @@ func (f *Fleet) scaleDown(live []int) {
 func (f *Fleet) reshard(dead *replica) int {
 	got := 0
 	for {
-		s, ok := dead.Queue.Pop(0)
+		s, ok := dead.Queue.Pop()
 		if !ok {
 			return got
 		}
@@ -672,7 +602,7 @@ func (f *Fleet) drainAll() int {
 			continue
 		}
 		for {
-			s, ok := r.Queue.Pop(0)
+			s, ok := r.Queue.Pop()
 			if !ok {
 				break
 			}
@@ -682,10 +612,6 @@ func (f *Fleet) drainAll() int {
 	}
 	return got
 }
-
-// drainFinal is the graceful-stop drain: everything still queued on live
-// shards flows into the replay buffers so the final checkpoint sees it.
-func (f *Fleet) drainFinal() { f.drainAll() }
 
 // replayTotal sums the live replicas' replay populations.
 func (f *Fleet) replayTotal() int {
@@ -774,22 +700,22 @@ func (f *Fleet) recoverRing(ring *cluster.Ring, cause error) []int {
 	f.retireRing()
 	survivors := f.liveIDs()
 	if len(survivors) == 0 {
-		f.setErr(fmt.Errorf("fleet: ring broken with no survivors: %w", cause))
+		f.loop.SetErr(fmt.Errorf("fleet: ring broken with no survivors: %w", cause))
 		return survivors
 	}
 	src := f.reps[survivors[0]]
 	modelBytes, err := encodeModel(src.model)
 	if err != nil {
-		f.setErr(fmt.Errorf("fleet: checkpoint survivor %d: %w", src.id, err))
+		f.loop.SetErr(fmt.Errorf("fleet: checkpoint survivor %d: %w", src.id, err))
 		return survivors
 	}
 	ck := src.opt.Checkpoint()
 	for _, id := range survivors[1:] {
 		if err := f.reps[id].restoreShared(modelBytes, ck); err != nil {
-			f.setErr(fmt.Errorf("fleet: reconcile replica %d: %w", id, err))
+			f.loop.SetErr(fmt.Errorf("fleet: reconcile replica %d: %w", id, err))
 		}
 	}
-	f.publish(survivors, f.steps.Load())
+	f.publish(survivors, f.loop.Steps.Load())
 	return survivors
 }
 
@@ -805,21 +731,17 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
-// step runs one lockstep fleet iteration: every live replica samples a
-// private minibatch from its own replay buffer, all ranks funnel-aggregate
-// gradients and ABE over the ring, and every rank applies the identical
-// reduced Kalman update — so weights and P stay bitwise identical across
-// the fleet (asserted by the drift invariants it refreshes afterwards).
-// Conductor goroutine only.
-func (f *Fleet) step() {
+// step runs one lockstep fleet iteration — the conductor's Backend.Step:
+// every live replica samples a private minibatch from its own replay
+// buffer, all ranks funnel-aggregate gradients and ABE over the ring, and
+// every rank applies the identical reduced Kalman update — so weights and
+// P stay bitwise identical across the fleet (asserted by the drift
+// invariants it refreshes afterwards).  Conductor goroutine only.
+func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sample, bool) {
 	live := f.liveIDs()
 	if len(live) == 0 {
-		return
+		return optimize.StepInfo{}, nil, false
 	}
-	if f.cfg.Trace != nil && f.rec == nil {
-		f.rec = f.cfg.Trace.Begin()
-	}
-	rec := f.rec
 	type share struct {
 		ds  *dataset.Dataset
 		idx []int
@@ -848,12 +770,12 @@ func (f *Fleet) step() {
 	}
 	rec.Span(-1, "sample", s0, time.Since(s0))
 	if total == 0 {
-		return
+		return optimize.StepInfo{}, nil, false
 	}
 	ring, err := f.ensureRing(live)
 	if err != nil {
-		f.setErr(fmt.Errorf("fleet: form ring: %w", err))
-		return
+		f.loop.SetErr(fmt.Errorf("fleet: form ring: %w", err))
+		return optimize.StepInfo{}, nil, false
 	}
 	if f.cfg.PShard {
 		// Repartition lazily, exactly when the ring re-forms over a new
@@ -861,15 +783,15 @@ func (f *Fleet) step() {
 		// revived replica receives its share — all bitwise through the
 		// in-memory sharded checkpoint.
 		if err := f.ensureShards(live); err != nil {
-			f.setErr(err)
-			return
+			f.loop.SetErr(err)
+			return optimize.StepInfo{}, nil, false
 		}
 	}
 	params := f.reps[live[0]].opt.StepParams(total, na)
 	if rec != nil {
 		params.Spans = rec
 	}
-	stepNo := f.steps.Load()
+	stepNo := f.loop.Steps.Load()
 	t0 := f.clock.Now()
 
 	// Chaos hang: at the configured step, one rank parks before entering
@@ -903,10 +825,10 @@ func (f *Fleet) step() {
 	}
 	f.awaitStep(&wg, ring, live, stepNo, progress, hangCh)
 
-	n := f.steps.Add(1)
+	n := f.loop.Steps.Add(1)
 	f.storeLambda(live)
 	if err := errors.Join(errs...); err != nil {
-		f.setErr(fmt.Errorf("step %d: %w", n, err))
+		f.loop.SetErr(fmt.Errorf("step %d: %w", n, err))
 		if errors.Is(err, cluster.ErrRingBroken) {
 			// Hard transport failure: some ranks may have finished the
 			// step while others aborted mid-collective, so the replicas
@@ -917,7 +839,7 @@ func (f *Fleet) step() {
 				f.recoverShards(live)
 			}
 			if len(live) == 0 {
-				return
+				return optimize.StepInfo{}, nil, false
 			}
 			f.storeLambda(live)
 		}
@@ -937,33 +859,7 @@ func (f *Fleet) step() {
 	if m := f.cfg.Metrics; m != nil {
 		m.StepSeconds.Observe(lat.Seconds())
 	}
-	if ev := f.keeper.Check(n, func() guard.Sample { return f.healthSample(live, infos) }); ev != nil {
-		// Divergence: roll the whole fleet back to the newest valid
-		// checkpoint generation before anything downstream (snapshot
-		// publish, checkpoint write, OnStep) can observe or persist the
-		// poisoned state.
-		f.handleDivergence(ev, rec)
-		rec.End(n)
-		f.rec = nil
-		return
-	}
-	if f.cfg.OnStep != nil {
-		f.cfg.OnStep(n, infos[0])
-	}
-	if n%int64(f.cfg.SnapshotEvery) == 0 {
-		p0 := time.Now()
-		f.publish(live, n)
-		rec.Span(-1, "snapshot_publish", p0, time.Since(p0))
-	}
-	if f.cfg.CheckpointEvery > 0 && f.cfg.CheckpointPath != "" && n%int64(f.cfg.CheckpointEvery) == 0 {
-		c0 := time.Now()
-		if err := f.writeCheckpointCounted(f.cfg.CheckpointPath); err != nil {
-			f.setErr(fmt.Errorf("checkpoint: %w", err))
-		}
-		rec.Span(-1, "checkpoint", c0, time.Since(c0))
-	}
-	rec.End(n)
-	f.rec = nil
+	return infos[0], func() guard.Sample { return f.healthSample(live, infos) }, true
 }
 
 // updateInvariants refreshes the fleet's consistency gauges: the maximum
@@ -1025,11 +921,6 @@ func (f *Fleet) WeightDrift() float64 { return math.Float64frombits(f.wDriftBits
 // between live replicas (exactly 0 under the fleet invariant).
 func (f *Fleet) PDrift() float64 { return math.Float64frombits(f.pDriftBits.Load()) }
 
-func (f *Fleet) setErr(err error) {
-	s := err.Error()
-	f.lastErr.Store(&s)
-}
-
 // ReplicaStats is one replica's row in the fleet stats.
 type ReplicaStats struct {
 	ID             int     `json:"id"`
@@ -1082,7 +973,7 @@ func (f *Fleet) FleetStats() Stats {
 	st := Stats{
 		Replicas:    len(f.reps),
 		ShardPolicy: f.cfg.ShardPolicy.String(),
-		Steps:       f.steps.Load(),
+		Steps:       f.loop.Steps.Load(),
 		Lambda:      math.Float64frombits(f.lambdaBits.Load()),
 		WeightDrift: f.WeightDrift(),
 		PDrift:      f.PDrift(),
@@ -1135,13 +1026,10 @@ func (f *Fleet) FleetStats() Stats {
 // Stats aggregates the fleet into the flat trainer-stats shape shared with
 // the single-trainer backend; safe from any goroutine.
 func (f *Fleet) Stats() online.Stats {
-	st := online.Stats{
-		System:        f.system,
-		Steps:         f.steps.Load(),
-		Lambda:        math.Float64frombits(f.lambdaBits.Load()),
-		KalmanUpdates: f.steps.Load() * int64(1+f.forceGroups),
-		Checkpoints:   f.ckWrites.Load(),
-	}
+	st := f.loop.Stats()
+	st.System = f.system
+	st.Lambda = math.Float64frombits(f.lambdaBits.Load())
+	st.KalmanUpdates = st.Steps * int64(1+f.forceGroups)
 	var emaSum float64
 	var emaN int64
 	for _, r := range f.reps {
@@ -1160,11 +1048,9 @@ func (f *Fleet) Stats() online.Stats {
 		st.SnapshotStep = s.Step
 		st.SnapshotAgeMs = f.clock.Now().Sub(s.Published).Milliseconds()
 	}
-	if e := f.lastErr.Load(); e != nil {
-		st.LastError = *e
-	}
-	if f.keeper.Armed() || f.cfg.StepTimeout > 0 {
-		st.Guard = f.keeper.Health.Status(f.clock.Now())
+	if st.Guard == nil && f.cfg.StepTimeout > 0 {
+		// the watchdog ledger reports even without a ring or sentinel
+		st.Guard = f.loop.Health().Status(f.clock.Now())
 	}
 	return st
 }

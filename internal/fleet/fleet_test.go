@@ -104,7 +104,7 @@ func TestFleetLockstepBitwise(t *testing.T) {
 		t.Fatalf("drained %d frames, want 12", got)
 	}
 	for i := 0; i < 4; i++ {
-		f.step()
+		f.loop.Step()
 		assertBitwiseConsistent(t, f)
 	}
 	if f.Steps() != 4 {
@@ -243,7 +243,7 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 	}
 	f.drainAll()
 	for i := 0; i < 3; i++ {
-		f.step()
+		f.loop.Step()
 	}
 	if err := f.WriteCheckpoint(path); err != nil {
 		t.Fatal(err)
@@ -276,8 +276,8 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 	}
 	// the decisive check: one more step on each fleet — same replay RNG
 	// positions, same shared state — must stay bitwise equal.
-	f.step()
-	f2.step()
+	f.loop.Step()
+	f2.loop.Step()
 	assertBitwiseConsistent(t, f)
 	assertBitwiseConsistent(t, f2)
 	for i := range f.reps {

@@ -5,21 +5,19 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fekf/internal/cluster"
 	"fekf/internal/guard"
-	"fekf/internal/obs"
 	"fekf/internal/optimize"
 )
 
-// This file is what the fleet adds to the shared self-healing layer
-// (guard.Keeper): the step watchdog, the chaos-hang injection, the
-// sentinel's view of the fleet, and the in-place restore that rolls every
-// replica (and the covariance shards under PShard) back bitwise.
-// Everything here runs on the conductor goroutine except buildInject's
-// returned closure, which runs on a rank goroutine and touches only its own
-// arguments.
+// This file is what the fleet adds to the shared self-healing layer (the
+// online.Loop's guard.Keeper and rollback tail): the step watchdog, the
+// chaos-hang injection, the sentinel's view of the fleet, and the in-place
+// restore that rolls every replica (and the covariance shards under PShard)
+// back bitwise. Everything here runs on the conductor goroutine except
+// buildInject's returned closure, which runs on a rank goroutine and
+// touches only its own arguments.
 
 // buildInject composes the per-rank step injection: the failStep test seam,
 // the chaos hang, and — whenever the watchdog is armed — a progress marker
@@ -86,8 +84,8 @@ func (f *Fleet) awaitStep(wg *sync.WaitGroup, ring *cluster.Ring, live []int, st
 		if hangCh != nil {
 			close(hangCh)
 		}
-		f.keeper.Health.NoteWatchdog(stepNo + 1)
-		f.rec.Span(-1, "watchdog_abort", f.clock.Now(), 0)
+		f.loop.Health().NoteWatchdog(stepNo + 1)
+		f.loop.Recorder().Span(-1, "watchdog_abort", f.clock.Now(), 0)
 		<-stepDone
 	}
 }
@@ -110,21 +108,6 @@ func (f *Fleet) healthSample(live []int, infos []optimize.StepInfo) guard.Sample
 		smp.PDiag = ref.opt.PDiagonal()
 	}
 	return smp
-}
-
-// handleDivergence records a sentinel event and rolls the whole fleet back
-// to the newest valid checkpoint generation.  A failed rollback (no ring,
-// no valid generation) leaves the event in last_error and the fleet
-// degraded; training continues from the diverged state rather than
-// crashing the conductor, so operators can still drain and inspect it.
-func (f *Fleet) handleDivergence(ev *guard.DivergenceEvent, rec *obs.StepRecorder) {
-	f.setErr(ev)
-	r0 := time.Now()
-	err := guard.Rollback(f.keeper, ev, f.applyCheckpoint)
-	rec.Span(-1, "rollback", r0, time.Since(r0))
-	if err != nil {
-		f.setErr(err)
-	}
 }
 
 // applyCheckpoint restores a fleet checkpoint in place — the same

@@ -115,7 +115,7 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 				}
 				f.drainAll()
 				for i := 0; i < 4; i++ {
-					f.step()
+					f.loop.Step()
 				}
 				ck, seq, quarantined, err := guard.LoadNewest[Checkpoint](path, 3)
 				if err != nil || len(quarantined) != 0 {
@@ -136,7 +136,7 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 
 				// Step 5 poisons every replica identically; the sentinel
 				// must catch it and roll the fleet back to generation 2.
-				f.step()
+				f.loop.Step()
 				if got := f.Steps(); got != 4 {
 					t.Fatalf("after rollback at step %d, want 4", got)
 				}
@@ -178,8 +178,8 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 				// The chaos injection is one-shot: the re-run of step 5 is
 				// clean, and both fleets advance in bitwise lockstep.
 				for i := 0; i < 2; i++ {
-					f.step()
-					twin.step()
+					f.loop.Step()
+					twin.loop.Step()
 				}
 				if f.Steps() != 6 {
 					t.Fatalf("post-recovery steps: %d, want 6", f.Steps())
@@ -212,14 +212,14 @@ func TestFleetRollbackSkipsCorruptGeneration(t *testing.T) {
 	}
 	f.drainAll()
 	for i := 0; i < 4; i++ {
-		f.step()
+		f.loop.Step()
 	}
 	// Corrupt the newest generation (step 4); the rollback must fall back
 	// to generation 1 (step 2).
 	if err := guard.FlipByte(guard.NewRing(path, 3).GenPath(2), -3); err != nil {
 		t.Fatal(err)
 	}
-	f.step()
+	f.loop.Step()
 	st := f.Stats()
 	if f.Steps() != 2 || st.Guard.RollbackGeneration != 1 || st.Guard.RollbackStep != 2 {
 		t.Fatalf("fallback rollback: steps=%d guard=%+v", f.Steps(), st.Guard)
@@ -241,8 +241,8 @@ func TestFleetRollbackSkipsCorruptGeneration(t *testing.T) {
 	}
 	assertFleetsBitwise(t, f, twin, "after corrupt-generation fallback")
 	for i := 0; i < 2; i++ {
-		f.step()
-		twin.step()
+		f.loop.Step()
+		twin.loop.Step()
 	}
 	assertBitwiseConsistent(t, f)
 	assertFleetsBitwise(t, f, twin, "two steps past fallback")
@@ -266,7 +266,7 @@ func TestFleetWatchdogKillsHungRank(t *testing.T) {
 		}
 	}
 	f.drainAll()
-	f.step() // step 1: healthy
+	f.loop.Step() // step 1: healthy
 
 	// Step 2 parks replica 1 before the collective; the other ranks block
 	// inside it.  Advance the fake clock past the deadline once the
@@ -284,7 +284,7 @@ func TestFleetWatchdogKillsHungRank(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		f.step()
+		f.loop.Step()
 	}()
 	for clk.Waiters() < 2 || !reached[0].Load() || !reached[2].Load() {
 		time.Sleep(time.Millisecond)
@@ -324,7 +324,7 @@ func TestFleetWatchdogKillsHungRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.drainAll()
-	f.step()
+	f.loop.Step()
 	if f.Steps() != 3 || len(f.liveIDs()) != 3 {
 		t.Fatalf("post-revive: steps=%d live=%v", f.Steps(), f.liveIDs())
 	}

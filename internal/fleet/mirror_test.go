@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"fekf/internal/dataset"
 	"fekf/internal/guard"
+	"fekf/internal/obs"
 	"fekf/internal/online"
+	"fekf/internal/optimize"
 )
 
 // mirrorSubject is the surface the single trainer and the fleet share for
@@ -19,6 +22,7 @@ type mirrorSubject interface {
 	Start()
 	Stop(context.Context) error
 	Stats() online.Stats
+	Snapshot() *online.ModelSnapshot
 	WriteCheckpoint(path string) error
 }
 
@@ -36,6 +40,10 @@ type mirrorKnobs struct {
 	keep       int
 	poisonStep int64
 	windowSize int
+	// loop-contract observers (zero values keep the defaults)
+	snapshotEvery int
+	onStep        func(int64, optimize.StepInfo)
+	trace         *obs.Tracer
 }
 
 type mirrorKind struct {
@@ -47,6 +55,11 @@ type mirrorKind struct {
 	// recount writes a plain checkpoint of s and returns its lanes, plus
 	// the per-replica stats rows (nil for the single trainer).
 	recount func(t *testing.T, s mirrorSubject) ([]laneRecount, []ReplicaStats)
+	// scored returns the frames the checkpoint at path records as gated
+	// (accepted + gated out), summed over its lanes.
+	scored func(t *testing.T, path string) int64
+	// snapSteps returns each lane's published snapshot step.
+	snapSteps func(s mirrorSubject) []int64
 }
 
 func mirrorTrainerConfig(k mirrorKnobs) online.TrainerConfig {
@@ -55,8 +68,9 @@ func mirrorTrainerConfig(k mirrorKnobs) online.TrainerConfig {
 		WindowSize: k.windowSize, ReservoirSize: 3,
 		Gate:           online.GateConfig{Enabled: true, Threshold: 1.5, Warmup: 2},
 		CheckpointPath: k.path, CheckpointEvery: 2, CheckpointKeep: k.keep,
-		Guard: guard.SentinelConfig{Enabled: k.poisonStep > 0, SampleStride: 1},
-		Chaos: guard.ChaosConfig{PoisonStep: k.poisonStep},
+		Guard:         guard.SentinelConfig{Enabled: k.poisonStep > 0, SampleStride: 1},
+		Chaos:         guard.ChaosConfig{PoisonStep: k.poisonStep},
+		SnapshotEvery: k.snapshotEvery, OnStep: k.onStep, Trace: k.trace,
 	}
 }
 
@@ -67,8 +81,9 @@ func mirrorFleetConfig(k mirrorKnobs, pshard bool) Config {
 		WindowSize: k.windowSize, ReservoirSize: 3,
 		Gate:           online.GateConfig{Enabled: true, Threshold: 1.5, Warmup: 2},
 		CheckpointPath: k.path, CheckpointEvery: 2, CheckpointKeep: k.keep,
-		Guard: guard.SentinelConfig{Enabled: k.poisonStep > 0, SampleStride: 1},
-		Chaos: guard.ChaosConfig{PoisonStep: k.poisonStep},
+		Guard:         guard.SentinelConfig{Enabled: k.poisonStep > 0, SampleStride: 1},
+		Chaos:         guard.ChaosConfig{PoisonStep: k.poisonStep},
+		SnapshotEvery: k.snapshotEvery, OnStep: k.onStep, Trace: k.trace,
 	}
 }
 
@@ -110,6 +125,24 @@ func mirrorKinds() []mirrorKind {
 				}
 				return lanes, s.(*Fleet).FleetStats().Replica
 			},
+			scored: func(t *testing.T, path string) int64 {
+				ck, err := guard.Load[Checkpoint](path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var n int64
+				for _, rck := range ck.Replicas {
+					n += rck.FramesAccepted + rck.FramesGatedOut
+				}
+				return n
+			},
+			snapSteps: func(s mirrorSubject) []int64 {
+				var steps []int64
+				for _, rs := range s.(*Fleet).FleetStats().Replica {
+					steps = append(steps, rs.SnapshotStep)
+				}
+				return steps
+			},
 		}
 	}
 	return []mirrorKind{
@@ -145,6 +178,14 @@ func mirrorKinds() []mirrorKind {
 				}
 				return []laneRecount{{alive: true, replay: ck.Replay, gate: ck.Gate}}, nil
 			},
+			scored: func(t *testing.T, path string) int64 {
+				ck, err := guard.Load[online.Checkpoint](path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ck.FramesAccepted + ck.FramesGatedOut
+			},
+			snapSteps: func(s mirrorSubject) []int64 { return []int64{s.Snapshot().Step} },
 		},
 		fleetKind("replicated", false),
 		fleetKind("pshard", true),
@@ -288,6 +329,151 @@ func TestStatsMirrorsMatchRecount(t *testing.T) {
 				}
 				lanes, rows := kind.recount(t, s)
 				assertMirrors(t, "after rollback", s, lanes, rows)
+			})
+		})
+	}
+}
+
+// ingestAndAwaitStep ingests one frame and waits until the subject has
+// completed want steps.
+func ingestAndAwaitStep(t *testing.T, s mirrorSubject, frame dataset.Snapshot, want int64) {
+	t.Helper()
+	if ok, err := s.Ingest(frame); !ok || err != nil {
+		t.Fatalf("ingest for step %d: %v %v", want, ok, err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for s.Stats().Steps != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("no step %d within deadline (stats %+v)", want, s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// stepLog records the step numbers the loop hands to OnStep.
+type stepLog struct {
+	mu    sync.Mutex
+	steps []int64
+}
+
+func (l *stepLog) onStep(n int64, _ optimize.StepInfo) {
+	l.mu.Lock()
+	l.steps = append(l.steps, n)
+	l.mu.Unlock()
+}
+
+// assertSequence checks that OnStep saw exactly first..last, once each, in
+// order.
+func (l *stepLog) assertSequence(t *testing.T, first, last int64) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if int64(len(l.steps)) != last-first+1 {
+		t.Fatalf("OnStep saw %v, want %d..%d", l.steps, first, last)
+	}
+	for i, n := range l.steps {
+		if n != first+int64(i) {
+			t.Fatalf("OnStep saw %v, want %d..%d", l.steps, first, last)
+		}
+	}
+}
+
+// The online loop's contract, identical for the single trainer and both
+// fleet modes: the lifecycle guards, the post-step schedule (OnStep once
+// per step in order, periodic publishes on SnapshotEvery, counted periodic
+// checkpoints, an uncounted final one), the stop-time drain of every
+// queued frame into the final checkpoint, and a sentinel rollback that
+// records one conductor-rank rollback span and resumes at the restored
+// step + 1.
+func TestLoopContract(t *testing.T) {
+	for _, kind := range mirrorKinds() {
+		t.Run(kind.name, func(t *testing.T) {
+			t.Run("schedule", func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "ckpt.gob")
+				var log stepLog
+				const every = 3
+				ds, s := kind.build(t, mirrorKnobs{path: path, windowSize: 4, snapshotEvery: every, onStep: log.onStep})
+				if err := s.Stop(context.Background()); err == nil {
+					t.Fatal("Stop before Start returned nil")
+				}
+				s.Start()
+				published := map[*online.ModelSnapshot]bool{}
+				for i := 0; i < 4; i++ {
+					published[s.Snapshot()] = true
+				}
+				s.Start() // a second Start is a no-op: nothing is republished
+				for i := 0; i < 4; i++ {
+					if !published[s.Snapshot()] {
+						t.Fatal("second Start republished a snapshot")
+					}
+				}
+
+				const fed = 9
+				prev := kind.snapSteps(s)
+				for i := 0; i < fed; i++ {
+					ingestAndAwaitStep(t, s, ds.Snapshots[i], int64(i+1))
+					cur := kind.snapSteps(s)
+					for lane, step := range cur {
+						if step < prev[lane] || step%every != 0 {
+							t.Fatalf("step %d: lane %d published step %d after %d (SnapshotEvery %d)",
+								i+1, lane, step, prev[lane], every)
+						}
+					}
+					prev = cur
+				}
+				// Frames queued right before Stop must all reach the final
+				// checkpoint through the stop-time drain.
+				const extra = 6
+				for i := fed; i < fed+extra; i++ {
+					if ok, err := s.Ingest(ds.Snapshots[i]); !ok || err != nil {
+						t.Fatalf("ingest %d: %v %v", i, ok, err)
+					}
+				}
+				stopSubject(t, s)
+				st := s.Stats()
+				log.assertSequence(t, 1, st.Steps)
+				if want := st.Steps / 2; st.Checkpoints != want {
+					t.Fatalf("checkpoints_written %d after %d steps, want %d periodic writes", st.Checkpoints, st.Steps, want)
+				}
+				for lane, step := range kind.snapSteps(s) {
+					if step != st.Steps {
+						t.Fatalf("lane %d final snapshot at step %d, want %d", lane, step, st.Steps)
+					}
+				}
+				if got := kind.scored(t, path); got != fed+extra {
+					t.Fatalf("final checkpoint gated %d frames, %d were pushed", got, fed+extra)
+				}
+			})
+			t.Run("rollback", func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "ckpt.gob")
+				var log stepLog
+				trace := obs.NewTracer(256)
+				ds, s := kind.build(t, mirrorKnobs{path: path, keep: 3, poisonStep: 5, windowSize: 4,
+					onStep: log.onStep, trace: trace})
+				s.Start()
+				feedOneStepEach(t, ds, s, 5, 5)
+				st := s.Stats()
+				if st.Steps != 4 || st.Guard == nil || st.Guard.Rollbacks != 1 || st.LastError == "" {
+					t.Fatalf("after the poisoned step: steps=%d guard=%+v last_error=%q", st.Steps, st.Guard, st.LastError)
+				}
+				// The next step resumes from the restored step 4.
+				ingestAndAwaitStep(t, s, ds.Snapshots[5], 5)
+				stopSubject(t, s)
+				log.assertSequence(t, 1, 5)
+				rollbacks := 0
+				for _, str := range trace.Last(trace.Capacity()) {
+					for _, sp := range str.Spans {
+						if sp.Name == "rollback" {
+							if sp.Rank != -1 {
+								t.Fatalf("rollback span on rank %d, want -1", sp.Rank)
+							}
+							rollbacks++
+						}
+					}
+				}
+				if rollbacks != 1 {
+					t.Fatalf("%d rollback spans, want 1", rollbacks)
+				}
 			})
 		})
 	}

@@ -34,7 +34,7 @@ func TestFleetObservability(t *testing.T) {
 	}
 	const steps = 3
 	for i := 0; i < steps; i++ {
-		f.step()
+		f.loop.Step()
 	}
 	if f.Steps() != steps {
 		t.Fatalf("took %d steps, want %d (last error %q)", f.Steps(), steps, f.Stats().LastError)

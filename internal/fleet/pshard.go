@@ -204,13 +204,13 @@ func (f *Fleet) recoverShards(survivors []int) {
 	}
 	ck, err := pshard.BuildCheckpoint(keep)
 	if err != nil {
-		f.setErr(fmt.Errorf("fleet: recover shard checkpoint: %w", err))
+		f.loop.SetErr(fmt.Errorf("fleet: recover shard checkpoint: %w", err))
 		ck = &pshard.Checkpoint{Cfg: ref.Cfg, Lambda: ref.Lambda, Updates: ref.Updates,
 			Sizes: optimize.BlockSizes(f.pblocks)}
 	}
 	fillMissingRows(ck, f.pblocks)
 	if err := f.restoreShards(ck, survivors); err != nil {
-		f.setErr(fmt.Errorf("fleet: recover shards: %w", err))
+		f.loop.SetErr(fmt.Errorf("fleet: recover shards: %w", err))
 	}
 }
 

@@ -113,8 +113,8 @@ func TestPShardFleetLockstepBitwise(t *testing.T) {
 	fp.drainAll()
 	fr.drainAll()
 	for i := 0; i < 4; i++ {
-		fp.step()
-		fr.step()
+		fp.loop.Step()
+		fr.loop.Step()
 		assertPShardMatchesReplicated(t, fp, fr)
 	}
 	if fp.Steps() != 4 {
@@ -179,8 +179,8 @@ func TestPShardFleetTCPBitwise(t *testing.T) {
 	ft.drainAll()
 	fc.drainAll()
 	for i := 0; i < 2; i++ {
-		ft.step()
-		fc.step()
+		ft.loop.Step()
+		fc.loop.Step()
 	}
 	if ft.Steps() != 2 || fc.Steps() != 2 {
 		t.Fatalf("steps %d/%d, want 2/2 (errors %q / %q)",
@@ -218,8 +218,8 @@ func TestPShardKillReviveBitwise(t *testing.T) {
 	}
 	fp.drainAll()
 	fr.drainAll()
-	fp.step()
-	fr.step()
+	fp.loop.Step()
+	fr.loop.Step()
 	assertPShardMatchesReplicated(t, fp, fr)
 
 	if err := fp.Kill(ctx, 1); err != nil {
@@ -228,8 +228,8 @@ func TestPShardKillReviveBitwise(t *testing.T) {
 	if err := fr.Kill(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	fp.step() // repartitions 3 → 2 before stepping
-	fr.step()
+	fp.loop.Step() // repartitions 3 → 2 before stepping
+	fr.loop.Step()
 	assertPShardMatchesReplicated(t, fp, fr)
 	if ps := fp.FleetStats().PShard; ps.Ranks != 2 {
 		t.Fatalf("after kill the pshard row reports %d ranks, want 2", ps.Ranks)
@@ -244,8 +244,8 @@ func TestPShardKillReviveBitwise(t *testing.T) {
 	if err := fr.Revive(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	fp.step() // repartitions 2 → 3
-	fr.step()
+	fp.loop.Step() // repartitions 2 → 3
+	fr.loop.Step()
 	assertPShardMatchesReplicated(t, fp, fr)
 	if ps := fp.FleetStats().PShard; ps.Ranks != 3 {
 		t.Fatalf("after revive the pshard row reports %d ranks, want 3", ps.Ranks)
@@ -268,7 +268,7 @@ func TestPShardCheckpointResumeBitwise(t *testing.T) {
 	}
 	f.drainAll()
 	for i := 0; i < 3; i++ {
-		f.step()
+		f.loop.Step()
 	}
 	if err := f.WriteCheckpoint(path); err != nil {
 		t.Fatal(err)
@@ -298,8 +298,8 @@ func TestPShardCheckpointResumeBitwise(t *testing.T) {
 			}
 		}
 	}
-	f.step()
-	f2.step()
+	f.loop.Step()
+	f2.loop.Step()
 	for i := range f.reps {
 		w1 := f.reps[i].model.Params.FlattenValues()
 		w2 := f2.reps[i].model.Params.FlattenValues()
@@ -325,8 +325,8 @@ func TestPShardRecoverShards(t *testing.T) {
 		f.Ingest(ds.Snapshots[i])
 	}
 	f.drainAll()
-	f.step()
-	f.step()
+	f.loop.Step()
+	f.loop.Step()
 
 	// Snapshot rank 0's slabs before the failure.
 	ck0, err := pshard.BuildCheckpoint([]*pshard.State{f.pstates[0]})
@@ -386,7 +386,7 @@ func TestPShardRecoverShards(t *testing.T) {
 		t.Fatal("recovery moved the reference scalar state")
 	}
 	// And the fleet keeps stepping with zero drift.
-	f.step()
+	f.loop.Step()
 	if d := f.shardDrift(f.liveIDs()); d != 0 {
 		t.Fatalf("post-recovery shard drift %g, want 0", d)
 	}

@@ -77,9 +77,6 @@ func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Data
 // the partial gate is more permissive than the full diagonal, never
 // stricter.  Conductor goroutine only.
 func (f *Fleet) admit(r *replica, s dataset.Snapshot) {
-	if f.cfg.Trace != nil && f.rec == nil {
-		f.rec = f.cfg.Trace.Begin()
-	}
 	pd := r.opt.PDiagonal()
 	if f.cfg.PShard {
 		pd = nil
@@ -87,8 +84,8 @@ func (f *Fleet) admit(r *replica, s dataset.Snapshot) {
 			pd = st.PDiagonalOwned()
 		}
 	}
-	if err := r.Admit(s, r.model, pd, f.rec, r.id); err != nil {
-		f.setErr(fmt.Errorf("replica %d gate: %w", r.id, err))
+	if err := r.Admit(s, r.model, pd, f.loop.Recorder(), r.id); err != nil {
+		f.loop.SetErr(fmt.Errorf("replica %d gate: %w", r.id, err))
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // Snapshot panicked on reps[-k].
 func TestRouterSnapshotSurvivesWraparound(t *testing.T) {
 	_, f := newTestFleet(t, 3, Config{Seed: 5, Gate: online.GateConfig{Enabled: false}})
-	f.publish(f.liveIDs(), f.steps.Load())
+	f.publish(f.liveIDs(), f.loop.Steps.Load())
 	// Park the counter just below wraparound and rotate across it.
 	f.router.next.Store(math.MaxUint64 - 2)
 	seen := make(map[int]bool)
@@ -59,8 +59,8 @@ func TestFleetBitwiseChanVsTCP(t *testing.T) {
 			}
 		}
 		f.drainAll()
-		f.step()
-		f.step()
+		f.loop.Step()
+		f.loop.Step()
 		// Cooperative mid-step failure on replica 1: zero partials, full
 		// collectives — deterministic on every transport.
 		f.failStep = func(id int, step int64) error {
@@ -69,9 +69,9 @@ func TestFleetBitwiseChanVsTCP(t *testing.T) {
 			}
 			return nil
 		}
-		f.step()
+		f.loop.Step()
 		f.failStep = nil
-		f.step()
+		f.loop.Step()
 		assertBitwiseConsistent(t, f)
 		if f.WeightDrift() != 0 || f.PDrift() != 0 {
 			t.Fatalf("%s: drift gauges %g/%g, want exactly 0", transport, f.WeightDrift(), f.PDrift())
@@ -122,8 +122,8 @@ func TestFleetTCPReconnectMidStep(t *testing.T) {
 		}
 	}
 	f.drainAll()
-	f.step()
-	f.step()
+	f.loop.Step()
+	f.loop.Step()
 	if f.Steps() != 2 {
 		t.Fatalf("took %d steps, want 2 (last error %q)", f.Steps(), f.Stats().LastError)
 	}
@@ -167,13 +167,13 @@ func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
 		}
 	}
 	f.drainAll()
-	f.step() // ring 1: healthy
+	f.loop.Step() // ring 1: healthy
 	assertBitwiseConsistent(t, f)
 
 	// Force a ring re-formation so the faulty ring (rings == 2) is built:
 	// kill and revive replica 2 cooperatively.
 	f.reps[2].alive.Store(false)
-	f.step() // ring 2 (size 2): severed mid-step → rank 1 = replica 1 dies
+	f.loop.Step() // ring 2 (size 2): severed mid-step → rank 1 = replica 1 dies
 	if !strings.Contains(f.Stats().LastError, "ring broken") {
 		t.Fatalf("sever not surfaced: %q", f.Stats().LastError)
 	}
@@ -190,7 +190,7 @@ func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
 
 	// The fleet keeps training on the survivor, and a revived replica
 	// catches up bitwise.
-	f.step()
+	f.loop.Step()
 	f.reps[2].alive.Store(true)
 	src := f.reps[0]
 	modelBytes, err := encodeModel(src.model)
@@ -200,7 +200,7 @@ func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
 	if err := f.reps[2].restoreShared(modelBytes, src.opt.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
-	f.step()
+	f.loop.Step()
 	assertBitwiseConsistent(t, f)
 
 	st := f.FleetStats()

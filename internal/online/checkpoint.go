@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"time"
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
 	"fekf/internal/device"
-	"fekf/internal/guard"
 	"fekf/internal/md"
-	"fekf/internal/obs"
 	"fekf/internal/optimize"
 	"fekf/internal/train"
 )
@@ -49,7 +46,7 @@ func (t *Trainer) buildCheckpoint() (*Checkpoint, error) {
 		System:         t.system,
 		Species:        t.species,
 		NumAtoms:       t.naPer.Load(),
-		Steps:          t.steps.Load(),
+		Steps:          t.loop.Steps.Load(),
 		FramesGatedOut: gatedOut,
 		FramesAccepted: accepted,
 		Model:          buf.Bytes(),
@@ -59,19 +56,10 @@ func (t *Trainer) buildCheckpoint() (*Checkpoint, error) {
 	}, nil
 }
 
-// WriteCheckpoint persists the trainer state crash-safely: into the
-// checksummed retention ring when one is configured for path (see
-// TrainerConfig.CheckpointKeep), as an atomically replaced plain gob file
-// otherwise.  Load it back with guard.Load or guard.LoadNewest.  Must run
-// on the trainer goroutine or after the loop has exited; external callers
-// use CheckpointNow or Stop.
-func (t *Trainer) WriteCheckpoint(path string) error {
-	ck, err := t.buildCheckpoint()
-	if err != nil {
-		return err
-	}
-	return t.keeper.Save(path, ck)
-}
+// WriteCheckpoint persists the trainer state crash-safely (see
+// Loop.WriteCheckpoint).  Must run before Start or after Stop; the running
+// loop writes its own periodic checkpoints.
+func (t *Trainer) WriteCheckpoint(path string) error { return t.loop.WriteCheckpoint(path) }
 
 // RestoreModel rebuilds a model from its checkpoint stream onto dev (nil
 // keeps the default device) together with the FEKF optimizer checkpointed
@@ -119,25 +107,10 @@ func ResumeTrainer(ck *Checkpoint, dev *device.Device, cfg TrainerConfig) (*Trai
 // gate — and refreshes the filter mirrors from the current optimizer.
 func (t *Trainer) restoreStream(ck *Checkpoint) {
 	t.naPer.Store(ck.NumAtoms)
-	t.steps.Store(ck.Steps)
+	t.loop.Steps.Store(ck.Steps)
 	t.lane.Restore(ck.Replay, ck.Gate, ck.FramesAccepted, ck.FramesGatedOut)
 	t.lambdaBits.Store(math.Float64bits(t.opt.Lambda()))
 	t.pBytes.Store(t.opt.PBytes())
-}
-
-// handleDivergence records a sentinel event and rolls the trainer back to
-// the newest valid checkpoint generation.  A failed rollback (no ring, no
-// valid generation) leaves the event in last_error and the trainer
-// degraded; training continues from the diverged state rather than
-// crashing the loop, so operators can still drain and inspect it.
-func (t *Trainer) handleDivergence(ev *guard.DivergenceEvent, rec *obs.StepRecorder) {
-	t.setErr(ev)
-	r0 := time.Now()
-	err := guard.Rollback(t.keeper, ev, t.rollbackTo)
-	rec.Span(-1, "rollback", r0, time.Since(r0))
-	if err != nil {
-		t.setErr(err)
-	}
 }
 
 // rollbackTo restores a checkpoint in place — model, optimizer, replay

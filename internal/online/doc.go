@@ -5,26 +5,30 @@
 // snapshots that concurrent prediction readers consume without ever
 // blocking — or being blocked by — training.
 //
-// The dataflow is
+// The dataflow is one loop, online.Loop, shared with the fleet:
 //
 //	producer ──► Lane.Queue (bounded, backpressure/drop policies)
-//	                │ trainer goroutine: Lane.Admit
+//	                │ Ingest wakes the idle loop (Loop.Wake)
 //	                ▼
+//	            Backend.Intake: Lane.Admit
 //	            Gate (ALKPU-style uncertainty score against diag(P))
 //	                │ accepted frames
 //	                ▼
 //	            ReplayBuffer (FIFO window + reservoir over the stream)
-//	                │ minibatches
+//	                │ once Backend.Ready: minibatches
 //	                ▼
-//	            FEKF.Step via the shared train.Stepper
-//	                │ every SnapshotEvery steps: Lane.Publish
+//	            Backend.Step: FEKF via the shared train.Stepper
+//	                │ post-step tail, in the loop: sentinel → rollback
+//	                │ → OnStep → Publish every SnapshotEvery
+//	                │ → counted checkpoint every CheckpointEvery
 //	                ▼
 //	            atomic snapshot pointer ──► readers (internal/serve)
 //
 // The queue, gate, replay buffer, snapshot pointer and stats mirrors form
-// one Lane — the same type every internal/fleet replica embeds — and the
-// checkpoint ring, health sentinel and rollback come from one
-// guard.Keeper, shared with the fleet conductor.
+// one Lane — the same type every internal/fleet replica embeds.  The loop
+// owns the lifecycle, the wake-on-ingest idle wait, the stop-time drain,
+// the post-step tail and its guard.Keeper (checkpoint ring, health
+// sentinel, rollback); a Trainer supplies only the Backend hooks.
 //
 // All mutable training state — the model weights, the Kalman P, the gate
 // EMA and the replay buffer — is owned by the single trainer goroutine;

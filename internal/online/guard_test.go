@@ -59,7 +59,7 @@ func TestGuardRollbackBitwiseTwin(t *testing.T) {
 		tr.admit(ds.Snapshots[i])
 	}
 	for i := 0; i < 4; i++ {
-		tr.step()
+		tr.loop.Step()
 	}
 	// CheckpointEvery 2 → ring generations 1 (step 2) and 2 (step 4).
 	ck, seq, quarantined, err := guard.LoadNewest[Checkpoint](path, 3)
@@ -79,8 +79,8 @@ func TestGuardRollbackBitwiseTwin(t *testing.T) {
 	}
 
 	// Step 5 poisons the weights; the sentinel must catch it and roll back.
-	tr.step()
-	if got := tr.steps.Load(); got != 4 {
+	tr.loop.Step()
+	if got := tr.loop.Steps.Load(); got != 4 {
 		t.Fatalf("after rollback at step %d, want 4", got)
 	}
 	st := tr.Stats()
@@ -123,11 +123,11 @@ func TestGuardRollbackBitwiseTwin(t *testing.T) {
 	// stay in bitwise lockstep. The chaos injection is one-shot: the
 	// re-run of step 5 is clean.
 	for i := 0; i < 2; i++ {
-		tr.step()
-		twin.step()
+		tr.loop.Step()
+		twin.loop.Step()
 	}
-	if tr.steps.Load() != 6 || twin.steps.Load() != 6 {
-		t.Fatalf("post-recovery steps: %d vs %d, want 6", tr.steps.Load(), twin.steps.Load())
+	if tr.loop.Steps.Load() != 6 || twin.loop.Steps.Load() != 6 {
+		t.Fatalf("post-recovery steps: %d vs %d, want 6", tr.loop.Steps.Load(), twin.loop.Steps.Load())
 	}
 	if got := tr.Stats().Guard.Divergences; got != 1 {
 		t.Fatalf("re-run of the poisoned step diverged again: %d events", got)
@@ -155,7 +155,7 @@ func TestLoadNewestCheckpointQuarantinesAndFallsBack(t *testing.T) {
 		tr.admit(ds.Snapshots[i])
 	}
 	for i := 0; i < 3; i++ {
-		tr.step()
+		tr.loop.Step()
 	}
 	ring := guard.NewRing(path, 3)
 	// A valid framed generation loads through the plain single-file API too.
@@ -183,8 +183,8 @@ func TestLoadNewestCheckpointQuarantinesAndFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.steps.Load() != 1 {
-		t.Fatalf("resumed from survivor at step %d, want 1", tr2.steps.Load())
+	if tr2.loop.Steps.Load() != 1 {
+		t.Fatalf("resumed from survivor at step %d, want 1", tr2.loop.Steps.Load())
 	}
 	// The corrupt files fail with the typed sentinel error.
 	for _, p := range quarantined {
@@ -220,8 +220,8 @@ func TestGuardDivergenceWithoutRingDegrades(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.admit(ds.Snapshots[i])
 	}
-	tr.step()
-	tr.step() // poisoned; no ring → rollback must fail loudly but safely
+	tr.loop.Step()
+	tr.loop.Step() // poisoned; no ring → rollback must fail loudly but safely
 	st := tr.Stats()
 	if st.Guard == nil || st.Guard.Divergences != 1 || st.Guard.Rollbacks != 0 {
 		t.Fatalf("guard status: %+v", st.Guard)

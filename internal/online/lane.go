@@ -17,8 +17,8 @@ import (
 // that let Stats read the loop-owned state from any goroutine.  The single
 // trainer holds one lane; every fleet replica embeds one.
 //
-// The gate and the replay buffer belong to the loop goroutine that owns
-// the model (the trainer loop or the fleet conductor); the queue, the
+// The gate and the replay buffer belong to the Loop goroutine that owns
+// the model (the trainer's or the fleet conductor's); the queue, the
 // snapshot pointer and the mirrors are the concurrent surface.
 type Lane struct {
 	// Queue is the bounded ingest queue producers push into.

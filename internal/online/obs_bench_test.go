@@ -28,7 +28,7 @@ func benchStep(b *testing.B, cfg TrainerConfig) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.step()
+		tr.loop.Step()
 	}
 	b.StopTimer()
 	if le := tr.Stats().LastError; le != "" {
@@ -74,7 +74,7 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	}
 	const steps = 10
 	for i := 0; i < steps; i++ {
-		tr.step()
+		tr.loop.Step()
 	}
 	if le := tr.Stats().LastError; le != "" {
 		t.Fatalf("trainer errored: %s", le)

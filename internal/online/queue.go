@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fekf/internal/dataset"
 )
@@ -55,9 +54,9 @@ var ErrClosed = errors.New("online: queue closed")
 
 // Queue is the bounded frame hand-off between ingest producers (HTTP
 // handlers, the synthetic MD client) and the trainer goroutine.  Push is
-// safe from any number of goroutines; Pop is intended for the single
-// trainer loop.  Closing the queue wakes blocked pushers and lets the
-// consumer drain what is left.
+// safe from any number of goroutines; Pop is intended for the single Loop
+// goroutine draining it.  Closing the queue wakes blocked pushers and lets
+// the consumer drain what is left.
 type Queue struct {
 	ch     chan dataset.Snapshot
 	policy Policy
@@ -127,32 +126,13 @@ func (q *Queue) Push(s dataset.Snapshot) (bool, error) {
 	}
 }
 
-// Pop removes one frame, waiting up to wait for one to arrive (0 means a
-// non-blocking attempt).  ok is false when nothing was available within
-// the window or the queue is closed and drained.
-func (q *Queue) Pop(wait time.Duration) (s dataset.Snapshot, ok bool) {
+// Pop removes one buffered frame without waiting; ok is false when the
+// queue is empty (closed or not).
+func (q *Queue) Pop() (s dataset.Snapshot, ok bool) {
 	select {
 	case s = <-q.ch:
 		return s, true
 	default:
-	}
-	if wait <= 0 {
-		return s, false
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case s = <-q.ch:
-		return s, true
-	case <-q.done:
-		// closed: hand out whatever is still buffered
-		select {
-		case s = <-q.ch:
-			return s, true
-		default:
-			return s, false
-		}
-	case <-timer.C:
 		return s, false
 	}
 }

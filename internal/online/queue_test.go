@@ -47,7 +47,7 @@ func TestQueueDropNewest(t *testing.T) {
 		t.Fatalf("counters: pushed=%d dropped=%d", q.Pushed(), q.Dropped())
 	}
 	// the buffered frames are the two oldest
-	s, ok := q.Pop(0)
+	s, ok := q.Pop()
 	if !ok || s.Energy != 0 {
 		t.Fatalf("pop got %v %v, want oldest frame", s.Energy, ok)
 	}
@@ -65,7 +65,7 @@ func TestQueueDropOldest(t *testing.T) {
 	}
 	// survivors are the two newest, in order
 	for _, want := range []float64{2, 3} {
-		s, ok := q.Pop(0)
+		s, ok := q.Pop()
 		if !ok || s.Energy != want {
 			t.Fatalf("pop got %v %v, want %v", s.Energy, ok, want)
 		}
@@ -90,7 +90,7 @@ func TestQueueBlockBackpressure(t *testing.T) {
 		t.Fatalf("push did not block on a full queue: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, ok := q.Pop(0); !ok {
+	if _, ok := q.Pop(); !ok {
 		t.Fatal("pop failed")
 	}
 	select {
@@ -125,15 +125,7 @@ func TestQueueCloseUnblocksAndDrains(t *testing.T) {
 		t.Fatalf("push after close got %v, want ErrClosed", err)
 	}
 	// the buffered frame is still poppable after close
-	if s, ok := q.Pop(time.Second); !ok || s.Energy != 1 {
+	if s, ok := q.Pop(); !ok || s.Energy != 1 {
 		t.Fatalf("drain after close got %v %v", s.Energy, ok)
-	}
-	// and a waiting pop on the drained closed queue returns promptly
-	start := time.Now()
-	if _, ok := q.Pop(5 * time.Second); ok {
-		t.Fatal("pop on drained closed queue returned a frame")
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("pop on closed queue waited for the full timeout")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,9 +56,6 @@ type TrainerConfig struct {
 	// TrainIdle keeps drawing replay minibatches while no new frames
 	// arrive; off, the trainer only steps after fresh ingest.
 	TrainIdle bool
-	// PollInterval is how long the loop waits for a frame before
-	// re-checking for work (default 10ms).
-	PollInterval time.Duration
 	// Seed drives replay sampling.
 	Seed int64
 	// OnStep, if non-nil, runs on the trainer goroutine after every
@@ -94,9 +90,6 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 	if c.SnapshotEvery < 1 {
 		c.SnapshotEvery = 8
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 10 * time.Millisecond
-	}
 	return c
 }
 
@@ -111,10 +104,10 @@ type ModelSnapshot struct {
 	Published time.Time
 }
 
-// Trainer is the online-learning engine: one goroutine owns the model and
-// optimizer and drains the ingest queue through the gate into the replay
-// buffer, stepping FEKF on replay minibatches and publishing snapshots via
-// an atomic pointer swap.
+// Trainer is the online-learning engine: one goroutine — the shared Loop —
+// owns the model and optimizer and drains the ingest queue through the
+// gate into the replay buffer, stepping FEKF on replay minibatches and
+// publishing snapshots via an atomic pointer swap.
 type Trainer struct {
 	cfg     TrainerConfig
 	model   *deepmd.Model
@@ -125,15 +118,8 @@ type Trainer struct {
 	naPer   atomic.Int64 // per-frame atom count, fixed by the first frame
 
 	lane *Lane
+	loop *Loop[Checkpoint]
 
-	// rec accumulates the phase spans of the upcoming step (ingest/gate
-	// activity happens between steps and is attributed to the step it
-	// feeds).  Owned by the loop goroutine; nil when tracing is off.
-	rec *obs.StepRecorder
-
-	// keeper holds the self-healing state: checkpoint ring, sentinel
-	// and health ledger.
-	keeper *guard.Keeper
 	// chaosFired makes the configured poison injection one-shot, so the
 	// re-run of the poisoned step after rollback proceeds clean.
 	chaosFired bool
@@ -144,17 +130,8 @@ type Trainer struct {
 	// runs from any goroutine).
 	forceGroups int
 
-	steps      atomic.Int64
 	lambdaBits atomic.Uint64
 	pBytes     atomic.Int64
-	ckWrites   atomic.Int64
-	lastErr    atomic.Pointer[string]
-
-	ckReq    chan chan error
-	stop     chan struct{}
-	loopDone chan struct{}
-	started  atomic.Bool
-	stopOnce sync.Once
 }
 
 // NewTrainer builds a trainer around an initialized model (normalization
@@ -182,12 +159,29 @@ func NewTrainer(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg
 		species: proto.Species,
 		lane: NewLane(proto.System, proto.Species, NewQueue(cfg.QueueSize, cfg.QueuePolicy),
 			NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed), cfg.Gate),
-		keeper: guard.NewKeeper(cfg.CheckpointPath, cfg.CheckpointKeep, cfg.Guard, time.Now),
-
-		ckReq:    make(chan chan error),
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
 	}
+	lc := LoopConfig{
+		SnapshotEvery:   cfg.SnapshotEvery,
+		CheckpointPath:  cfg.CheckpointPath,
+		CheckpointEvery: cfg.CheckpointEvery,
+		CheckpointKeep:  cfg.CheckpointKeep,
+		Guard:           cfg.Guard,
+		TrainIdle:       cfg.TrainIdle,
+		OnStep:          cfg.OnStep,
+		Trace:           cfg.Trace,
+		Queues:          []*Queue{t.lane.Queue},
+	}
+	if cfg.Metrics != nil {
+		lc.CheckpointSeconds = cfg.Metrics.CheckpointSeconds
+	}
+	t.loop = NewLoop(Backend[Checkpoint]{
+		Intake:  t.intake,
+		Ready:   func() bool { return t.lane.Replay().Len() >= t.cfg.MinFrames },
+		Step:    t.step,
+		Publish: t.publish,
+		Build:   t.buildCheckpoint,
+		Apply:   t.rollbackTo,
+	}, lc)
 	if proto.Len() > 0 {
 		t.naPer.Store(int64(proto.Snapshots[0].NumAtoms()))
 	}
@@ -254,7 +248,11 @@ func (t *Trainer) Ingest(s dataset.Snapshot) (bool, error) {
 		return false, err
 	}
 	t.naPer.CompareAndSwap(0, int64(s.NumAtoms()))
-	return t.lane.Queue.Push(s)
+	ok, err := t.lane.Queue.Push(s)
+	if ok {
+		t.loop.Wake()
+	}
+	return ok, err
 }
 
 // Snapshot returns the latest published model snapshot; never nil after
@@ -262,136 +260,45 @@ func (t *Trainer) Ingest(s dataset.Snapshot) (bool, error) {
 func (t *Trainer) Snapshot() *ModelSnapshot { return t.lane.Snapshot() }
 
 // Start publishes the initial snapshot and launches the trainer loop.
-func (t *Trainer) Start() {
-	if !t.started.CompareAndSwap(false, true) {
-		return
-	}
-	t.publish()
-	go t.loop()
-}
+func (t *Trainer) Start() { t.loop.Start() }
 
 // Stop shuts the trainer down gracefully: the queue closes (rejecting new
 // frames), the loop finishes its in-flight step and drains already-queued
 // frames through the gate into the replay buffer, a final snapshot is
 // published and — when CheckpointPath is set — a final checkpoint written.
 // ctx bounds the wait for the loop to finish.
-func (t *Trainer) Stop(ctx context.Context) error {
-	if !t.started.Load() {
-		return fmt.Errorf("online: Stop before Start")
-	}
-	t.stopOnce.Do(func() {
-		t.lane.Queue.Close()
-		close(t.stop)
-	})
-	select {
-	case <-t.loopDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	// The loop has exited: this goroutine now owns the training state.
-	t.publish()
-	if t.cfg.CheckpointPath != "" {
-		return t.WriteCheckpoint(t.cfg.CheckpointPath)
-	}
-	return nil
-}
+func (t *Trainer) Stop(ctx context.Context) error { return t.loop.Stop(ctx) }
 
-// CheckpointNow asks the running trainer loop to write a checkpoint to
-// CheckpointPath between steps and waits for the result.
-func (t *Trainer) CheckpointNow(ctx context.Context) error {
-	if t.cfg.CheckpointPath == "" {
-		return fmt.Errorf("online: no CheckpointPath configured")
-	}
-	reply := make(chan error, 1)
-	select {
-	case t.ckReq <- reply:
-	case <-t.loopDone:
-		return t.WriteCheckpoint(t.cfg.CheckpointPath)
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case err := <-reply:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// loop is the trainer goroutine: drain → gate → replay → step → publish.
-func (t *Trainer) loop() {
-	defer close(t.loopDone)
+// intake drains whatever is queued right now through the gate into the
+// replay buffer.  The trainer sets no wake deadline: it waits for frames.
+func (t *Trainer) intake(bool) (int, time.Time) {
+	got := 0
 	for {
-		select {
-		case <-t.stop:
-			// graceful drain: everything still queued flows through the
-			// gate into the replay buffer so the final checkpoint sees it.
-			for {
-				s, ok := t.lane.Queue.Pop(0)
-				if !ok {
-					return
-				}
-				t.admit(s)
-			}
-		case reply := <-t.ckReq:
-			reply <- t.writeCheckpointCounted(t.cfg.CheckpointPath)
-			continue
-		default:
+		s, ok := t.lane.Queue.Pop()
+		if !ok {
+			return got, time.Time{}
 		}
-
-		// 1. drain whatever is queued right now
-		got := 0
-		for {
-			s, ok := t.lane.Queue.Pop(0)
-			if !ok {
-				break
-			}
-			t.admit(s)
-			got++
-		}
-		ready := t.lane.Replay().Len() >= t.cfg.MinFrames
-		if got == 0 && !(t.cfg.TrainIdle && ready) {
-			// nothing to do yet: wait briefly for a frame
-			if s, ok := t.lane.Queue.Pop(t.cfg.PollInterval); ok {
-				t.admit(s)
-				got++
-				ready = t.lane.Replay().Len() >= t.cfg.MinFrames
-			}
-		}
-
-		// 2. one optimizer step when there is material to learn from
-		if ready && (got > 0 || t.cfg.TrainIdle) {
-			t.step()
-		}
+		t.admit(s)
+		got++
 	}
 }
 
 // admit runs one frame through the trainer's lane, gating it against the
 // live filter's P diagonal.
 func (t *Trainer) admit(s dataset.Snapshot) {
-	if err := t.lane.Admit(s, t.model, t.opt.PDiagonal(), t.recorder(), -1); err != nil {
-		t.setErr(fmt.Errorf("gate: %w", err))
+	if err := t.lane.Admit(s, t.model, t.opt.PDiagonal(), t.loop.Recorder(), -1); err != nil {
+		t.loop.SetErr(fmt.Errorf("gate: %w", err))
 	}
 }
 
-// recorder returns the span recorder of the upcoming step, beginning one
-// when tracing is on (nil otherwise).
-func (t *Trainer) recorder() *obs.StepRecorder {
-	if t.cfg.Trace != nil && t.rec == nil {
-		t.rec = t.cfg.Trace.Begin()
-	}
-	return t.rec
-}
-
-// step draws one replay minibatch and advances the optimizer, publishing
-// snapshots and periodic checkpoints on schedule.
-func (t *Trainer) step() {
-	rec := t.recorder()
+// step draws one replay minibatch and advances the optimizer: the
+// trainer's Backend.Step.
+func (t *Trainer) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sample, bool) {
 	s0 := time.Now()
 	batch := t.lane.Replay().Sample(t.cfg.BatchSize)
 	rec.Span(-1, "sample", s0, time.Since(s0))
 	if len(batch) == 0 {
-		return
+		return optimize.StepInfo{}, nil, false
 	}
 	ds := &dataset.Dataset{System: t.system, Species: t.species, Snapshots: batch}
 	idx := make([]int, len(batch))
@@ -406,76 +313,30 @@ func (t *Trainer) step() {
 		m.StepSeconds.Observe(stepDur.Seconds())
 	}
 	if err != nil {
-		t.setErr(fmt.Errorf("step: %w", err))
-		rec.End(t.steps.Load())
-		t.rec = nil
-		return
+		t.loop.SetErr(fmt.Errorf("step: %w", err))
+		return info, nil, false
 	}
-	n := t.steps.Add(1)
+	n := t.loop.Steps.Add(1)
 	if d := t.cfg.Chaos.MaybePoison(n, &t.chaosFired, t.model.NumParams()); d != nil {
 		t.model.Params.AddFlat(d)
 	}
 	t.lambdaBits.Store(math.Float64bits(t.opt.Lambda()))
 	t.pBytes.Store(t.opt.PBytes())
-	ev := t.keeper.Check(n, func() guard.Sample {
+	return info, func() guard.Sample {
 		return guard.Sample{
 			Lambda:  t.opt.Lambda(),
 			Weights: t.model.Params.FlattenValues(),
 			PDiag:   t.opt.PDiagonal(),
 			Aux:     []float64{info.EnergyABE, info.ForceABE},
 		}
-	})
-	if ev != nil {
-		// Divergence: record it and roll back to the newest valid
-		// checkpoint generation before anything downstream (snapshot
-		// publish, checkpoint write, OnStep) can observe or persist the
-		// poisoned state.
-		t.handleDivergence(ev, rec)
-		rec.End(n)
-		t.rec = nil
-		return
-	}
-	if t.cfg.OnStep != nil {
-		t.cfg.OnStep(n, info)
-	}
-	if n%int64(t.cfg.SnapshotEvery) == 0 {
-		p0 := time.Now()
-		t.publish()
-		rec.Span(-1, "snapshot_publish", p0, time.Since(p0))
-	}
-	if t.cfg.CheckpointEvery > 0 && t.cfg.CheckpointPath != "" && n%int64(t.cfg.CheckpointEvery) == 0 {
-		c0 := time.Now()
-		if err := t.writeCheckpointCounted(t.cfg.CheckpointPath); err != nil {
-			t.setErr(fmt.Errorf("checkpoint: %w", err))
-		}
-		rec.Span(-1, "checkpoint", c0, time.Since(c0))
-	}
-	rec.End(n)
-	t.rec = nil
+	}, true
 }
 
 // publish swaps in a fresh copy-on-write snapshot.  Called from the loop
 // goroutine (or from Start/Stop while the loop is not running), so the
 // clone always sees a quiescent weight set.
 func (t *Trainer) publish() {
-	t.lane.Publish(t.model, t.steps.Load(), t.opt.Lambda(), time.Now())
-}
-
-func (t *Trainer) writeCheckpointCounted(path string) error {
-	c0 := time.Now()
-	err := t.WriteCheckpoint(path)
-	if m := t.cfg.Metrics; m != nil {
-		m.CheckpointSeconds.Observe(time.Since(c0).Seconds())
-	}
-	if err == nil {
-		t.ckWrites.Add(1)
-	}
-	return err
-}
-
-func (t *Trainer) setErr(err error) {
-	s := err.Error()
-	t.lastErr.Store(&s)
+	t.lane.Publish(t.model, t.loop.Steps.Load(), t.opt.Lambda(), time.Now())
 }
 
 // Stats is the observable state of the trainer, served at /v1/stats.
@@ -539,26 +400,17 @@ func (st *Stats) DeriveRatios() {
 // Stats returns a consistent-enough view assembled from atomics; safe from
 // any goroutine.
 func (t *Trainer) Stats() Stats {
-	st := Stats{
-		System:         t.system,
-		Steps:          t.steps.Load(),
-		Lambda:         math.Float64frombits(t.lambdaBits.Load()),
-		KalmanUpdates:  t.steps.Load() * int64(1+t.forceGroups),
-		GateEMA:        t.lane.GateEMA(),
-		Checkpoints:    t.ckWrites.Load(),
-		PResidentBytes: t.pBytes.Load(),
-	}
+	st := t.loop.Stats()
+	st.System = t.system
+	st.Lambda = math.Float64frombits(t.lambdaBits.Load())
+	st.KalmanUpdates = st.Steps * int64(1+t.forceGroups)
+	st.GateEMA = t.lane.GateEMA()
+	st.PResidentBytes = t.pBytes.Load()
 	t.lane.AddTo(&st)
 	st.DeriveRatios()
 	if s := t.lane.Snapshot(); s != nil {
 		st.SnapshotStep = s.Step
 		st.SnapshotAgeMs = time.Since(s.Published).Milliseconds()
-	}
-	if e := t.lastErr.Load(); e != nil {
-		st.LastError = *e
-	}
-	if t.keeper.Armed() {
-		st.Guard = t.keeper.Health.Status(time.Now())
 	}
 	return st
 }

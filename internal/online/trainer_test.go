@@ -98,10 +98,10 @@ func TestSnapshotIsolation(t *testing.T) {
 	frozen := append([]float64(nil), snap.Model.Params.FlattenValues()...)
 
 	for i := 0; i < 3; i++ {
-		tr.step()
+		tr.loop.Step()
 	}
-	if tr.steps.Load() != 3 {
-		t.Fatalf("took %d steps, want 3 (last error %q)", tr.steps.Load(), tr.Stats().LastError)
+	if tr.loop.Steps.Load() != 3 {
+		t.Fatalf("took %d steps, want 3 (last error %q)", tr.loop.Steps.Load(), tr.Stats().LastError)
 	}
 	after := snap.Model.Params.FlattenValues()
 	for i := range frozen {
@@ -223,7 +223,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 		tr.admit(ds.Snapshots[i])
 	}
 	for i := 0; i < 4; i++ {
-		tr.step()
+		tr.loop.Step()
 	}
 	if err := tr.WriteCheckpoint(path); err != nil {
 		t.Fatal(err)
@@ -241,8 +241,8 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr2.steps.Load() != 4 || tr2.Stats().Steps != 4 {
-		t.Fatalf("resumed at step %d, want 4", tr2.steps.Load())
+	if tr2.loop.Steps.Load() != 4 || tr2.Stats().Steps != 4 {
+		t.Fatalf("resumed at step %d, want 4", tr2.loop.Steps.Load())
 	}
 	if tr2.opt.Lambda() != tr.opt.Lambda() {
 		t.Fatalf("resumed λ %v, want %v", tr2.opt.Lambda(), tr.opt.Lambda())
