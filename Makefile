@@ -47,10 +47,13 @@ race-fleet:
 # Soak the sharded-covariance subsystem under the race detector: the slab
 # kernels and exchange collectives of internal/pshard, plus the fleet and
 # serve integration (lockstep bitwise twins, kill/revive slab migration,
-# checkpoint resume, the /v1/stats pshard row and per-rank gauges).
+# checkpoint resume, the /v1/stats pshard row and per-rank gauges) and the
+# sharded subtests (.../pshard) of the table-driven fleet failure tests.
+# go test splits -run on '/', so the pattern also runs every fleet and
+# serve test that has no subtests (~6 min for the fleet part).
 race-pshard:
 	$(GO) test -race -timeout 20m -count=1 ./internal/pshard
-	$(GO) test -race -timeout 20m -count=1 -run 'PShard' ./internal/fleet ./internal/serve
+	$(GO) test -race -timeout 20m -count=1 -run 'PShard|/pshard' ./internal/fleet ./internal/serve
 
 # Soak the queue-pressure autoscaler under the race detector: bursty
 # producers against tiny DropNewest queues force full scale-up/scale-down

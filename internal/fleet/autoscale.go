@@ -231,20 +231,20 @@ func (a *Autoscaler) Evaluate(s Sample) Verdict {
 	v := Verdict{Decision: Hold, Target: s.Live, Pressure: p}
 	switch {
 	case s.Live < a.cfg.Min:
-		a.tryUp(&v, s, now, fmt.Sprintf("live %d below min %d", s.Live, a.cfg.Min))
+		a.try(&v, ScaleUp, s, now, fmt.Sprintf("live %d below min %d", s.Live, a.cfg.Min))
 	case s.Live > a.cfg.Max:
-		a.tryDown(&v, s, now, fmt.Sprintf("live %d above max %d", s.Live, a.cfg.Max))
+		a.try(&v, ScaleDown, s, now, fmt.Sprintf("live %d above max %d", s.Live, a.cfg.Max))
 	case p >= a.cfg.ScaleUpAt:
 		if s.Live == a.cfg.Max {
 			v.Reason = fmt.Sprintf("pressure %.3f >= %.2f but already at max %d", p, a.cfg.ScaleUpAt, a.cfg.Max)
 		} else {
-			a.tryUp(&v, s, now, fmt.Sprintf("pressure %.3f >= %.2f", p, a.cfg.ScaleUpAt))
+			a.try(&v, ScaleUp, s, now, fmt.Sprintf("pressure %.3f >= %.2f", p, a.cfg.ScaleUpAt))
 		}
 	case p <= a.cfg.ScaleDownAt:
 		if s.Live == a.cfg.Min {
 			v.Reason = fmt.Sprintf("pressure %.3f <= %.2f but already at min %d", p, a.cfg.ScaleDownAt, a.cfg.Min)
 		} else {
-			a.tryDown(&v, s, now, fmt.Sprintf("pressure %.3f <= %.2f", p, a.cfg.ScaleDownAt))
+			a.try(&v, ScaleDown, s, now, fmt.Sprintf("pressure %.3f <= %.2f", p, a.cfg.ScaleDownAt))
 		}
 	default:
 		v.Reason = fmt.Sprintf("pressure %.3f in dead-band (%.2f, %.2f)", p, a.cfg.ScaleDownAt, a.cfg.ScaleUpAt)
@@ -253,40 +253,27 @@ func (a *Autoscaler) Evaluate(s Sample) Verdict {
 	return v
 }
 
-// tryUp commits a scale-up unless the up cooldown — extended by the
-// modeled shard-transfer time of the transition — still runs.
-func (a *Autoscaler) tryUp(v *Verdict, s Sample, now time.Time, why string) {
-	cost := a.transferCost(s.ReassignBytesUp)
-	if wait := a.cooldownLeft(now, a.cfg.UpCooldown+cost); wait > 0 {
-		v.Reason = fmt.Sprintf("%s, but up cooldown has %s left", why, wait)
+// try commits a scale-up or scale-down (d) unless that direction's
+// cooldown — extended by the modeled shard-transfer time of the
+// transition — still runs.
+func (a *Autoscaler) try(v *Verdict, d Decision, s Sample, now time.Time, why string) {
+	cooldown, bytes, step, count := a.cfg.UpCooldown, s.ReassignBytesUp, 1, &a.ups
+	if d == ScaleDown {
+		cooldown, bytes, step, count = a.cfg.DownCooldown, s.ReassignBytesDown, -1, &a.downs
+	}
+	cost := a.transferCost(bytes)
+	if wait := a.cooldownLeft(now, cooldown+cost); wait > 0 {
+		v.Reason = fmt.Sprintf("%s, but %s cooldown has %s left", why, d, wait)
 		return
 	}
-	v.Decision = ScaleUp
-	v.Target = s.Live + 1
+	v.Decision = d
+	v.Target = s.Live + step
 	v.Reason = fmt.Sprintf("%s: scaling %d -> %d", why, s.Live, v.Target)
-	if s.ReassignBytesUp > 0 {
-		v.Reason += fmt.Sprintf(" (repartition moves %d shard bytes, ~%s)", s.ReassignBytesUp, cost)
+	if bytes > 0 {
+		v.Reason += fmt.Sprintf(" (repartition moves %d shard bytes, ~%s)", bytes, cost)
 	}
 	a.lastScale = now
-	a.ups.Add(1)
-}
-
-// tryDown commits a scale-down unless the down cooldown — extended by the
-// modeled shard-transfer time of the transition — still runs.
-func (a *Autoscaler) tryDown(v *Verdict, s Sample, now time.Time, why string) {
-	cost := a.transferCost(s.ReassignBytesDown)
-	if wait := a.cooldownLeft(now, a.cfg.DownCooldown+cost); wait > 0 {
-		v.Reason = fmt.Sprintf("%s, but down cooldown has %s left", why, wait)
-		return
-	}
-	v.Decision = ScaleDown
-	v.Target = s.Live - 1
-	v.Reason = fmt.Sprintf("%s: scaling %d -> %d", why, s.Live, v.Target)
-	if s.ReassignBytesDown > 0 {
-		v.Reason += fmt.Sprintf(" (repartition moves %d shard bytes, ~%s)", s.ReassignBytesDown, cost)
-	}
-	a.lastScale = now
-	a.downs.Add(1)
+	count.Add(1)
 }
 
 // transferCost converts a shard-migration volume into the modeled wall

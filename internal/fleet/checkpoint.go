@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"math"
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
@@ -94,19 +93,8 @@ func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 			Gate:           gate,
 		})
 	}
-	if f.cfg.PShard {
-		var states []*pshard.State
-		for _, id := range f.pliveIDs {
-			if st := f.pstates[id]; st != nil {
-				states = append(states, st)
-			}
-		}
-		pck, err := pshard.BuildCheckpoint(states)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard checkpoint: %w", err)
-		}
-		ck.PShard = true
-		ck.PCk = pck
+	if err := f.cov.save(ck); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }
@@ -117,16 +105,14 @@ func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 func (f *Fleet) WriteCheckpoint(path string) error { return f.loop.WriteCheckpoint(path) }
 
 // Resume reconstructs a fleet from a checkpoint: every replica gets the
-// shared model weights and full Kalman filter (λ, update counter, every P
-// block — bitwise), plus its own replay buffer with the sampling RNG at
-// the checkpointed position, gate and counters.  The replica count and
-// shard policy come from the checkpoint; cfg supplies the runtime knobs.
+// shared model weights and Kalman filter (λ, update counter, every P row —
+// bitwise, replicated or sharded as the checkpoint was), plus its own
+// replay buffer with the sampling RNG at the checkpointed position, gate
+// and counters.  The replica count, shard policy and covariance placement
+// come from the checkpoint; cfg supplies the runtime knobs.
 func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	if len(ck.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: checkpoint has no replicas")
-	}
-	if ck.PShard && ck.PCk == nil {
-		return nil, fmt.Errorf("fleet: sharded checkpoint has no covariance slabs")
 	}
 	m, opt, err := online.RestoreModel(ck.Model, ck.Opt, nil)
 	if err != nil {
@@ -135,8 +121,7 @@ func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	cfg.Replicas = len(ck.Replicas)
 	cfg.ShardPolicy = ck.ShardPolicy
 	cfg.PShard = ck.PShard
-	cfg.pshardResume = ck.PCk
-	f, err := New(m, opt, &dataset.Dataset{System: ck.System, Species: ck.Species}, cfg)
+	f, err := build(m, opt, &dataset.Dataset{System: ck.System, Species: ck.Species}, cfg, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +130,7 @@ func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 }
 
 // restoreStream rewinds every replica's liveness and ingest lane and the
-// fleet counters to ck, and refreshes the λ mirror from the restored
-// filter.  Conductor only (or before Start).
+// fleet counters to ck.  Conductor only (or before Start).
 func (f *Fleet) restoreStream(ck *Checkpoint) {
 	for i, rck := range ck.Replicas {
 		r := f.reps[i]
@@ -156,9 +140,4 @@ func (f *Fleet) restoreStream(ck *Checkpoint) {
 	f.naPer.Store(ck.NumAtoms)
 	f.loop.Steps.Store(ck.Steps)
 	f.rr.Store(ck.RR)
-	if ck.PShard {
-		f.lambdaBits.Store(math.Float64bits(ck.PCk.Lambda))
-	} else {
-		f.lambdaBits.Store(math.Float64bits(f.reps[0].opt.Lambda()))
-	}
 }

@@ -7,17 +7,17 @@
 // buffer, published snapshot).  An ingest sharder partitions the
 // labelled-frame stream across the replicas' queues (hash or round-robin,
 // reusing the internal/online queue policies); the conductor drains each
-// shard through that replica's lane.  Every
-// training step is a lockstep collective: each live replica samples a
-// private minibatch from its replay buffer, the per-replica gradients and
-// absolute-error sums are funnel-aggregated over the ring *before* the
-// Kalman update (the step schedule optimize.RankStep, with the replica's
-// full P or, in pshard mode, its slab share as the covariance), and every
-// replica then applies the identical reduced update to its local weights
-// and P.  Because the reduced buffers are bit-identical on every rank
-// after the allgather, all replicas hold bitwise-identical weights and
-// error covariance with zero P communication — the fleet invariant
-// WeightDrift == PDrift == 0, asserted after every step.
+// shard through that replica's lane.  Every training step is a lockstep
+// collective: each live replica samples a private minibatch from its
+// replay buffer, the per-replica gradients and absolute-error sums are
+// funnel-aggregated over the ring *before* the Kalman update (the step
+// schedule optimize.RankStep, over the covariance the fleet's placement
+// hands each rank: its full P when replicated, its row-slab share when
+// sharded — see cov.go), and every replica then applies the identical
+// reduced update to its local weights and P.  Because the reduced buffers
+// are bit-identical on every rank, all replicas hold bitwise-identical
+// weights and covariance — the fleet invariant WeightDrift == PDrift == 0,
+// asserted after every step.
 //
 // Serving: a snapshot router load-balances predictions across the
 // replicas' copy-on-write model snapshots with health checks.  A killed

@@ -3,52 +3,218 @@ package fleet
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"fekf/internal/cluster"
 	"fekf/internal/deepmd"
+	"fekf/internal/guard"
 	"fekf/internal/online"
+	"fekf/internal/tensor"
 )
+
+// covModes is the covariance-placement axis of the failure-path tests.
+var covModes = []struct {
+	name   string
+	pshard bool
+}{{"replicated", false}, {"pshard", true}}
+
+// assertPSPD requires every block of the live covariance to pass a
+// Cholesky factorization: P stays symmetric positive-definite through
+// failure recovery.  A sharded P is reassembled from its slabs first.
+func assertPSPD(t *testing.T, f *Fleet) {
+	t.Helper()
+	var blocks []*tensor.Dense
+	if _, ok := f.cov.(*shardedP); ok {
+		blocks = assemblePShardP(t, f)
+	} else {
+		blocks = f.reps[f.liveIDs()[0]].opt.State().P
+	}
+	for bi, p := range blocks {
+		if !tensor.CholeskyPD(p) {
+			t.Fatalf("P block %d is not symmetric positive-definite", bi)
+		}
+	}
+}
 
 // A replica crashing mid-step (after its environment build) must leave the
 // survivors bitwise consistent: the crashed rank contributes zero partials
 // but applies the same reduced update, so weights and P cannot diverge.
 func TestReplicaCrashMidStepKeepsConsistency(t *testing.T) {
-	ds, f := newTestFleet(t, 3, Config{Seed: 21, Gate: online.GateConfig{Enabled: false}})
-	for i := 0; i < 12; i++ {
-		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
-			t.Fatalf("ingest %d: %v %v", i, ok, err)
-		}
-	}
-	f.drainAll()
-	f.loop.Step() // one healthy step first
-	assertBitwiseConsistent(t, f)
+	for _, mode := range covModes {
+		t.Run(mode.name, func(t *testing.T) {
+			ds, f := newTestFleet(t, 3, Config{PShard: mode.pshard, Seed: 21, Gate: online.GateConfig{Enabled: false}})
+			for i := 0; i < 12; i++ {
+				if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
+					t.Fatalf("ingest %d: %v %v", i, ok, err)
+				}
+			}
+			f.drainAll()
+			f.loop.Step() // one healthy step first
+			assertBitwiseConsistent(t, f)
 
-	boom := errors.New("simulated mid-step crash")
-	f.failStep = func(id int, step int64) error {
-		if id == 1 {
-			return boom
-		}
-		return nil
-	}
-	f.loop.Step()
-	f.failStep = nil
+			boom := errors.New("simulated mid-step crash")
+			f.failStep = func(id int, step int64) error {
+				if id == 1 {
+					return boom
+				}
+				return nil
+			}
+			f.loop.Step()
+			f.failStep = nil
 
-	if f.Steps() != 2 {
-		t.Fatalf("took %d steps, want 2", f.Steps())
+			if f.Steps() != 2 {
+				t.Fatalf("took %d steps, want 2", f.Steps())
+			}
+			st := f.Stats()
+			if !strings.Contains(st.LastError, "simulated mid-step crash") {
+				t.Fatalf("crash not surfaced in stats: %q", st.LastError)
+			}
+			// the decisive invariant: the crash did not break bitwise
+			// consistency, and training continues cleanly afterwards
+			assertBitwiseConsistent(t, f)
+			assertPSPD(t, f)
+			f.loop.Step()
+			assertBitwiseConsistent(t, f)
+			if f.Steps() != 3 {
+				t.Fatalf("fleet stopped stepping after a replica crash: %d", f.Steps())
+			}
+		})
 	}
-	st := f.Stats()
-	if !strings.Contains(st.LastError, "simulated mid-step crash") {
-		t.Fatalf("crash not surfaced in stats: %q", st.LastError)
+}
+
+// A ring failure that takes every rank must still leave one replica to
+// train, checkpoint and resume from: here every rank of the first ring is
+// severed at its first message.
+func TestRingFailureOfEveryRankKeepsOneReplica(t *testing.T) {
+	for _, mode := range covModes {
+		t.Run(mode.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fleet.ckpt")
+			rings := 0
+			cfg := Config{PShard: mode.pshard, Seed: 23, CheckpointPath: path,
+				Gate: online.GateConfig{Enabled: false}}
+			cfg.RingFactory = func(size int) (*cluster.Ring, error) {
+				rings++
+				var tr cluster.Transport = cluster.NewChanTransport(size)
+				if rings == 1 {
+					var rules []cluster.FaultRule
+					for r := 0; r < size; r++ {
+						rules = append(rules, cluster.FaultRule{Rank: r, Msg: 0, Kind: cluster.FaultSever})
+					}
+					tr = cluster.NewFaultyTransport(tr, rules...)
+				}
+				return cluster.NewRingOver(tr, cluster.RoCE25()), nil
+			}
+			ds, f := newTestFleet(t, 3, cfg)
+			for i := 0; i < 12; i++ {
+				if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
+					t.Fatalf("ingest %d: %v %v", i, ok, err)
+				}
+			}
+			f.drainAll()
+			f.loop.Step()
+			if !strings.Contains(f.Stats().LastError, "ring broken") {
+				t.Fatalf("sever not surfaced: %q", f.Stats().LastError)
+			}
+			st := f.FleetStats()
+			if st.Live != 1 {
+				t.Fatalf("%d live replicas after every rank failed, want 1", st.Live)
+			}
+			if st.WeightDrift != 0 || st.PDrift != 0 {
+				t.Fatalf("drift gauges %g/%g after recovery, want exactly 0", st.WeightDrift, st.PDrift)
+			}
+			assertPSPD(t, f)
+
+			// The survivor trains on over a fresh ring of one.
+			before := f.reps[f.liveIDs()[0]].model.Params.FlattenValues()
+			f.loop.Step()
+			if f.Steps() != 2 {
+				t.Fatalf("took %d steps, want 2 (last error %q)", f.Steps(), f.Stats().LastError)
+			}
+			after := f.reps[f.liveIDs()[0]].model.Params.FlattenValues()
+			moved := false
+			for i := range before {
+				if before[i] != after[i] {
+					moved = true
+					break
+				}
+			}
+			if !moved {
+				t.Fatal("the surviving replica did not train")
+			}
+
+			f.Start()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := f.Stop(ctx); err != nil {
+				t.Fatalf("stop: %v", err)
+			}
+			ck, err := guard.Load[Checkpoint](path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f2, err := Resume(ck, Config{Seed: 23, Gate: online.GateConfig{Enabled: false}})
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if live := f2.liveIDs(); len(live) != 1 {
+				t.Fatalf("resumed live set %v, want one replica", live)
+			}
+			n := f2.Steps()
+			f2.loop.Step()
+			if f2.Steps() != n+1 {
+				t.Fatalf("resumed fleet did not step (last error %q)", f2.Stats().LastError)
+			}
+			f2.retireRing()
+		})
 	}
-	// the decisive invariant: the crash did not break bitwise consistency,
-	// and training continues cleanly afterwards
-	assertBitwiseConsistent(t, f)
-	f.loop.Step()
-	assertBitwiseConsistent(t, f)
-	if f.Steps() != 3 {
-		t.Fatalf("fleet stopped stepping after a replica crash: %d", f.Steps())
+}
+
+// Replacing a replica's filter — Revive's catch-up and the guard's
+// in-place restore — must free the covariance it replaces: the replica's
+// simulated device holds the same bytes after every kill/revive cycle and
+// after a rollback restore as before.
+func TestCatchUpFreesReplacedCovariance(t *testing.T) {
+	for _, mode := range covModes {
+		t.Run(mode.name, func(t *testing.T) {
+			ds, f := newTestFleet(t, 3, Config{PShard: mode.pshard, Seed: 27, Gate: online.GateConfig{Enabled: false}})
+			for i := 0; i < 12; i++ {
+				if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
+					t.Fatalf("ingest %d: %v %v", i, ok, err)
+				}
+			}
+			f.drainAll()
+			f.loop.Step()
+			dev := f.reps[1].dev
+			want := dev.Counters().LiveBytes
+			ctx := context.Background()
+			for cycle := 1; cycle <= 3; cycle++ {
+				if err := f.Kill(ctx, 1); err != nil {
+					t.Fatal(err)
+				}
+				f.loop.Step()
+				if err := f.Revive(ctx, 1); err != nil {
+					t.Fatal(err)
+				}
+				f.loop.Step()
+				if got := dev.Counters().LiveBytes; got != want {
+					t.Fatalf("cycle %d: replica 1 holds %d live device bytes, want %d", cycle, got, want)
+				}
+			}
+			ck, err := f.buildCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.applyCheckpoint(ck); err != nil {
+				t.Fatal(err)
+			}
+			if got := dev.Counters().LiveBytes; got != want {
+				t.Fatalf("after a rollback restore replica 1 holds %d live device bytes, want %d", got, want)
+			}
+			f.retireRing()
+		})
 	}
 }
 

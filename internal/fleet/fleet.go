@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +19,6 @@ import (
 	"fekf/internal/obs"
 	"fekf/internal/online"
 	"fekf/internal/optimize"
-	"fekf/internal/pshard"
 )
 
 // ErrNoReplica is returned by Ingest when every replica is dead.
@@ -36,12 +36,9 @@ type Config struct {
 	// ring, and the weights stay bitwise identical to the replicated fleet.
 	// Use it when P does not fit one host; the per-replica resident P drops
 	// to ~1/R of the replicated footprint at the cost of one extra
-	// allgather per measurement update.
+	// allgather per measurement update.  Read once, by New, to pick the
+	// covariance placement (cov.go).
 	PShard bool
-	// pshardResume carries a sharded covariance checkpoint from Resume
-	// into New, so the initial shard states restore instead of starting
-	// from the identity prior.
-	pshardResume *pshard.Checkpoint
 	// BatchSize is the per-replica minibatch drawn from each replica's
 	// replay buffer per lockstep step; the global batch is the union.
 	BatchSize int
@@ -144,6 +141,9 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = online.SystemClock
 	}
+	if c.Metrics == nil {
+		c.Metrics = NewMetrics(obs.NewRegistry()) // a private registry nobody scrapes
+	}
 	return c
 }
 
@@ -182,15 +182,9 @@ type Fleet struct {
 	retiredMu   sync.Mutex
 	retiredTr   cluster.TransportStats
 
-	// sharded-covariance state (PShard mode; all conductor-owned except
-	// the pstats mirror): the fixed block structure, the per-slot shard
-	// states (nil for slots holding no shards), the installed assignment
-	// and the live set it was built for.
-	pblocks  []optimize.Block
-	pstates  []*pshard.State
-	passign  pshard.Assignment
-	pliveIDs []int
-	pstats   atomic.Pointer[PShardStats]
+	// cov is where the Kalman covariance lives, replicated or sharded;
+	// fixed at build time.
+	cov placement
 
 	rr atomic.Uint64 // round-robin shard cursor
 
@@ -220,6 +214,12 @@ type Fleet struct {
 // state, if any — are replicated bitwise).  proto supplies the system name
 // and species table every streamed frame must match.
 func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config) (*Fleet, error) {
+	return build(m, opt, proto, cfg, nil)
+}
+
+// build is New with the covariance loaded from ck — a fresh P = I when ck
+// is nil.
+func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config, ck *Checkpoint) (*Fleet, error) {
 	if m == nil || opt == nil {
 		return nil, fmt.Errorf("fleet: New needs a model and an optimizer")
 	}
@@ -280,9 +280,7 @@ func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config
 		Trace:           cfg.Trace,
 		Clock:           cfg.Clock,
 	}
-	if cfg.Metrics != nil {
-		lc.CheckpointSeconds = cfg.Metrics.CheckpointSeconds
-	}
+	lc.CheckpointSeconds = cfg.Metrics.CheckpointSeconds
 	for _, r := range f.reps {
 		lc.Queues = append(lc.Queues, r.Queue)
 	}
@@ -298,14 +296,17 @@ func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config
 	if proto.Len() > 0 {
 		f.naPer.Store(int64(proto.Snapshots[0].NumAtoms()))
 	}
-	f.lambdaBits.Store(math.Float64bits(f.reps[0].opt.Lambda()))
 	f.forceGroups = f.reps[0].opt.ForceGroups
-	if cfg.PShard {
-		if err := f.initShards(m, opt, f.liveIDs()); err != nil {
-			return nil, err
-		}
-		f.storeLambda(f.liveIDs())
+	cov, err := newPlacement(cfg.PShard, f.reps, m, opt)
+	if err != nil {
+		return nil, err
 	}
+	f.cov = cov
+	ids := f.liveIDs()
+	if err := cov.load(ck, ids); err != nil {
+		return nil, err
+	}
+	f.updateInvariants(ids)
 	return f, nil
 }
 
@@ -392,17 +393,16 @@ func (f *Fleet) killLocked(id int) error {
 		return fmt.Errorf("fleet: replica %d is already dead", id)
 	}
 	f.reps[id].alive.Store(false)
-	if m := f.cfg.Metrics; m != nil {
-		m.Kills.Inc()
-	}
+	f.cfg.Metrics.Kills.Inc()
 	return nil
 }
 
 // Revive rejoins a dead replica through checkpoint catch-up: the shared
-// state (model weights + full Kalman filter) is checkpointed from a live
+// state (model weights + Kalman filter) is checkpointed from a live
 // survivor and restored into the replica, which therefore rejoins bitwise
 // identical — drift is exactly zero again — and then drains its backlog
-// queue on the next conductor pass.
+// queue on the next conductor pass.  A replicated P is copied here; a
+// sharded one is retiled when the next step re-forms the ring.
 func (f *Fleet) Revive(ctx context.Context, id int) error {
 	return f.loop.Do(ctx, func() error { return f.reviveLocked(id) })
 }
@@ -421,19 +421,12 @@ func (f *Fleet) reviveLocked(id int) error {
 	if len(live) == 0 {
 		return fmt.Errorf("fleet: no live replica to catch up from")
 	}
-	src := f.reps[live[0]]
-	modelBytes, err := encodeModel(src.model)
-	if err != nil {
-		return fmt.Errorf("fleet: checkpoint survivor %d: %w", src.id, err)
-	}
-	if err := r.restoreShared(modelBytes, src.opt.Checkpoint()); err != nil {
+	if err := f.catchUp(live[0], []int{id}); err != nil {
 		return err
 	}
 	r.alive.Store(true)
 	f.publish([]int{id}, f.loop.Steps.Load())
-	if m := f.cfg.Metrics; m != nil {
-		m.Revives.Inc()
-	}
+	f.cfg.Metrics.Revives.Inc()
 	return nil
 }
 
@@ -504,32 +497,16 @@ func (f *Fleet) maybeAutoscale() {
 		StepLatency:    f.stepLatency(),
 		Backlog:        agg.QueueDepth,
 	}
-	if f.cfg.PShard && f.passign.Ranks > 0 {
-		// Shard-reassignment cost of the candidate transitions: growing or
-		// shrinking the fleet repartitions P, and the controller charges
-		// the modeled transfer time against its cooldowns.
-		if len(live) < len(f.reps) && len(live) > 0 {
-			s.ReassignBytesUp = pshard.ReassignBytes(f.passign, pshard.Partition(f.pblocks, len(live)+1))
-		}
-		if len(live) > 1 {
-			s.ReassignBytesDown = pshard.ReassignBytes(f.passign, pshard.Partition(f.pblocks, len(live)-1))
-		}
-	}
+	s.ReassignBytesUp, s.ReassignBytesDown = f.cov.reassign(live)
 	f.peakOcc = 0
 	v := f.scaler.Evaluate(s)
-	if m := f.cfg.Metrics; m != nil {
-		m.AutoscaleEvals.Inc()
-	}
+	f.cfg.Metrics.AutoscaleEvals.Inc()
 	switch v.Decision {
 	case ScaleUp:
-		if m := f.cfg.Metrics; m != nil {
-			m.ScaleUps.Inc()
-		}
+		f.cfg.Metrics.ScaleUps.Inc()
 		f.scaleUp(live)
 	case ScaleDown:
-		if m := f.cfg.Metrics; m != nil {
-			m.ScaleDowns.Inc()
-		}
+		f.cfg.Metrics.ScaleDowns.Inc()
 		f.scaleDown(live)
 	}
 }
@@ -629,7 +606,7 @@ func (f *Fleet) replayTotal() int {
 // changed since the last step.
 func (f *Fleet) ensureRing(live []int) (*cluster.Ring, error) {
 	ring := f.ring.Load()
-	if ring != nil && equalIDs(f.ringIDs, live) {
+	if ring != nil && slices.Equal(f.ringIDs, live) {
 		return ring, nil
 	}
 	f.retireRing()
@@ -683,52 +660,34 @@ func (f *Fleet) retireRing() {
 
 // recoverRing handles a hard mid-step transport failure: the transport's
 // dead ranks map through ringIDs onto replica deaths, the broken ring is
-// retired, and every surviving replica is reconciled bitwise from the
-// first survivor's model + Kalman checkpoint — the same catch-up path
-// Revive uses — so the drift gauges read exactly zero again.  It returns
-// the surviving live set.  Conductor only.
-func (f *Fleet) recoverRing(ring *cluster.Ring, cause error) []int {
-	for _, rank := range ring.Transport().Dead() {
+// retired, every surviving replica is reconciled bitwise from the first
+// survivor through the catch-up path Revive uses, and the placement
+// rebuilds P over the survivors — so the drift gauges read exactly zero
+// again.  A failure that takes every rank keeps the one detected last: the
+// cascade's final victim, never the stuck rank the watchdog declares
+// first.  It returns the surviving live set, never empty.  Conductor only.
+func (f *Fleet) recoverRing(ring *cluster.Ring) []int {
+	dead := ring.Transport().Dead()
+	if len(dead) >= len(f.ringIDs) {
+		dead = dead[:len(dead)-1]
+	}
+	for _, rank := range dead {
 		if rank >= 0 && rank < len(f.ringIDs) {
 			if f.reps[f.ringIDs[rank]].alive.Swap(false) {
-				if m := f.cfg.Metrics; m != nil {
-					m.Kills.Inc()
-				}
+				f.cfg.Metrics.Kills.Inc()
 			}
 		}
 	}
 	f.retireRing()
 	survivors := f.liveIDs()
-	if len(survivors) == 0 {
-		f.loop.SetErr(fmt.Errorf("fleet: ring broken with no survivors: %w", cause))
-		return survivors
+	if err := f.catchUp(survivors[0], survivors[1:]); err != nil {
+		f.loop.SetErr(fmt.Errorf("fleet: reconcile survivors: %w", err))
 	}
-	src := f.reps[survivors[0]]
-	modelBytes, err := encodeModel(src.model)
-	if err != nil {
-		f.loop.SetErr(fmt.Errorf("fleet: checkpoint survivor %d: %w", src.id, err))
-		return survivors
-	}
-	ck := src.opt.Checkpoint()
-	for _, id := range survivors[1:] {
-		if err := f.reps[id].restoreShared(modelBytes, ck); err != nil {
-			f.loop.SetErr(fmt.Errorf("fleet: reconcile replica %d: %w", id, err))
-		}
+	if err := f.cov.recover(survivors); err != nil {
+		f.loop.SetErr(err)
 	}
 	f.publish(survivors, f.loop.Steps.Load())
 	return survivors
-}
-
-func equalIDs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // step runs one lockstep fleet iteration — the conductor's Backend.Step:
@@ -777,15 +736,9 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 		f.loop.SetErr(fmt.Errorf("fleet: form ring: %w", err))
 		return optimize.StepInfo{}, nil, false
 	}
-	if f.cfg.PShard {
-		// Repartition lazily, exactly when the ring re-forms over a new
-		// live set: a killed victim's slabs migrate to the survivors, a
-		// revived replica receives its share — all bitwise through the
-		// in-memory sharded checkpoint.
-		if err := f.ensureShards(live); err != nil {
-			f.loop.SetErr(err)
-			return optimize.StepInfo{}, nil, false
-		}
+	if err := f.cov.settle(live); err != nil {
+		f.loop.SetErr(err)
+		return optimize.StepInfo{}, nil, false
 	}
 	params := f.reps[live[0]].opt.StepParams(total, na)
 	if rec != nil {
@@ -821,12 +774,11 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 			infos[rank], errs[rank] = optimize.RankStep(ring, rank, f.reps[id].model, cov, params,
 				shares[rank].ds, shares[rank].idx, inject)
 			progress[rank].Store(2)
-		}(k, id, f.covariance(id, ring))
+		}(k, id, f.cov.over(id, ring))
 	}
 	f.awaitStep(&wg, ring, live, stepNo, progress, hangCh)
 
 	n := f.loop.Steps.Add(1)
-	f.storeLambda(live)
 	if err := errors.Join(errs...); err != nil {
 		f.loop.SetErr(fmt.Errorf("step %d: %w", n, err))
 		if errors.Is(err, cluster.ErrRingBroken) {
@@ -834,14 +786,7 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 			// step while others aborted mid-collective, so the replicas
 			// are not merely stale but divergent — reconcile the
 			// survivors bitwise and retire the broken ring.
-			live = f.recoverRing(ring, err)
-			if f.cfg.PShard {
-				f.recoverShards(live)
-			}
-			if len(live) == 0 {
-				return optimize.StepInfo{}, nil, false
-			}
-			f.storeLambda(live)
+			live = f.recoverRing(ring)
 		}
 	}
 	if d := f.cfg.Chaos.MaybePoison(n, &f.poisoned, f.reps[live[0]].model.NumParams()); d != nil {
@@ -856,22 +801,27 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 	f.updateInvariants(live)
 	lat := f.clock.Now().Sub(t0)
 	f.noteStepLatency(lat)
-	if m := f.cfg.Metrics; m != nil {
-		m.StepSeconds.Observe(lat.Seconds())
-	}
-	return infos[0], func() guard.Sample { return f.healthSample(live, infos) }, true
+	f.cfg.Metrics.StepSeconds.Observe(lat.Seconds())
+	// The sentinel's view of the post-step fleet: the first live replica
+	// stands in for all (the drift invariant makes them identical).
+	return infos[0], func() guard.Sample {
+		return guard.Sample{
+			Lambda:  math.Float64frombits(f.lambdaBits.Load()),
+			Weights: f.reps[live[0]].model.Params.FlattenValues(),
+			PDiag:   f.cov.diag(live[0]),
+			Aux:     []float64{infos[0].EnergyABE, infos[0].ForceABE},
+		}
+	}, true
 }
 
-// updateInvariants refreshes the fleet's consistency gauges: the maximum
-// absolute weight difference and P difference between the first live
-// replica and every other live replica.  Both must be exactly zero under
-// the funnel-aggregated schedule.  In pshard mode the P gauge reports the
-// replicated scalar filter state's drift instead (the slabs are disjoint,
-// see shardDrift), and the per-replica resident-P mirrors are refreshed.
+// updateInvariants refreshes the fleet's consistency gauges — the maximum
+// absolute weight difference between the first live replica and every
+// other live replica, and the placement's P drift; both must be exactly
+// zero under the funnel-aggregated schedule — and the mirrors the stats
+// readers see: the first live replica's λ and every replica's resident P.
 func (f *Fleet) updateInvariants(live []int) {
-	ref := f.reps[live[0]]
-	refW := ref.model.Params.FlattenValues()
-	wd, pd := 0.0, 0.0
+	refW := f.reps[live[0]].model.Params.FlattenValues()
+	wd := 0.0
 	for _, id := range live[1:] {
 		w := f.reps[id].model.Params.FlattenValues()
 		for i := range w {
@@ -879,27 +829,15 @@ func (f *Fleet) updateInvariants(live []int) {
 				wd = d
 			}
 		}
-		if !f.cfg.PShard {
-			if d := ref.opt.State().PDrift(f.reps[id].opt.State()); d > pd {
-				pd = d
-			}
-		}
 	}
-	if f.cfg.PShard {
-		pd = f.shardDrift(live)
+	for _, r := range f.reps {
+		r.pBytes.Store(f.cov.resident(r.id))
 	}
-	for _, id := range live {
-		r := f.reps[id]
-		if f.cfg.PShard {
-			if st := f.pstates[id]; st != nil {
-				r.pBytes.Store(st.PBytes())
-			}
-		} else {
-			r.pBytes.Store(r.opt.PBytes())
-		}
+	if l, ok := f.cov.lambda(live[0]); ok {
+		f.lambdaBits.Store(math.Float64bits(l))
 	}
 	f.wDriftBits.Store(math.Float64bits(wd))
-	f.pDriftBits.Store(math.Float64bits(pd))
+	f.pDriftBits.Store(math.Float64bits(f.cov.drift(live)))
 }
 
 // noteStepLatency folds one lockstep wall time into the mirrored EMA the
@@ -1017,9 +955,7 @@ func (f *Fleet) FleetStats() Stats {
 	if f.scaler != nil {
 		st.Autoscale = f.scaler.statsRow(st.Live, f.stepLatency())
 	}
-	if f.cfg.PShard {
-		st.PShard = f.pstats.Load()
-	}
+	st.PShard = f.cov.row()
 	return st
 }
 

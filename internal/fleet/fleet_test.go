@@ -57,17 +57,19 @@ func newTestFleet(t testing.TB, replicas int, cfg Config) (*dataset.Dataset, *Fl
 	return ds, f
 }
 
-// assertBitwiseConsistent checks the fleet invariant the hard way: every
-// live replica's weights and full P must equal the first live replica's,
-// element for element, and the mirrored drift gauges must read exactly 0.
+// assertBitwiseConsistent checks the fleet invariant the hard way, in
+// either covariance placement: every live replica's weights and λ must
+// equal the first live replica's, element for element, the placement's P
+// drift (full P replicated, scalar filter state sharded) must be exactly
+// 0, and so must the mirrored drift gauges.
 func assertBitwiseConsistent(t *testing.T, f *Fleet) {
 	t.Helper()
 	live := f.liveIDs()
 	if len(live) < 2 {
 		return
 	}
-	ref := f.reps[live[0]]
-	refW := ref.model.Params.FlattenValues()
+	refW := f.reps[live[0]].model.Params.FlattenValues()
+	refL, _ := f.cov.lambda(live[0])
 	for _, id := range live[1:] {
 		w := f.reps[id].model.Params.FlattenValues()
 		for i := range refW {
@@ -75,12 +77,12 @@ func assertBitwiseConsistent(t *testing.T, f *Fleet) {
 				t.Fatalf("replica %d weight %d differs from replica %d", id, i, live[0])
 			}
 		}
-		if d := ref.opt.State().PDrift(f.reps[id].opt.State()); d != 0 {
-			t.Fatalf("replica %d P drifts from replica %d by %g", id, live[0], d)
-		}
-		if f.reps[id].opt.Lambda() != ref.opt.Lambda() {
+		if l, ok := f.cov.lambda(id); !ok || l != refL {
 			t.Fatalf("replica %d λ differs from replica %d", id, live[0])
 		}
+	}
+	if d := f.cov.drift(live); d != 0 {
+		t.Fatalf("live replicas' P drifts by %g", d)
 	}
 	if f.WeightDrift() != 0 {
 		t.Fatalf("weight-drift gauge reads %g, want exactly 0", f.WeightDrift())

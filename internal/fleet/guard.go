@@ -2,22 +2,19 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"fekf/internal/cluster"
 	"fekf/internal/guard"
-	"fekf/internal/optimize"
 )
 
 // This file is what the fleet adds to the shared self-healing layer (the
 // online.Loop's guard.Keeper and rollback tail): the step watchdog, the
-// chaos-hang injection, the sentinel's view of the fleet, and the in-place
-// restore that rolls every replica (and the covariance shards under PShard)
-// back bitwise. Everything here runs on the conductor goroutine except
-// buildInject's returned closure, which runs on a rank goroutine and
-// touches only its own arguments.
+// chaos-hang injection, and the in-place restore that rolls every replica
+// and the covariance back bitwise.  Everything here runs on the conductor
+// goroutine except buildInject's returned closure, which runs on a rank
+// goroutine and touches only its own arguments.
 
 // buildInject composes the per-rank step injection: the failStep test seam,
 // the chaos hang, and — whenever the watchdog is armed — a progress marker
@@ -90,43 +87,17 @@ func (f *Fleet) awaitStep(wg *sync.WaitGroup, ring *cluster.Ring, live []int, st
 	}
 }
 
-// healthSample is the sentinel's view of the post-step fleet state: the
-// first live replica stands in for all (the drift invariant makes them
-// identical), with the owned P-slab diagonal under PShard.
-func (f *Fleet) healthSample(live []int, infos []optimize.StepInfo) guard.Sample {
-	ref := f.reps[live[0]]
-	smp := guard.Sample{
-		Lambda:  math.Float64frombits(f.lambdaBits.Load()),
-		Weights: ref.model.Params.FlattenValues(),
-		Aux:     []float64{infos[0].EnergyABE, infos[0].ForceABE},
-	}
-	if f.cfg.PShard {
-		if st := f.pstates[live[0]]; st != nil {
-			smp.PDiag = st.PDiagonalOwned()
-		}
-	} else {
-		smp.PDiag = ref.opt.PDiagonal()
-	}
-	return smp
-}
-
 // applyCheckpoint restores a fleet checkpoint in place — the same
 // restoration Resume performs on a fresh fleet, against the live
 // structure: the in-flight ring is retired (aborting anything still on the
 // wire), every replica gets the checkpointed shared model + filter
-// bitwise, the lanes rewind to their checkpointed positions, under PShard
-// the covariance slabs are retiled, and clean snapshots are republished.
-// It returns the restored step.  Conductor only.
+// bitwise, the lanes rewind to their checkpointed positions, the
+// placement loads the checkpointed covariance, and clean snapshots are
+// republished.  It returns the restored step.  Conductor only.
 func (f *Fleet) applyCheckpoint(ck *Checkpoint) (int64, error) {
 	f.retireRing()
 	if len(ck.Replicas) != len(f.reps) {
 		return 0, fmt.Errorf("fleet: checkpoint has %d replicas, fleet has %d", len(ck.Replicas), len(f.reps))
-	}
-	if ck.PShard != f.cfg.PShard {
-		return 0, fmt.Errorf("fleet: checkpoint pshard=%v, fleet pshard=%v", ck.PShard, f.cfg.PShard)
-	}
-	if ck.PShard && ck.PCk == nil {
-		return 0, fmt.Errorf("fleet: sharded checkpoint has no covariance slabs")
 	}
 	for i, rck := range ck.Replicas {
 		r := f.reps[i]
@@ -142,10 +113,8 @@ func (f *Fleet) applyCheckpoint(ck *Checkpoint) (int64, error) {
 	if len(live) == 0 {
 		return 0, fmt.Errorf("fleet: checkpoint has no live replica")
 	}
-	if f.cfg.PShard {
-		if err := f.restoreShards(ck.PCk, live); err != nil {
-			return 0, err
-		}
+	if err := f.cov.load(ck, live); err != nil {
+		return 0, err
 	}
 	// Republish clean snapshots at the restored step so the predict tier
 	// never serves the diverged weights.

@@ -14,31 +14,6 @@ import (
 	"fekf/internal/obs"
 )
 
-// assertFleetConsistent is the pshard-aware intra-fleet invariant check:
-// replicated fleets get the full element-wise helper; sharded fleets (whose
-// replicas hold no full Kalman state) are checked on weights and the
-// mirrored drift gauges.
-func assertFleetConsistent(t *testing.T, f *Fleet) {
-	t.Helper()
-	if !f.cfg.PShard {
-		assertBitwiseConsistent(t, f)
-		return
-	}
-	live := f.liveIDs()
-	ref := f.reps[live[0]].model.Params.FlattenValues()
-	for _, id := range live[1:] {
-		w := f.reps[id].model.Params.FlattenValues()
-		for i := range ref {
-			if w[i] != ref[i] {
-				t.Fatalf("replica %d weight %d differs from replica %d", id, i, live[0])
-			}
-		}
-	}
-	if f.WeightDrift() != 0 || f.PDrift() != 0 {
-		t.Fatalf("drift gauges %g/%g, want exactly 0", f.WeightDrift(), f.PDrift())
-	}
-}
-
 // assertFleetsBitwise fails unless the two fleets hold bitwise-identical
 // shared state: weights, λ, and the covariance (full P replicated, owned
 // slab diagonals under pshard).
@@ -63,7 +38,7 @@ func assertFleetsBitwise(t *testing.T, a, b *Fleet, when string) {
 	}
 	if a.cfg.PShard {
 		for k, id := range la {
-			sa, sb := a.pstates[id], b.pstates[lb[k]]
+			sa, sb := shardsOf(a).states[id], shardsOf(b).states[lb[k]]
 			if sa == nil || sb == nil {
 				t.Fatalf("%s: missing shard state on rank %d", when, k)
 			}
@@ -172,7 +147,7 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 						t.Fatal("post-rollback snapshot carries non-finite weights")
 					}
 				}
-				assertFleetConsistent(t, f)
+				assertBitwiseConsistent(t, f)
 				assertFleetsBitwise(t, f, twin, "after rollback")
 
 				// The chaos injection is one-shot: the re-run of step 5 is
@@ -187,7 +162,7 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 				if got := f.Stats().Guard.Divergences; got != 1 {
 					t.Fatalf("re-run of the poisoned step diverged again: %d events", got)
 				}
-				assertFleetConsistent(t, f)
+				assertBitwiseConsistent(t, f)
 				assertFleetsBitwise(t, f, twin, "two steps past rollback")
 			})
 		}
@@ -446,7 +421,7 @@ func TestFleetGuardChaosSoak(t *testing.T) {
 			if f.WeightDrift() != 0 || f.PDrift() != 0 {
 				t.Fatalf("drift gauges %g/%g after soak, want exactly 0", f.WeightDrift(), f.PDrift())
 			}
-			assertFleetConsistent(t, f)
+			assertBitwiseConsistent(t, f)
 		})
 	}
 }

@@ -3,9 +3,10 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"fekf/internal/cluster"
-	"fekf/internal/deepmd"
 	"fekf/internal/optimize"
 	"fekf/internal/pshard"
 )
@@ -34,190 +35,151 @@ type PShardStats struct {
 	ExchangeBytesPerStep int64 `json:"exchange_bytes_per_step"`
 }
 
-// covariance returns the Kalman state replica id updates in a step over
-// ring: its slab share bound to the ring in pshard mode, its full P
-// replica otherwise.
-func (f *Fleet) covariance(id int, ring *cluster.Ring) optimize.Covariance {
-	if f.cfg.PShard {
-		return f.pstates[id].Over(ring)
-	}
-	return f.reps[id].opt.State()
+// shardedP splits P by rows across the live ranks (internal/pshard): each
+// live replica owns a slab share, the P·g fragments are exchanged over the
+// ring, and the scalar filter state (λ, update count) is replicated; the
+// replicas' own filters hold no Kalman state.  Membership changes retile
+// the slabs lazily, when the ring re-forms (settle).  Conductor-owned
+// except the stats mirror.
+type shardedP struct {
+	reps    []*replica
+	blocks  []optimize.Block
+	states  []*pshard.State // per slot; nil for slots holding no slabs
+	assign  pshard.Assignment
+	liveIDs []int // the live set assign was built for
+	stats   atomic.Pointer[PShardStats]
 }
 
-// initShards builds the initial sharded filter during New: a fresh
-// identity-P partition over the initial live set, or — when Resume carried
-// a sharded checkpoint — the checkpointed slabs retiled onto it.
-func (f *Fleet) initShards(m *deepmd.Model, opt *optimize.FEKF, live []int) error {
-	if opt.State() != nil {
-		return fmt.Errorf("fleet: pshard mode cannot replicate an existing full Kalman state; start fresh or Resume a sharded fleet checkpoint")
+func (s *shardedP) over(id int, ring *cluster.Ring) optimize.Covariance {
+	return s.states[id].Over(ring)
+}
+
+// held returns the shard states the given slots hold, skipping empty ones.
+func (s *shardedP) held(ids []int) []*pshard.State {
+	var out []*pshard.State
+	for _, id := range ids {
+		if st := s.states[id]; st != nil {
+			out = append(out, st)
+		}
 	}
-	f.pblocks = optimize.SplitBlocks(m.Params.LayerSizes(), opt.KCfg.BlockSize)
-	f.pstates = make([]*pshard.State, len(f.reps))
-	if ck := f.cfg.pshardResume; ck != nil {
-		return f.restoreShards(ck, live)
+	return out
+}
+
+// settle repartitions when the live set changed since the installed
+// assignment: the old owners' slabs — a gracefully killed victim's
+// included, which the conductor still holds — are gathered into an
+// in-memory sharded checkpoint and retiled onto the new rank count, so
+// kill, revive and autoscale transitions preserve every P row bitwise.
+func (s *shardedP) settle(live []int) error {
+	if slices.Equal(s.liveIDs, live) {
+		return nil
 	}
-	assign := pshard.Partition(f.pblocks, len(live))
+	old := s.held(s.liveIDs)
+	if len(old) == 0 {
+		return s.retile(nil, live)
+	}
+	ck, err := pshard.BuildCheckpoint(old)
+	if err != nil {
+		return fmt.Errorf("fleet: gather shard checkpoint: %w", err)
+	}
+	return s.retile(ck, live)
+}
+
+// retile restores a sharded checkpoint onto live — or, with a nil ck,
+// restarts the filter there from the identity prior: the new states are
+// built first, so a failure leaves the old partition intact; then the old
+// slabs are freed and the new assignment installed.
+func (s *shardedP) retile(ck *pshard.Checkpoint, live []int) error {
+	assign := pshard.Partition(s.blocks, len(live))
+	next := make([]*pshard.State, len(live))
 	for k, id := range live {
-		f.pstates[id] = pshard.NewState(opt.KCfg, assign, k, f.reps[id].dev)
+		if ck == nil {
+			next[k] = pshard.NewState(s.reps[live[0]].opt.KCfg, assign, k, s.reps[id].dev)
+			continue
+		}
+		st, err := pshard.NewStateFrom(ck, assign, k, s.reps[id].dev)
+		if err != nil {
+			for _, st := range next[:k] {
+				st.Free()
+			}
+			return fmt.Errorf("fleet: restore shards: %w", err)
+		}
+		next[k] = st
 	}
-	f.installAssign(assign, live)
+	s.drop()
+	for k, id := range live {
+		s.states[id] = next[k]
+	}
+	s.install(assign, live)
 	return nil
 }
 
-// installAssign records a newly applied partition: the rank↔replica map,
-// the stats mirror, and each replica's resident-bytes gauge.  Conductor
-// only (or during construction).
-func (f *Fleet) installAssign(assign pshard.Assignment, live []int) {
-	f.passign = assign
-	f.pliveIDs = append(f.pliveIDs[:0], live...)
+// drop frees every slot's slabs.
+func (s *shardedP) drop() {
+	for id, st := range s.states {
+		if st != nil {
+			st.Free()
+			s.states[id] = nil
+		}
+	}
+}
+
+// install records a newly applied partition: the rank↔replica map and the
+// stats mirror.
+func (s *shardedP) install(assign pshard.Assignment, live []int) {
+	s.assign = assign
+	s.liveIDs = append(s.liveIDs[:0], live...)
 	ps := &PShardStats{
 		Ranks:                assign.Ranks,
 		Blocks:               len(assign.Blocks),
 		RankReplicaIDs:       append([]int(nil), live...),
 		TotalBytes:           assign.TotalBytes(),
 		ImbalanceRatio:       assign.ImbalanceRatio(),
-		ExchangeBytesPerStep: int64(1+f.reps[0].opt.ForceGroups) * assign.ExchangeBytesPerCollective(),
+		ExchangeBytesPerStep: int64(1+s.reps[0].opt.ForceGroups) * assign.ExchangeBytesPerCollective(),
 	}
 	for r := 0; r < assign.Ranks; r++ {
 		ps.ShardsPerRank = append(ps.ShardsPerRank, len(assign.Owners[r]))
 		ps.ResidentBytesPerRank = append(ps.ResidentBytesPerRank, assign.RankBytes(r))
 	}
-	f.pstats.Store(ps)
-	for _, r := range f.reps {
-		if st := f.pstates[r.id]; st != nil {
-			r.pBytes.Store(st.PBytes())
-		} else {
-			r.pBytes.Store(0)
-		}
-	}
+	s.stats.Store(ps)
 }
 
-// ensureShards repartitions the covariance when the live set changed since
-// the current assignment was installed: the old owners' slabs — including
-// a gracefully killed victim's, which the conductor still holds — are
-// gathered into an in-memory sharded checkpoint and retiled onto the new
-// rank count, so kill, revive and autoscale transitions preserve every P
-// row bitwise.  Conductor only.
-func (f *Fleet) ensureShards(live []int) error {
-	if equalIDs(f.pliveIDs, live) {
-		return nil
+// recover rebuilds the slabs after a hard mid-step transport failure.
+// Unlike a graceful kill, the dead ranks' slabs are treated as lost, and
+// the survivors may have diverged scalar state (some ranks applied the
+// final measurement before the ring broke, others aborted).  The first
+// holding survivor's (λ, updates) is the reference epoch; slabs of
+// survivors at that epoch are kept, and every row without a surviving
+// owner is reset to the identity prior, decorrelated from the kept rows —
+// the filter restarts its covariance for those rows while the reconciled
+// weights carry on.
+func (s *shardedP) recover(survivors []int) error {
+	held := s.held(survivors)
+	if len(held) == 0 {
+		return s.retile(nil, survivors)
 	}
-	var old []*pshard.State
-	for _, id := range f.pliveIDs {
-		if st := f.pstates[id]; st != nil {
-			old = append(old, st)
-		}
-	}
-	if len(old) == 0 {
-		// No shard state survived at all (only reachable after a total
-		// recovery failure): restart the filter from the identity prior.
-		assign := pshard.Partition(f.pblocks, len(live))
-		for k, id := range live {
-			f.pstates[id] = pshard.NewState(f.reps[live[0]].opt.KCfg, assign, k, f.reps[id].dev)
-		}
-		f.installAssign(assign, live)
-		return nil
-	}
-	ck, err := pshard.BuildCheckpoint(old)
-	if err != nil {
-		return fmt.Errorf("fleet: gather shard checkpoint: %w", err)
-	}
-	return f.restoreShards(ck, live)
-}
-
-// restoreShards retiles a sharded checkpoint onto the given live set: new
-// states are built first (so a failure leaves the old partition intact),
-// then the old slabs are freed and the new assignment installed.
-func (f *Fleet) restoreShards(ck *pshard.Checkpoint, live []int) error {
-	assign := pshard.Partition(f.pblocks, len(live))
-	fresh := make([]*pshard.State, len(live))
-	for k, id := range live {
-		st, err := pshard.NewStateFrom(ck, assign, k, f.reps[id].dev)
-		if err != nil {
-			for _, s := range fresh {
-				if s != nil {
-					s.Free()
-				}
-			}
-			return fmt.Errorf("fleet: restore shards: %w", err)
-		}
-		fresh[k] = st
-	}
-	for id, st := range f.pstates {
-		if st != nil {
-			st.Free()
-			f.pstates[id] = nil
-		}
-	}
-	for k, id := range live {
-		f.pstates[id] = fresh[k]
-	}
-	f.installAssign(assign, live)
-	return nil
-}
-
-// recoverShards rebuilds the shard states after a hard mid-step transport
-// failure.  Unlike a graceful kill, the dead ranks' slabs are treated as
-// lost, and the survivors may have diverged scalar state (some ranks
-// applied the final measurement before the ring broke, others aborted).
-// The first survivor's (λ, updates) is taken as the reference epoch; slabs
-// of survivors at that epoch are kept, and every row without a surviving
-// owner is reset to the identity prior — the filter restarts its
-// covariance for those rows while the reconciled weights carry on.
-// Conductor only.
-func (f *Fleet) recoverShards(survivors []int) {
-	if len(survivors) == 0 {
-		for id, st := range f.pstates {
-			if st != nil {
-				st.Free()
-				f.pstates[id] = nil
-			}
-		}
-		f.pliveIDs = f.pliveIDs[:0]
-		return
-	}
-	var ref *pshard.State
-	for _, id := range survivors {
-		if st := f.pstates[id]; st != nil {
-			ref = st
-			break
-		}
-	}
-	if ref == nil {
-		// Every surviving replica lost its shard state: restart the filter.
-		assign := pshard.Partition(f.pblocks, len(survivors))
-		for k, id := range survivors {
-			f.pstates[id] = pshard.NewState(f.reps[survivors[0]].opt.KCfg, assign, k, f.reps[id].dev)
-		}
-		f.installAssign(assign, survivors)
-		return
-	}
+	ref := held[0]
 	var keep []*pshard.State
-	for _, id := range survivors {
-		st := f.pstates[id]
-		if st == nil {
-			continue
-		}
+	for _, st := range held {
 		if math.Float64bits(st.Lambda) == math.Float64bits(ref.Lambda) && st.Updates == ref.Updates {
 			keep = append(keep, st)
 		}
 	}
 	ck, err := pshard.BuildCheckpoint(keep)
 	if err != nil {
-		f.loop.SetErr(fmt.Errorf("fleet: recover shard checkpoint: %w", err))
-		ck = &pshard.Checkpoint{Cfg: ref.Cfg, Lambda: ref.Lambda, Updates: ref.Updates,
-			Sizes: optimize.BlockSizes(f.pblocks)}
+		return fmt.Errorf("fleet: recover shard checkpoint: %w", err)
 	}
-	fillMissingRows(ck, f.pblocks)
-	if err := f.restoreShards(ck, survivors); err != nil {
-		f.loop.SetErr(fmt.Errorf("fleet: recover shards: %w", err))
-	}
+	resetLostRows(ck, s.blocks)
+	return s.retile(ck, survivors)
 }
 
-// fillMissingRows appends identity rows for every block row the checkpoint
-// does not cover, so NewStateFrom can retile the full covariance after
-// shard loss.
-func fillMissingRows(ck *pshard.Checkpoint, blocks []optimize.Block) {
+// resetLostRows resets every block row the checkpoint does not cover — and
+// its column — to the identity prior, so NewStateFrom can retile the full
+// covariance after shard loss.  Zeroing the lost columns of the kept rows
+// drops the correlations the lost rows carried and keeps P symmetric:
+// with kept rows K and lost rows L it becomes diag(P_KK, I), positive-
+// definite because P_KK is a principal submatrix of a positive-definite P.
+func resetLostRows(ck *pshard.Checkpoint, blocks []optimize.Block) {
 	covered := make([][]bool, len(blocks))
 	for i, b := range blocks {
 		covered[i] = make([]bool, b.Size())
@@ -225,6 +187,14 @@ func fillMissingRows(ck *pshard.Checkpoint, blocks []optimize.Block) {
 	for _, s := range ck.Shards {
 		for i := s.RowLo; i < s.RowHi; i++ {
 			covered[s.Block][i] = true
+		}
+	}
+	for _, s := range ck.Shards {
+		rows, n := covered[s.Block], blocks[s.Block].Size()
+		for i := range s.Rows {
+			if !rows[i%n] {
+				s.Rows[i] = 0
+			}
 		}
 	}
 	for bi, rows := range covered {
@@ -248,16 +218,34 @@ func fillMissingRows(ck *pshard.Checkpoint, blocks []optimize.Block) {
 	}
 }
 
-// shardDrift is the sharded analogue of the P-drift invariant gauge: the
-// slabs are disjoint, so P cannot be compared rank-to-rank, but the scalar
-// filter state (λ, update count) is replicated on every rank and must stay
+// diag is the diagonal of replica id's own P rows, zeros elsewhere — a
+// documented approximation for the gate: scores touching unowned rows read
+// 0, so the partial gate is more permissive than the full diagonal, never
+// stricter.
+func (s *shardedP) diag(id int) []float64 {
+	if st := s.states[id]; st != nil {
+		return st.PDiagonalOwned()
+	}
+	return nil
+}
+
+func (s *shardedP) lambda(id int) (float64, bool) {
+	if st := s.states[id]; st != nil {
+		return st.Lambda, true
+	}
+	return 0, false
+}
+
+// drift is the sharded analogue of the P-drift invariant gauge: the slabs
+// are disjoint, so P cannot be compared rank-to-rank, but the scalar filter
+// state (λ, update count) is replicated on every rank and must stay
 // bit-identical under the lockstep schedule.  An update-count mismatch or a
 // missing state reports +Inf.
-func (f *Fleet) shardDrift(live []int) float64 {
+func (s *shardedP) drift(live []int) float64 {
 	var ref *pshard.State
 	d := 0.0
 	for _, id := range live {
-		st := f.pstates[id]
+		st := s.states[id]
 		if st == nil {
 			return math.Inf(1)
 		}
@@ -275,18 +263,44 @@ func (f *Fleet) shardDrift(live []int) float64 {
 	return d
 }
 
-// storeLambda mirrors the reference rank's λ for the stats readers: from
-// the sharded scalar state in pshard mode, from the replicated filter
-// otherwise.
-func (f *Fleet) storeLambda(live []int) {
-	if len(live) == 0 {
-		return
+func (s *shardedP) resident(id int) int64 {
+	if st := s.states[id]; st != nil {
+		return st.PBytes()
 	}
-	if f.cfg.PShard {
-		if st := f.pstates[live[0]]; st != nil {
-			f.lambdaBits.Store(math.Float64bits(st.Lambda))
-		}
-		return
-	}
-	f.lambdaBits.Store(math.Float64bits(f.reps[live[0]].opt.Lambda()))
+	return 0
 }
+
+// save stores every P row slab exactly once, by its owner rank.
+func (s *shardedP) save(ck *Checkpoint) error {
+	pck, err := pshard.BuildCheckpoint(s.held(s.liveIDs))
+	if err != nil {
+		return fmt.Errorf("fleet: shard checkpoint: %w", err)
+	}
+	ck.PShard, ck.PCk = true, pck
+	return nil
+}
+
+func (s *shardedP) load(ck *Checkpoint, live []int) error {
+	if ck == nil {
+		return s.retile(nil, live)
+	}
+	if !ck.PShard || ck.PCk == nil {
+		return fmt.Errorf("fleet: checkpoint has no sharded covariance slabs")
+	}
+	return s.retile(ck.PCk, live)
+}
+
+// reassign is the shard-transfer cost of the autoscaler's candidate
+// transitions: growing or shrinking the fleet repartitions P, and the
+// controller charges the modeled transfer time against its cooldowns.
+func (s *shardedP) reassign(live []int) (up, down int64) {
+	if len(live) < len(s.states) && len(live) > 0 {
+		up = pshard.ReassignBytes(s.assign, pshard.Partition(s.blocks, len(live)+1))
+	}
+	if len(live) > 1 {
+		down = pshard.ReassignBytes(s.assign, pshard.Partition(s.blocks, len(live)-1))
+	}
+	return up, down
+}
+
+func (s *shardedP) row() *PShardStats { return s.stats.Load() }

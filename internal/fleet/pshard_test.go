@@ -29,17 +29,15 @@ func newPShardPair(t *testing.T, replicas int, cfg Config) (*dataset.Dataset, *F
 	return ds, fp, fr
 }
 
+// shardsOf returns a sharded fleet's covariance placement.
+func shardsOf(f *Fleet) *shardedP { return f.cov.(*shardedP) }
+
 // assemblePShardP reconstructs the full per-block covariance from the
 // fleet's live shard states.
 func assemblePShardP(t *testing.T, f *Fleet) []*tensor.Dense {
 	t.Helper()
-	var states []*pshard.State
-	for _, id := range f.pliveIDs {
-		if st := f.pstates[id]; st != nil {
-			states = append(states, st)
-		}
-	}
-	ck, err := pshard.BuildCheckpoint(states)
+	s := shardsOf(f)
+	ck, err := pshard.BuildCheckpoint(s.held(s.liveIDs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +72,7 @@ func assertPShardMatchesReplicated(t *testing.T, fp, fr *Fleet) {
 	}
 	refKS := fr.reps[lr[0]].opt.State()
 	for _, id := range lp {
-		st := fp.pstates[id]
+		st := shardsOf(fp).states[id]
 		if st == nil {
 			t.Fatalf("live replica %d holds no shard state", id)
 		}
@@ -309,15 +307,16 @@ func TestPShardCheckpointResumeBitwise(t *testing.T) {
 			}
 		}
 	}
-	if f.pstates[0].Lambda != f2.pstates[0].Lambda {
+	if shardsOf(f).states[0].Lambda != shardsOf(f2).states[0].Lambda {
 		t.Fatal("λ diverged on the first post-resume step")
 	}
 }
 
 // Hard-failure recovery: a dead rank's slabs are lost and a survivor with
-// diverged scalar state is untrustworthy — recoverShards must keep the
-// reference survivor's rows bitwise, reset every unrecoverable row to the
-// identity prior, and leave the fleet stepping with consistent shards.
+// diverged scalar state is untrustworthy — recover must keep the
+// reference survivor's rows bitwise on the surviving columns, reset every
+// unrecoverable row and column to the identity prior, and leave the fleet
+// stepping with consistent shards.
 func TestPShardRecoverShards(t *testing.T) {
 	cfg := Config{PShard: true, Seed: 17, Gate: online.GateConfig{Enabled: false}}
 	ds, f := newTestFleet(t, 3, cfg)
@@ -329,39 +328,50 @@ func TestPShardRecoverShards(t *testing.T) {
 	f.loop.Step()
 
 	// Snapshot rank 0's slabs before the failure.
-	ck0, err := pshard.BuildCheckpoint([]*pshard.State{f.pstates[0]})
+	ck0, err := pshard.BuildCheckpoint([]*pshard.State{shardsOf(f).states[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := f.pstates[0]
+	before := shardsOf(f).states[0]
 
 	// Replica 2 dies hard; replica 1's scalar state diverges (it applied a
 	// measurement the others aborted).
 	f.reps[2].alive.Store(false)
-	f.pstates[1].Lambda = math.Nextafter(f.pstates[1].Lambda, 1)
-	f.recoverShards(f.liveIDs())
+	shardsOf(f).states[1].Lambda = math.Nextafter(shardsOf(f).states[1].Lambda, 1)
+	shardsOf(f).recover(f.liveIDs())
 
-	if ps := f.pstats.Load(); ps.Ranks != 2 {
+	if ps := shardsOf(f).row(); ps.Ranks != 2 {
 		t.Fatalf("recovered assignment has %d ranks, want 2", ps.Ranks)
 	}
 	rows := assemblePShardP(t, f)
-	// Rows rank 0 owned before the failure must survive bitwise; every
-	// other row restarts at the identity prior.
+	owned := make(map[[2]int]bool)
+	for _, s := range ck0.Shards {
+		for r := s.RowLo; r < s.RowHi; r++ {
+			owned[[2]int{s.Block, r}] = true
+		}
+	}
+	// Rows rank 0 owned before the failure must survive bitwise on the
+	// columns it owned too; their correlations with the lost rows are
+	// dropped (0), so P stays symmetric.  Every other row restarts at the
+	// identity prior.
 	for _, s := range ck0.Shards {
 		n := len(s.Rows) / s.RowCount()
 		for r := 0; r < s.RowCount(); r++ {
 			for j := 0; j < n; j++ {
+				want := s.Rows[r*n+j]
+				if !owned[[2]int{s.Block, j}] {
+					want = 0
+				}
 				got := rows[s.Block].At(s.RowLo+r, j)
-				if math.Float64bits(got) != math.Float64bits(s.Rows[r*n+j]) {
+				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("block %d row %d col %d not preserved through recovery", s.Block, s.RowLo+r, j)
 				}
 			}
 		}
 	}
-	owned := make(map[[2]int]bool)
-	for _, s := range ck0.Shards {
-		for r := s.RowLo; r < s.RowHi; r++ {
-			owned[[2]int{s.Block, r}] = true
+	for bi, p := range rows {
+		if !tensor.CholeskyPD(p) {
+			t.Fatalf("recovered P block %d is not symmetric positive-definite", bi)
 		}
 	}
 	for bi, p := range rows {
@@ -382,12 +392,12 @@ func TestPShardRecoverShards(t *testing.T) {
 		}
 	}
 	// The λ epoch follows the reference survivor, not the diverged rank.
-	if f.pstates[0].Lambda != before.Lambda {
+	if shardsOf(f).states[0].Lambda != before.Lambda {
 		t.Fatal("recovery moved the reference scalar state")
 	}
 	// And the fleet keeps stepping with zero drift.
 	f.loop.Step()
-	if d := f.shardDrift(f.liveIDs()); d != 0 {
+	if d := shardsOf(f).drift(f.liveIDs()); d != 0 {
 		t.Fatalf("post-recovery shard drift %g, want 0", d)
 	}
 }

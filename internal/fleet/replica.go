@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -27,21 +28,18 @@ type replica struct {
 	dev   *device.Device
 	model *deepmd.Model
 	opt   *optimize.FEKF
-	// pshard marks the sharded-covariance fleet mode: the replica's own
-	// FEKF never materializes a full Kalman state (that is the point of
-	// sharding) — the conductor holds the rank's P slabs in Fleet.pstates.
-	pshard bool
 
 	alive atomic.Bool
 	// pBytes mirrors the replica's resident covariance bytes (full P
-	// replicated, or the owned slabs under pshard) for the stats readers;
+	// replicated, or the owned slabs when sharded) for the stats readers;
 	// the conductor refreshes it after steps and membership changes.
 	pBytes atomic.Int64
 	routed atomic.Int64
 }
 
 // newReplica clones the prototype model and optimizer onto a fresh
-// simulated device and builds the replica's private ingest lane.
+// simulated device and builds the replica's private ingest lane.  The
+// covariance is the placement's to build.
 func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config) (*replica, error) {
 	dev := device.New(fmt.Sprintf("fleet%d", id), device.A100())
 	model := m.CloneFor(dev)
@@ -49,42 +47,22 @@ func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Data
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %d optimizer: %w", id, err)
 	}
-	// Eager state: NewKalmanState is deterministic (P = I), so replicas
-	// built this way start bit-identical even before the first step, and
-	// the gate has a P diagonal to score against immediately.  In pshard
-	// mode the full state is never built — the conductor allocates only
-	// this replica's row slabs.
-	if !cfg.PShard {
-		ropt.InitState(model)
-	}
 	r := &replica{
 		Lane: online.NewLane(proto.System, proto.Species, online.NewQueue(cfg.QueueSize, cfg.QueuePolicy),
 			online.NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed+int64(id)), cfg.Gate),
-		id:     id,
-		dev:    dev,
-		model:  model,
-		opt:    ropt,
-		pshard: cfg.PShard,
+		id:    id,
+		dev:   dev,
+		model: model,
+		opt:   ropt,
 	}
 	r.alive.Store(true)
-	r.pBytes.Store(ropt.PBytes())
 	return r, nil
 }
 
-// admit runs one frame through the replica's lane.  Under pshard each
-// replica gates on the diagonal of its own owned P rows (zeros elsewhere)
-// — a documented approximation: scores touching unowned rows read 0, so
-// the partial gate is more permissive than the full diagonal, never
-// stricter.  Conductor goroutine only.
+// admit runs one frame through the replica's lane, gating on the P
+// diagonal the placement gives it.  Conductor goroutine only.
 func (f *Fleet) admit(r *replica, s dataset.Snapshot) {
-	pd := r.opt.PDiagonal()
-	if f.cfg.PShard {
-		pd = nil
-		if st := f.pstates[r.id]; st != nil {
-			pd = st.PDiagonalOwned()
-		}
-	}
-	if err := r.Admit(s, r.model, pd, f.loop.Recorder(), r.id); err != nil {
+	if err := r.Admit(s, r.model, f.cov.diag(r.id), f.loop.Recorder(), r.id); err != nil {
 		f.loop.SetErr(fmt.Errorf("replica %d gate: %w", r.id, err))
 	}
 }
@@ -101,18 +79,35 @@ func (f *Fleet) publish(ids []int, step int64) {
 }
 
 // restoreShared replaces the replica's model and filter with the shared
-// state carried by a fleet checkpoint — the rejoin/catch-up path.
+// state carried by a fleet checkpoint — the rejoin, catch-up and rollback
+// path — and frees the Kalman state it replaces from the replica's device.
 // Conductor goroutine only.
 func (r *replica) restoreShared(modelBytes []byte, opt *optimize.FEKFCheckpoint) error {
 	m, ropt, err := online.RestoreModel(modelBytes, opt, r.dev)
 	if err != nil {
 		return fmt.Errorf("fleet: replica %d: %w", r.id, err)
 	}
-	// In pshard mode the checkpoint carries no Kalman state (P lives in
-	// the conductor's shard states) and none is materialized here.
-	if !r.pshard {
-		ropt.InitState(m)
+	if ks := r.opt.State(); ks != nil {
+		ks.Free()
 	}
 	r.model, r.opt = m, ropt
 	return nil
+}
+
+// catchUp copies live replica src's model and filter into every target
+// replica, bitwise: the one catch-up path of Revive and ring recovery.
+// Replicated P travels inside the filter; sharded slabs stay with the
+// placement.  Conductor goroutine only.
+func (f *Fleet) catchUp(src int, targets []int) error {
+	s := f.reps[src]
+	modelBytes, err := encodeModel(s.model)
+	if err != nil {
+		return fmt.Errorf("fleet: checkpoint survivor %d: %w", src, err)
+	}
+	ck := s.opt.Checkpoint()
+	var errs []error
+	for _, id := range targets {
+		errs = append(errs, f.reps[id].restoreShared(modelBytes, ck))
+	}
+	return errors.Join(errs...)
 }

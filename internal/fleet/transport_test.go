@@ -139,77 +139,77 @@ func TestFleetTCPReconnectMidStep(t *testing.T) {
 	f.retireRing()
 }
 
-// A hard peer failure (severed rank) must map onto the replica-death path:
-// the dead replica leaves the fleet, the survivors are reconciled to
-// exactly zero drift, stepping continues, and the stats report the peer
-// failure.
+// A hard peer failure (severed rank) must map onto the replica-death path
+// in either covariance placement: the dead replica leaves the fleet, the
+// survivors are reconciled to exactly zero drift with P still positive-
+// definite, stepping continues, and the stats report the peer failure.
 func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
-	rings := 0
-	cfg := Config{Seed: 21, Gate: online.GateConfig{Enabled: false}}
-	cfg.RingFactory = func(size int) (*cluster.Ring, error) {
-		rings++
-		g, err := tcptransport.NewLoopbackGroup(size, tcptransport.Options{RingID: "sever-test"})
-		if err != nil {
-			return nil, err
-		}
-		var tr cluster.Transport = g
-		if rings == 2 {
-			// Sever rank 1 mid-collective on the second ring's first step.
-			tr = cluster.NewFaultyTransport(g,
-				cluster.FaultRule{Rank: 1, Msg: 2, Kind: cluster.FaultSever})
-		}
-		return cluster.NewRingOver(tr, cluster.RoCE25()), nil
-	}
-	ds, f := newTestFleet(t, 3, cfg)
-	for i := 0; i < 12; i++ {
-		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
-			t.Fatalf("ingest %d: %v %v", i, ok, err)
-		}
-	}
-	f.drainAll()
-	f.loop.Step() // ring 1: healthy
-	assertBitwiseConsistent(t, f)
+	for _, mode := range covModes {
+		t.Run(mode.name, func(t *testing.T) {
+			rings := 0
+			cfg := Config{PShard: mode.pshard, Seed: 21, Gate: online.GateConfig{Enabled: false}}
+			cfg.RingFactory = func(size int) (*cluster.Ring, error) {
+				rings++
+				g, err := tcptransport.NewLoopbackGroup(size, tcptransport.Options{RingID: "sever-test"})
+				if err != nil {
+					return nil, err
+				}
+				var tr cluster.Transport = g
+				if rings == 2 {
+					// Sever rank 1 mid-collective on the second ring's first step.
+					tr = cluster.NewFaultyTransport(g,
+						cluster.FaultRule{Rank: 1, Msg: 2, Kind: cluster.FaultSever})
+				}
+				return cluster.NewRingOver(tr, cluster.RoCE25()), nil
+			}
+			ds, f := newTestFleet(t, 3, cfg)
+			for i := 0; i < 12; i++ {
+				if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
+					t.Fatalf("ingest %d: %v %v", i, ok, err)
+				}
+			}
+			f.drainAll()
+			f.loop.Step() // ring 1: healthy
+			assertBitwiseConsistent(t, f)
 
-	// Force a ring re-formation so the faulty ring (rings == 2) is built:
-	// kill and revive replica 2 cooperatively.
-	f.reps[2].alive.Store(false)
-	f.loop.Step() // ring 2 (size 2): severed mid-step → rank 1 = replica 1 dies
-	if !strings.Contains(f.Stats().LastError, "ring broken") {
-		t.Fatalf("sever not surfaced: %q", f.Stats().LastError)
-	}
-	if f.reps[1].alive.Load() {
-		t.Fatal("severed rank's replica still marked alive")
-	}
-	live := f.liveIDs()
-	if len(live) != 1 || live[0] != 0 {
-		t.Fatalf("live = %v, want [0]", live)
-	}
-	if f.WeightDrift() != 0 || f.PDrift() != 0 {
-		t.Fatalf("drift gauges %g/%g after recovery, want exactly 0", f.WeightDrift(), f.PDrift())
-	}
+			// Force a ring re-formation so the faulty ring (rings == 2) is built:
+			// kill and revive replica 2 cooperatively.
+			f.reps[2].alive.Store(false)
+			f.loop.Step() // ring 2 (size 2): severed mid-step → rank 1 = replica 1 dies
+			if !strings.Contains(f.Stats().LastError, "ring broken") {
+				t.Fatalf("sever not surfaced: %q", f.Stats().LastError)
+			}
+			if f.reps[1].alive.Load() {
+				t.Fatal("severed rank's replica still marked alive")
+			}
+			live := f.liveIDs()
+			if len(live) != 1 || live[0] != 0 {
+				t.Fatalf("live = %v, want [0]", live)
+			}
+			if f.WeightDrift() != 0 || f.PDrift() != 0 {
+				t.Fatalf("drift gauges %g/%g after recovery, want exactly 0", f.WeightDrift(), f.PDrift())
+			}
+			assertPSPD(t, f)
 
-	// The fleet keeps training on the survivor, and a revived replica
-	// catches up bitwise.
-	f.loop.Step()
-	f.reps[2].alive.Store(true)
-	src := f.reps[0]
-	modelBytes, err := encodeModel(src.model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.reps[2].restoreShared(modelBytes, src.opt.Checkpoint()); err != nil {
-		t.Fatal(err)
-	}
-	f.loop.Step()
-	assertBitwiseConsistent(t, f)
+			// The fleet keeps training on the survivor, and a revived replica
+			// catches up bitwise.
+			f.loop.Step()
+			f.reps[2].alive.Store(true)
+			if err := f.catchUp(0, []int{2}); err != nil {
+				t.Fatal(err)
+			}
+			f.loop.Step()
+			assertBitwiseConsistent(t, f)
 
-	st := f.FleetStats()
-	if st.Transport.PeerFailures < 1 {
-		t.Fatalf("PeerFailures = %d after a sever, want >= 1 (%+v)",
-			st.Transport.PeerFailures, st.Transport)
+			st := f.FleetStats()
+			if st.Transport.PeerFailures < 1 {
+				t.Fatalf("PeerFailures = %d after a sever, want >= 1 (%+v)",
+					st.Transport.PeerFailures, st.Transport)
+			}
+			if st.Transport.BytesSent == 0 {
+				t.Fatal("no measured transport bytes accumulated")
+			}
+			f.retireRing()
+		})
 	}
-	if st.Transport.BytesSent == 0 {
-		t.Fatal("no measured transport bytes accumulated")
-	}
-	f.retireRing()
 }
