@@ -86,40 +86,29 @@ race-guard:
 
 # The TCP ring transport runs four goroutines per endpoint (accept, read,
 # heartbeat, plus the caller) against shared connection state, reconnect
-# and abort paths.  Soak the wire protocol and the chan-vs-TCP bitwise
-# equivalence sweeps under the race detector.
+# and abort paths.  Soak the wire protocol, the chan-vs-TCP bitwise
+# equivalence sweeps and the two-process TCP ring under the race detector.
 race-transport:
 	$(GO) test -race -timeout 20m -count=1 ./internal/cluster/tcptransport
 	$(GO) test -race -timeout 20m -count=1 -run 'TCP|ChanVsTCP|Transport|Sever|Reconnect' \
 		./internal/cluster ./internal/fleet
 
-# End-to-end smoke of cmd/serve: boot a trainer+server on a random port,
-# stream MD frames at it, require training steps and a checkpoint, shut
-# down gracefully and prove the checkpoint resumes λ and P bitwise.  The
-# second run repeats the loop on a 3-replica fleet, adding the zero-drift
-# invariant, a replica kill (predict availability must survive) and a
-# checkpoint-catch-up rejoin.  The -pshard runs repeat the fleet loop with
-# the covariance sharded across the ranks (chan and TCP transports),
-# checking the ~1/R resident-P split and the exchange trace span.  The
-# -chaos runs poison the weights mid-run and require the guard to roll the
-# trainer (and the whole fleet) back to the newest checkpoint-ring
-# generation automatically, with predictions answering throughout.
+# End-to-end test of cmd/serve under the race detector: the test binary
+# re-runs itself as the command, once per backend (trainer, 3-replica
+# fleet, sharded fleet over TCP), boots with the MD client, trains to a
+# periodic checkpoint, drains on SIGTERM, resumes through -resume at the
+# same step and λ, and resumes again past a corrupted newest checkpoint
+# generation, which must be quarantined.
 serve-smoke:
-	$(GO) run ./cmd/serve -smoke
-	$(GO) run ./cmd/serve -smoke -chaos
-	$(GO) run ./cmd/serve -smoke -replicas 3
-	$(GO) run ./cmd/serve -smoke -replicas 3 -chaos
-	$(GO) run ./cmd/serve -smoke -replicas 3 -transport tcp
-	$(GO) run ./cmd/serve -smoke -replicas 3 -pshard
-	$(GO) run ./cmd/serve -smoke -replicas 3 -pshard -transport tcp
-	$(GO) run ./cmd/serve -smoke -autoscale
-	$(GO) run ./cmd/serve -smoke-transport
+	$(GO) test -race -count=1 ./cmd/serve
 
 # Short fuzz pass over the kernels whose parallel==serial bitwise contract
 # the pipeline relies on, plus the checkpoint loaders that read untrusted
-# files (go test runs one fuzz target per invocation).  The loader target's
-# seeds are whole ~20 kB checkpoints: minimizing every new input byte by
-# byte would eat the whole budget, so it keeps inputs as found.
+# files and the HTTP API's two JSON request decoders, whose accepted inputs
+# must build a neighbour environment in bounded time (go test runs one
+# fuzz target per invocation).  The loader target's seeds are whole ~20 kB
+# checkpoints: minimizing every new input byte by byte would eat the whole
+# budget, so it keeps inputs as found.
 fuzz:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGEMMParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzPUpdateFusedParallelMatchesSerial$$' -fuzztime 5s
@@ -127,6 +116,8 @@ fuzz:
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime 5s
 	$(GO) test ./internal/pshard -run '^$$' -fuzz '^FuzzBlockPartition$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 5s -fuzzminimizetime 1x
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzFramesRequest$$' -fuzztime 5s
 
 # Host-parallelism speedup curve (Kalman block update, GEMM family, the
 # pipelined FEKF iteration).

@@ -5,8 +5,14 @@
 package cluster_test
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,6 +153,91 @@ func TestRankStepBitwiseChanVsTCP(t *testing.T) {
 			t.Fatalf("weight %d: chan %x != tcp %x — transports not bitwise equivalent",
 				i, chanW[i], tcpW[i])
 		}
+	}
+}
+
+// ringPeerEnv carries rank 0's listen address to the rank-1 process of
+// TestAllreduceBitwiseAcrossProcessesTCP.
+const ringPeerEnv = "CLUSTER_TEST_RING_PEER"
+
+// processRing runs one rank's share of six seeded 512-element allreduces
+// over a 2-rank TCP ring, cutting its outgoing connection before round
+// cutAt (< 0: never), and returns a checksum of the reduced vectors.
+func processRing(t *testing.T, ep *tcptransport.Endpoint, rank, cutAt int) uint64 {
+	ring := cluster.NewRingOver(ep, cluster.RoCE25())
+	defer ring.Close()
+	data := make([]float64, 512)
+	var sum uint64
+	for round := 0; round < 6; round++ {
+		rng := rand.New(rand.NewSource(int64(rank + 977*round)))
+		for i := range data {
+			data[i] = rng.NormFloat64()
+		}
+		if round == cutAt {
+			ep.CutConn(rank)
+		}
+		if err := ring.Allreduce(rank, data); err != nil {
+			t.Fatalf("rank %d round %d: %v", rank, round, err)
+		}
+		for _, v := range data {
+			sum = sum*1099511628211 + math.Float64bits(v)
+		}
+	}
+	return sum
+}
+
+// The wire is bitwise transparent between OS processes: this test binary
+// re-runs itself as rank 1, and both ranks must fold the same reduced
+// vectors to the same checksum, across a mid-run connection cut on rank 0.
+func TestAllreduceBitwiseAcrossProcessesTCP(t *testing.T) {
+	if peer := os.Getenv(ringPeerEnv); peer != "" {
+		ln, err := tcptransport.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("RING_ADDR %s\n", ln.Addr())
+		ep := tcptransport.NewEndpoint(1, 2, ln, peer, tcptransport.Options{RingID: t.Name()})
+		fmt.Printf("RING_SUM %016x\n", processRing(t, ep, 1, -1))
+		return
+	}
+	ln, err := tcptransport.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
+	cmd.Env = append(os.Environ(), ringPeerEnv+"="+ln.Addr().String())
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	sc := bufio.NewScanner(out)
+	next := func(prefix string) string {
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), prefix); ok {
+				return v
+			}
+		}
+		t.Fatalf("rank 1 never printed %q: %v", prefix, sc.Err())
+		return ""
+	}
+	ep := tcptransport.NewEndpoint(0, 2, ln, next("RING_ADDR "), tcptransport.Options{RingID: t.Name()})
+	sum0 := fmt.Sprintf("%016x", processRing(t, ep, 0, 3))
+	sum1 := next("RING_SUM ")
+	for sc.Scan() {
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("rank 1 process: %v", err)
+	}
+	if sum0 != sum1 {
+		t.Fatalf("checksums differ across processes: %s vs %s", sum0, sum1)
+	}
+	if st := ep.Stats(); st.BytesSent == 0 || st.Reconnects < 1 {
+		t.Fatalf("want measured bytes and a reconnect after the cut: %+v", st)
 	}
 }
 

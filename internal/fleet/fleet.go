@@ -157,6 +157,7 @@ type Fleet struct {
 	cfg     Config
 	system  string
 	species []md.Species
+	cutoff  float64 // the model's Rc, which bounds every frame's box
 	naPer   atomic.Int64
 
 	reps   []*replica
@@ -237,6 +238,7 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 		cfg:     cfg,
 		system:  proto.System,
 		species: proto.Species,
+		cutoff:  m.Cfg.Rc,
 		clock:   cfg.Clock,
 	}
 	// With autoscaling, every slot the controller may ever grow into is
@@ -313,6 +315,10 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 // Species returns the species table frames and predictions must use.
 func (f *Fleet) Species() []md.Species { return f.species }
 
+// Cutoff returns the model's neighbour cutoff, which bounds every frame's
+// box.
+func (f *Fleet) Cutoff() float64 { return f.cutoff }
+
 // System returns the physical system name.
 func (f *Fleet) System() string { return f.system }
 
@@ -344,7 +350,7 @@ func (f *Fleet) liveIDs() []int {
 // and reports whether it was accepted (false without error means dropped
 // by queue policy).  Safe from any goroutine.
 func (f *Fleet) Ingest(s dataset.Snapshot) (bool, error) {
-	if err := online.ValidateFrame(&s, f.species, int(f.naPer.Load())); err != nil {
+	if err := online.ValidateFrame(&s, f.species, f.cutoff, int(f.naPer.Load())); err != nil {
 		return false, err
 	}
 	f.naPer.CompareAndSwap(0, int64(s.NumAtoms()))

@@ -1,6 +1,9 @@
 package md
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Neighbor is one entry of an atom's neighbor list: the neighbor's index,
 // the displacement vector from the central atom to it (including the
@@ -117,6 +120,33 @@ func BuildNeighborsImages(s *System, cutoff float64) *NeighborList {
 		}
 	}
 	return nl
+}
+
+// MaxNeighborWork bounds the neighbour scan one configuration may ask
+// BuildNeighbors for, both as linked cells allocated and as explicit-image
+// pair distances tested.  The paper-scale cells of Systems (at most 108
+// atoms) need under 8% of it.
+const MaxNeighborWork = 1 << 22
+
+// CheckBox reports whether BuildNeighbors can build the neighbour list of n
+// atoms in box at cutoff within MaxNeighborWork: every edge must be
+// positive and finite, and both the cell grid Π⌊L/rc⌋ and the image scan
+// N²·Π(2⌈rc/L⌉+1) must stay under the bound.  Untrusted configurations are
+// checked with it before any neighbour list is built.
+func CheckBox(box [3]float64, cutoff float64, n int) error {
+	cells, pairs := 1.0, float64(n)*float64(n)
+	for d, l := range box {
+		if !(l > 0) || math.IsInf(l, 1) {
+			return fmt.Errorf("box dimension %d is %g", d, l)
+		}
+		cells *= math.Floor(l / cutoff)
+		pairs *= 2*math.Ceil(cutoff/l) + 1
+	}
+	if cells > MaxNeighborWork || pairs > MaxNeighborWork {
+		return fmt.Errorf("box %v at cutoff %g Å with %d atoms needs %.3g cells and %.3g image pairs, bound %d",
+			box, cutoff, n, cells, pairs, MaxNeighborWork)
+	}
+	return nil
 }
 
 // BuildNeighbors builds the neighbor list with a linked-cell decomposition,

@@ -115,6 +115,7 @@ type Trainer struct {
 	stepper train.Stepper
 	system  string
 	species []md.Species
+	cutoff  float64      // the model's Rc, which bounds every frame's box
 	naPer   atomic.Int64 // per-frame atom count, fixed by the first frame
 
 	lane *Lane
@@ -157,6 +158,7 @@ func NewTrainer(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg
 		stepper: train.OptStepper{M: m, Opt: opt},
 		system:  proto.System,
 		species: proto.Species,
+		cutoff:  m.Cfg.Rc,
 		lane: NewLane(proto.System, proto.Species, NewQueue(cfg.QueueSize, cfg.QueuePolicy),
 			NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed), cfg.Gate),
 	}
@@ -194,6 +196,10 @@ func NewTrainer(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg
 // Species returns the species table frames and predictions must use.
 func (t *Trainer) Species() []md.Species { return t.species }
 
+// Cutoff returns the model's neighbour cutoff, which bounds every frame's
+// box.
+func (t *Trainer) Cutoff() float64 { return t.cutoff }
+
 // System returns the physical system name.
 func (t *Trainer) System() string { return t.system }
 
@@ -201,20 +207,18 @@ func (t *Trainer) System() string { return t.system }
 // 0 before the first frame fixes it.
 func (t *Trainer) NumAtoms() int { return int(t.naPer.Load()) }
 
-// Config returns the model configuration (for request validation).
-func (t *Trainer) Config() deepmd.Config { return t.model.Cfg }
-
 // ValidateFrame checks a frame's structure against the trainer's system:
 // consistent atom count, coordinate/force lengths, species range and box.
 func (t *Trainer) ValidateFrame(s *dataset.Snapshot) error {
-	return ValidateFrame(s, t.species, int(t.naPer.Load()))
+	return ValidateFrame(s, t.species, t.cutoff, int(t.naPer.Load()))
 }
 
 // ValidateFrame checks a streamed frame's structure against a species table
 // and an expected per-frame atom count (0 accepts any count — the first
-// frame then fixes it).  Shared by the single trainer and the fleet's
-// sharded ingest.
-func ValidateFrame(s *dataset.Snapshot, species []md.Species, wantAtoms int) error {
+// frame then fixes it), and that its box keeps the neighbour scan at the
+// model cutoff bounded (md.CheckBox).  Shared by the single trainer and
+// the fleet's sharded ingest.
+func ValidateFrame(s *dataset.Snapshot, species []md.Species, cutoff float64, wantAtoms int) error {
 	na := s.NumAtoms()
 	if na == 0 {
 		return fmt.Errorf("online: frame has no atoms")
@@ -233,10 +237,8 @@ func ValidateFrame(s *dataset.Snapshot, species []md.Species, wantAtoms int) err
 			return fmt.Errorf("online: atom %d has species %d, table holds %d", i, ty, len(species))
 		}
 	}
-	for d, b := range s.Box {
-		if !(b > 0) {
-			return fmt.Errorf("online: box dimension %d is %g", d, b)
-		}
+	if err := md.CheckBox(s.Box, cutoff, na); err != nil {
+		return fmt.Errorf("online: %w", err)
 	}
 	return nil
 }

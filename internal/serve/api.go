@@ -10,6 +10,7 @@ import (
 	"fekf/internal/dataset"
 	"fekf/internal/fleet"
 	"fekf/internal/guard"
+	"fekf/internal/md"
 	"fekf/internal/online"
 )
 
@@ -54,20 +55,21 @@ type PredictRequest struct {
 	Types []int      `json:"types"`
 }
 
-// Validate checks structural consistency of a prediction request.
-func (r *PredictRequest) Validate() error {
+// System validates the request against the backend's species table and
+// model cutoff — its box must keep the neighbour scan bounded
+// (md.CheckBox) — and returns it as an MD configuration.
+func (r *PredictRequest) System(species []md.Species, cutoff float64) (*md.System, error) {
+	sys := &md.System{Box: r.Box, Pos: r.Pos, Types: r.Types, Species: species}
 	if len(r.Types) == 0 {
-		return fmt.Errorf("no atoms")
+		return nil, fmt.Errorf("no atoms")
 	}
-	if len(r.Pos) != 3*len(r.Types) {
-		return fmt.Errorf("%d coordinates for %d atoms", len(r.Pos), len(r.Types))
+	if err := sys.Validate(); err != nil {
+		return nil, err
 	}
-	for d, b := range r.Box {
-		if !(b > 0) {
-			return fmt.Errorf("box dimension %d is %g", d, b)
-		}
+	if err := md.CheckBox(r.Box, cutoff, len(r.Types)); err != nil {
+		return nil, err
 	}
-	return nil
+	return sys, nil
 }
 
 // PredictResponse carries the model prediction and its provenance.

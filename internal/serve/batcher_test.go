@@ -9,7 +9,6 @@ import (
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
-	"fekf/internal/device"
 	"fekf/internal/md"
 	"fekf/internal/online"
 )
@@ -18,22 +17,7 @@ import (
 // to predict on.
 func batcherSetup(t *testing.T, maxBatch int, window time.Duration, workers int) (*Batcher, *dataset.Dataset, *deepmd.Model) {
 	t.Helper()
-	ds, err := dataset.Generate("Cu", dataset.GenOptions{
-		Snapshots: 4, SampleEvery: 4, EquilSteps: 25, Tiny: true, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := deepmd.SnapshotSystem(ds, &ds.Snapshots[0])
-	m, err := deepmd.NewModel(deepmd.TinyConfig(sys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Level = deepmd.OptAll
-	m.Dev = device.New("batcher-test", device.A100())
-	if err := m.InitFromDataset(ds); err != nil {
-		t.Fatal(err)
-	}
+	ds, m, _ := tinyCu(t)
 	snap := &online.ModelSnapshot{Model: m, Step: 7, Published: time.Now()}
 	b := NewBatcher(func() *online.ModelSnapshot { return snap }, maxBatch, window, workers)
 	t.Cleanup(b.Stop)
@@ -129,12 +113,7 @@ func TestBatcherStopAndContext(t *testing.T) {
 func TestBatcherNoSnapshot(t *testing.T) {
 	b := NewBatcher(func() *online.ModelSnapshot { return nil }, 4, time.Millisecond, 1)
 	defer b.Stop()
-	ds, err := dataset.Generate("Cu", dataset.GenOptions{
-		Snapshots: 1, SampleEvery: 4, EquilSteps: 25, Tiny: true, Seed: 22,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, _, _ := tinyCu(t)
 	if _, err := b.Predict(context.Background(), snapSystem(ds, 0)); err == nil {
 		t.Fatal("predict without a snapshot must error")
 	}

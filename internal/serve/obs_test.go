@@ -1,13 +1,15 @@
 package serve
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"fekf/internal/fleet"
 	"fekf/internal/obs"
 	"fekf/internal/online"
 )
@@ -76,16 +78,8 @@ func TestServerObservability(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(base + "/v1/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var tresp obs.TraceResponse
-	err = json.NewDecoder(resp.Body).Decode(&tresp)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace: %d %v", resp.StatusCode, err)
-	}
+	getJSON(t, base+"/v1/trace", &tresp)
 	if tresp.Capacity != 32 || len(tresp.Steps) == 0 {
 		t.Fatalf("trace capacity %d, %d steps — want 32 and >0", tresp.Capacity, len(tresp.Steps))
 	}
@@ -127,5 +121,89 @@ func TestServerNoMetricsConfigured(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d, want 200", resp.StatusCode)
+	}
+}
+
+// expandBraces expands every {a,b} group of a documented metric name.
+func expandBraces(s string) []string {
+	i := strings.IndexByte(s, '{')
+	if i < 0 {
+		return []string{s}
+	}
+	j := i + strings.IndexByte(s[i:], '}')
+	var out []string
+	for _, alt := range strings.Split(s[i+1:j], ",") {
+		out = append(out, expandBraces(s[:i]+alt+s[j+1:])...)
+	}
+	return out
+}
+
+// README.md's metric table and the live registries agree: every documented
+// family is exposed with its documented kind by a trainer-backed or a
+// fleet-backed (sharded P, autoscaling) server, and every exposed family is
+// documented.
+func TestREADMEMetricTableMatchesRegistry(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(readme), "Metric families")
+	docs := map[string]string{} // anchored name pattern → kind
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			if len(docs) > 0 {
+				break
+			}
+			continue
+		}
+		cols := strings.Split(line, "|")
+		kinds := strings.Split(cols[2], ",")
+		for i, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(cols[1], -1) {
+			for _, name := range expandBraces(m[1]) {
+				docs["^fekf_"+strings.ReplaceAll(name, "*", "[a-z_]+")+"$"] = strings.TrimSpace(kinds[min(i, len(kinds)-1)])
+			}
+		}
+	}
+
+	exposed := map[string]string{} // family → kind, from the # TYPE lines
+	scrape := func(srv *Server) {
+		for _, line := range strings.Split(getBody(t, "http://"+srv.Addr()+"/metrics"), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+				exposed[f[2]] = f[3]
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	_, _, srv := serveSetup(t, online.TrainerConfig{Seed: 5, Metrics: online.NewMetrics(reg)}, Config{Metrics: reg})
+	scrape(srv)
+	reg = obs.NewRegistry()
+	_, _, srv = fleetSetup(t, fleet.Config{Replicas: 2, PShard: true, Seed: 5, Metrics: fleet.NewMetrics(reg),
+		Autoscale: fleet.AutoscaleConfig{Enabled: true, Min: 2, Max: 3}}, Config{Metrics: reg})
+	scrape(srv)
+
+	documented := map[string]bool{}
+	for pat, kind := range docs {
+		rx := regexp.MustCompile(pat)
+		n := 0
+		for name, k := range exposed {
+			if rx.MatchString(name) {
+				n++
+				documented[name] = true
+				if k != kind {
+					t.Errorf("%s is a %s, README says %s", name, k, kind)
+				}
+			}
+		}
+		if n == 0 {
+			t.Errorf("README documents %s, which no server exposes", pat)
+		}
+	}
+	for name := range exposed {
+		if !documented[name] {
+			t.Errorf("%s is exposed but missing from README's metric table", name)
+		}
+	}
+	if len(exposed) < 50 {
+		t.Fatalf("scraped only %d families", len(exposed))
 	}
 }

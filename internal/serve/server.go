@@ -29,6 +29,9 @@ type Backend interface {
 	Snapshot() *online.ModelSnapshot
 	// Species returns the species table requests must use.
 	Species() []md.Species
+	// Cutoff returns the model's neighbour cutoff (Å), which bounds every
+	// request's box (md.CheckBox).
+	Cutoff() float64
 	// Stats returns the aggregated trainer-stats view.
 	Stats() online.Stats
 	// Stop shuts the backend down gracefully.
@@ -279,18 +282,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	if err := req.Validate(); err != nil {
+	sys, err := req.System(s.be.Species(), s.be.Cutoff())
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	species := s.be.Species()
-	for i, ty := range req.Types {
-		if ty < 0 || ty >= len(species) {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("atom %d has species %d, table holds %d", i, ty, len(species)))
-			return
-		}
-	}
-	sys := &md.System{Box: req.Box, Pos: req.Pos, Types: req.Types, Species: species}
 	res, err := s.bat.Predict(r.Context(), sys)
 	if err != nil {
 		status := http.StatusInternalServerError

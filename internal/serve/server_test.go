@@ -26,9 +26,9 @@ import (
 	"fekf/internal/optimize"
 )
 
-// serveSetup builds a started trainer + server pair bound to a random port
-// and returns the dataset feeding it.  The server is shut down at cleanup.
-func serveSetup(t *testing.T, tcfg online.TrainerConfig, scfg Config) (*dataset.Dataset, *online.Trainer, *Server) {
+// tinyCu generates the tiny Cu dataset and an initialized model with a
+// paper-default FEKF for it.
+func tinyCu(t testing.TB) (*dataset.Dataset, *deepmd.Model, *optimize.FEKF) {
 	t.Helper()
 	ds, err := dataset.Generate("Cu", dataset.GenOptions{
 		Snapshots: 16, SampleEvery: 4, EquilSteps: 25, Tiny: true, Seed: 13,
@@ -48,21 +48,90 @@ func serveSetup(t *testing.T, tcfg online.TrainerConfig, scfg Config) (*dataset.
 	}
 	opt := optimize.NewFEKF()
 	opt.KCfg = opt.KCfg.WithOpt3()
-	tr, err := online.NewTrainer(m, opt, ds, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Start()
-	srv := New(tr, scfg)
+	return ds, m, opt
+}
+
+// startServer starts be behind a server bound to a random port; the server
+// (and with it the backend) is shut down at cleanup.
+func startServer(t *testing.T, be interface {
+	Backend
+	Start()
+}, scfg Config) *Server {
+	t.Helper()
+	be.Start()
+	srv := New(be, scfg)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return ds, tr, srv
+	return srv
+}
+
+// serveSetup builds a started trainer + server pair bound to a random port
+// and returns the dataset feeding it.  The server is shut down at cleanup.
+func serveSetup(t *testing.T, tcfg online.TrainerConfig, scfg Config) (*dataset.Dataset, *online.Trainer, *Server) {
+	t.Helper()
+	ds, m, opt := tinyCu(t)
+	tr, err := online.NewTrainer(m, opt, ds, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, tr, startServer(t, tr, scfg)
+}
+
+// fleetSetup is serveSetup for a fleet backend.
+func fleetSetup(t *testing.T, fcfg fleet.Config, scfg Config) (*dataset.Dataset, *fleet.Fleet, *Server) {
+	t.Helper()
+	ds, m, opt := tinyCu(t)
+	fl, err := fleet.New(m, opt, ds, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, fl, startServer(t, fl, scfg)
+}
+
+// getJSON GETs url and decodes the body of its 200 answer into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(getBody(t, url)), v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitStats polls /v1/stats until done holds and returns that answer.
+func waitStats(t *testing.T, base string, timeout time.Duration, done func(StatsResponse) bool) StatsResponse {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		var st StatsResponse
+		getJSON(t, base+"/v1/stats", &st)
+		if done(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/v1/stats never reached the awaited state: %+v (fleet %+v)", st.Stats, st.Fleet)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// getBody GETs url and returns the body of its 200 answer.
+func getBody(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d %v", url, resp.StatusCode, err)
+	}
+	return string(body)
 }
 
 func postJSON(t *testing.T, url string, body, out any) (int, error) {
@@ -95,17 +164,10 @@ func TestServerEndpoints(t *testing.T) {
 	base := "http://" + srv.Addr()
 
 	// healthz
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var health HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || health.Status != "ok" || health.System != "Cu" {
-		t.Fatalf("healthz: %d %+v", resp.StatusCode, health)
+	getJSON(t, base+"/healthz", &health)
+	if health.Status != "ok" || health.System != "Cu" {
+		t.Fatalf("healthz: %+v", health)
 	}
 
 	// frames ingest
@@ -158,15 +220,8 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// stats reflect the traffic
-	resp, err = http.Get(base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stats StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, base+"/v1/stats", &stats)
 	if stats.FrameRequests < 1 || stats.PredictRequests < 1 || stats.FramesQueued < 6 {
 		t.Fatalf("stats do not reflect traffic: %+v", stats)
 	}
@@ -286,25 +341,9 @@ func TestStatsReplayAndGateFields(t *testing.T) {
 	}
 
 	// wait for the trainer loop to drain the queue through the gate
-	deadline := time.Now().Add(30 * time.Second)
-	var stats StatsResponse
-	for {
-		resp, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if stats.FramesAccepted >= 6 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("frames never drained: %+v", stats.Stats)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	stats := waitStats(t, base, 30*time.Second, func(st StatsResponse) bool {
+		return st.FramesAccepted >= 6
+	})
 	if stats.ReplayCapacity != 16 {
 		t.Fatalf("replay capacity %d, want 16 (window 8 + reservoir 8)", stats.ReplayCapacity)
 	}
@@ -319,15 +358,8 @@ func TestStatsReplayAndGateFields(t *testing.T) {
 		t.Fatalf("gate accept rate %v with the gate disabled, want 1", stats.GateAcceptRate)
 	}
 	// raw JSON carries the new field names
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var raw map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, base+"/v1/stats", &raw)
 	for _, key := range []string{"replay_occupancy", "replay_capacity", "replay_window_len", "replay_reservoir_len", "gate_accept_rate", "p_resident_bytes"} {
 		if _, ok := raw[key]; !ok {
 			t.Fatalf("/v1/stats JSON missing %q", key)
@@ -342,45 +374,14 @@ func TestStatsReplayAndGateFields(t *testing.T) {
 // replicas, predictions ride the snapshot router, and /v1/stats grows the
 // per-replica fleet section.
 func TestServerFleetBackend(t *testing.T) {
-	ds, err := dataset.Generate("Cu", dataset.GenOptions{
-		Snapshots: 16, SampleEvery: 4, EquilSteps: 25, Tiny: true, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := deepmd.SnapshotSystem(ds, &ds.Snapshots[0])
-	m, err := deepmd.NewModel(deepmd.TinyConfig(sys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Level = deepmd.OptAll
-	m.Dev = device.New("serve-fleet-test", device.A100())
-	if err := m.InitFromDataset(ds); err != nil {
-		t.Fatal(err)
-	}
-	opt := optimize.NewFEKF()
-	opt.KCfg = opt.KCfg.WithOpt3()
-	fl, err := fleet.New(m, opt, ds, fleet.Config{
+	ds, _, srv := fleetSetup(t, fleet.Config{
 		Replicas: 3, BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
 		Gate: online.GateConfig{Enabled: false}, Transport: "tcp",
 		// Autoscaling enabled but held at the band floor (the trickle of 9
 		// frames into 256-slot queues never nears the scale-up edge), so
 		// the stats row is exercised without membership churn.
 		Autoscale: fleet.AutoscaleConfig{Enabled: true, Min: 3, Max: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl.Start()
-	srv := New(fl, Config{})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
+	}, Config{})
 	base := "http://" + srv.Addr()
 
 	req := FramesRequest{}
@@ -405,25 +406,9 @@ func TestServerFleetBackend(t *testing.T) {
 		t.Fatal("fleet predict returned an incomplete response")
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	var stats StatsResponse
-	for {
-		resp, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if stats.Steps >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet made no progress: %+v", stats.Stats)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	stats := waitStats(t, base, 60*time.Second, func(st StatsResponse) bool {
+		return st.Steps >= 1
+	})
 	if stats.Fleet == nil {
 		t.Fatal("/v1/stats has no fleet section for a fleet backend")
 	}
@@ -480,42 +465,10 @@ func TestServerFleetBackend(t *testing.T) {
 // row (partition geometry, per-rank resident P bytes, exchange traffic) and
 // /metrics exports the per-rank gauges.
 func TestServerPShardBackend(t *testing.T) {
-	ds, err := dataset.Generate("Cu", dataset.GenOptions{
-		Snapshots: 16, SampleEvery: 4, EquilSteps: 25, Tiny: true, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := deepmd.SnapshotSystem(ds, &ds.Snapshots[0])
-	m, err := deepmd.NewModel(deepmd.TinyConfig(sys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Level = deepmd.OptAll
-	m.Dev = device.New("serve-pshard-test", device.A100())
-	if err := m.InitFromDataset(ds); err != nil {
-		t.Fatal(err)
-	}
-	opt := optimize.NewFEKF()
-	opt.KCfg = opt.KCfg.WithOpt3()
-	reg := obs.NewRegistry()
-	fl, err := fleet.New(m, opt, ds, fleet.Config{
+	ds, _, srv := fleetSetup(t, fleet.Config{
 		Replicas: 3, BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
 		PShard: true, Gate: online.GateConfig{Enabled: false},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl.Start()
-	srv := New(fl, Config{Metrics: reg})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
+	}, Config{Metrics: obs.NewRegistry()})
 	base := "http://" + srv.Addr()
 
 	req := FramesRequest{}
@@ -527,25 +480,9 @@ func TestServerPShardBackend(t *testing.T) {
 		t.Fatalf("frames: %d %v", code, err)
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	var stats StatsResponse
-	for {
-		resp, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if stats.Steps >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sharded fleet made no progress: %+v", stats.Stats)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	stats := waitStats(t, base, 60*time.Second, func(st StatsResponse) bool {
+		return st.Steps >= 1
+	})
 	if stats.Fleet == nil || stats.Fleet.PShard == nil {
 		t.Fatalf("/v1/stats has no pshard row for a sharded fleet: %+v", stats.Fleet)
 	}
@@ -576,15 +513,8 @@ func TestServerPShardBackend(t *testing.T) {
 		t.Fatalf("sharded drift over HTTP: %g / %g", stats.Fleet.WeightDrift, stats.Fleet.PDrift)
 	}
 	// Raw JSON carries the documented pshard field names.
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var raw map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, base+"/v1/stats", &raw)
 	fl_, ok := raw["fleet"].(map[string]any)
 	if !ok {
 		t.Fatal("raw stats JSON has no fleet section")
@@ -601,16 +531,7 @@ func TestServerPShardBackend(t *testing.T) {
 	}
 
 	// /metrics exports the per-rank gauges with non-zero values.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d %v", resp.StatusCode, err)
-	}
-	out := string(body)
+	out := getBody(t, base+"/metrics")
 	for _, want := range []string{
 		`fekf_p_resident_bytes{rank="0"}`,
 		`fekf_p_resident_bytes{rank="2"}`,
@@ -713,16 +634,7 @@ func TestServerGuardDegradedHealthz(t *testing.T) {
 	}
 
 	// The guard ledger is on /metrics as scrape-time func metrics.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d %v", resp.StatusCode, err)
-	}
-	out := string(body)
+	out := getBody(t, base+"/metrics")
 	for _, want := range []string{
 		"# TYPE fekf_guard_divergence_total counter",
 		"# TYPE fekf_guard_rollback_total counter",
@@ -782,40 +694,14 @@ func TestServerGuardRollbackMetrics(t *testing.T) {
 		t.Fatalf("frames: %d %v", code, err)
 	}
 
-	deadline := time.Now().Add(60 * time.Second)
-	var stats StatsResponse
-	for {
-		resp, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&stats)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Guard != nil && stats.Guard.Rollbacks >= 1 && stats.Steps >= 6 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trainer never rolled back and recovered: %+v", stats.Guard)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	stats := waitStats(t, base, 60*time.Second, func(st StatsResponse) bool {
+		return st.Guard != nil && st.Guard.Rollbacks >= 1 && st.Steps >= 6
+	})
 	if stats.Guard.Divergences != 1 || stats.Guard.RollbackGeneration == 0 {
 		t.Fatalf("guard ledger after recovery: %+v", stats.Guard)
 	}
 
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d %v", resp.StatusCode, err)
-	}
-	out := string(body)
+	out := getBody(t, base+"/metrics")
 	if v := metricValue(t, out, "fekf_guard_rollback_total"); v != 1 {
 		t.Errorf("fekf_guard_rollback_total = %g, want 1", v)
 	}
