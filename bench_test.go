@@ -356,7 +356,7 @@ var benchWorkerCounts = []int{1, 2, 4, 8}
 // BenchmarkKalmanBlockUpdate measures the full blocked Kalman measurement
 // update (P·g, gain, fused P update, weight increment over four
 // 1024-parameter blocks) across pool worker counts.  The blocks are
-// independent, so the per-block loop and the row/stripe-sharded kernels
+// independent, so the per-block loop and the row-sharded kernels
 // scale with host cores while staying bitwise identical to workers1.
 func BenchmarkKalmanBlockUpdate(b *testing.B) {
 	const nParams = 4096
@@ -410,21 +410,24 @@ func BenchmarkFEKFPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkKalmanPUpdateFused measures the striped single-pass P-update
-// kernel alone at the paper-scale block edge.
+// BenchmarkKalmanPUpdateFused measures the row-walk single-pass P-update
+// kernel alone at the tiny-Cu block edge (n = 1249, the P block perfbench's
+// fleet_repl and serve_mixed drain, reported there as optimize.drain_ms)
+// and at the paper-scale block edge (n = 2048).
 func BenchmarkKalmanPUpdateFused(b *testing.B) {
-	const n = 2048
-	rng := rand.New(rand.NewSource(37))
-	k := tensor.RandNormal(n, 1, 1, rng)
-	for _, w := range benchWorkerCounts {
-		b.Run(byWorkers(w), func(b *testing.B) {
-			setBenchWorkers(b, w)
-			p := tensor.Eye(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.PUpdateFused(p, k, 1.2, 0.98)
-			}
-		})
+	for _, n := range []int{1249, 2048} {
+		rng := rand.New(rand.NewSource(37))
+		k := tensor.RandNormal(n, 1, 1, rng)
+		for _, w := range benchWorkerCounts {
+			b.Run("n"+itoa(n)+"/"+byWorkers(w), func(b *testing.B) {
+				setBenchWorkers(b, w)
+				p := tensor.Eye(n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tensor.PUpdateFused(p, k, 1.2, 0.98)
+				}
+			})
+		}
 	}
 }
 

@@ -109,10 +109,17 @@ func (f *Fleet) WriteCheckpoint(path string) error { return f.loop.WriteCheckpoi
 // bitwise, replicated or sharded as the checkpoint was), plus its own
 // replay buffer with the sampling RNG at the checkpointed position, gate
 // and counters.  The replica count, shard policy and covariance placement
-// come from the checkpoint; cfg supplies the runtime knobs.
+// come from the checkpoint; cfg supplies the runtime knobs.  A covariance
+// that is not bitwise symmetric is rejected (optimize.RestoreKalmanState,
+// pshard.Checkpoint.Validate).
 func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	if len(ck.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: checkpoint has no replicas")
+	}
+	if ck.PCk != nil {
+		if err := ck.PCk.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	m, opt, err := online.RestoreModel(ck.Model, ck.Opt, nil)
 	if err != nil {

@@ -2,21 +2,47 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"fekf/internal/guard"
 	"fekf/internal/online"
+	"fekf/internal/optimize"
+	"fekf/internal/pshard"
 )
 
 // loadAll runs every shared checkpoint loader over path, for both the
-// trainer and the fleet checkpoint type, and returns their errors.
+// trainer and the fleet checkpoint type, followed by the covariance checks
+// restore applies to what they decoded, and returns their errors.
 func loadAll(path string) []error {
-	_, errT := guard.Load[online.Checkpoint](path)
-	_, errF := guard.Load[Checkpoint](path)
+	ckT, errT := guard.Load[online.Checkpoint](path)
+	if errT == nil {
+		errT = validateCovariance(ckT.Opt, nil)
+	}
+	ckF, errF := guard.Load[Checkpoint](path)
+	if errF == nil {
+		errF = validateCovariance(ckF.Opt, ckF.PCk)
+	}
 	return []error{errT, errF}
+}
+
+// validateCovariance runs the symmetry and shape checks of
+// optimize.RestoreKalmanState and Resume on a decoded covariance.
+func validateCovariance(opt *optimize.FEKFCheckpoint, pck *pshard.Checkpoint) error {
+	if opt != nil && opt.Kalman != nil {
+		if err := opt.Kalman.Validate(); err != nil {
+			return err
+		}
+	}
+	if pck != nil {
+		return pck.Validate()
+	}
+	return nil
 }
 
 func loadNewestAll(path string) []error {
@@ -25,9 +51,11 @@ func loadNewestAll(path string) []error {
 	return []error{errT, errF}
 }
 
-// fuzzSeeds writes one real trainer checkpoint and one real fleet
-// checkpoint and returns their bytes.  A 4-wide Kalman block keeps P — and
-// so each seed — around ten kilobytes, small enough to mutate quickly.
+// fuzzSeeds writes one real checkpoint of each kind — trainer, replicated
+// fleet, sharded fleet — plus a copy of each with one off-diagonal P
+// element flipped, which restore must reject, and returns their bytes.  A
+// 4-wide Kalman block keeps P — and so each seed — around ten kilobytes,
+// small enough to mutate quickly.
 func fuzzSeeds(f testing.TB) [][]byte {
 	dir := f.TempDir()
 	ds, m, opt := fleetSetup(f)
@@ -41,25 +69,49 @@ func fuzzSeeds(f testing.TB) [][]byte {
 	if err := tr.WriteCheckpoint(trainerPath); err != nil {
 		f.Fatal(err)
 	}
-	ds, m, opt = fleetSetup(f)
-	opt.KCfg.BlockSize = 4
-	fl, err := New(m, opt, ds, Config{Replicas: 2, Seed: 3})
+	seeds := [][]byte{readSeed(f, trainerPath)}
+	ckT, err := guard.Load[online.Checkpoint](trainerPath)
 	if err != nil {
 		f.Fatal(err)
 	}
-	fleetPath := filepath.Join(dir, "fleet.gob")
-	if err := fl.WriteCheckpoint(fleetPath); err != nil {
-		f.Fatal(err)
-	}
-	var seeds [][]byte
-	for _, p := range []string{trainerPath, fleetPath} {
-		b, err := os.ReadFile(p)
+	ckT.Opt.Kalman.P[0][1] = math.Nextafter(ckT.Opt.Kalman.P[0][1], math.Inf(1))
+	seeds = append(seeds, encodeSeed(f, ckT))
+
+	for i, pshard := range []bool{false, true} {
+		ds, m, opt = fleetSetup(f)
+		opt.KCfg.BlockSize = 4
+		fl, err := New(m, opt, ds, Config{Replicas: 2, Seed: 3, PShard: pshard})
 		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, b)
+		fleetPath := filepath.Join(dir, fmt.Sprintf("fleet%d.gob", i))
+		if err := fl.WriteCheckpoint(fleetPath); err != nil {
+			f.Fatal(err)
+		}
+		ckF, err := guard.Load[Checkpoint](fleetPath)
+		if err != nil {
+			f.Fatal(err)
+		}
+		flipPMirror(ckF)
+		seeds = append(seeds, readSeed(f, fleetPath), encodeSeed(f, ckF))
 	}
 	return seeds
+}
+
+func readSeed(f testing.TB, path string) []byte {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b
+}
+
+func encodeSeed(f testing.TB, ck any) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // FuzzCheckpointLoad feeds arbitrary bytes to the shared checkpoint

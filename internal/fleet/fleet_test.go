@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -293,6 +296,53 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 	}
 	if f.reps[0].opt.Lambda() != f2.reps[0].opt.Lambda() {
 		t.Fatal("λ diverged on the first post-resume step")
+	}
+}
+
+// flipPMirror breaks P's bitwise symmetry in one off-diagonal element of
+// block 0 — (0, n−1), whose mirror lies in another slab of a sharded P —
+// and returns the element's description as restore names it.
+func flipPMirror(ck *Checkpoint) string {
+	if ck.PCk != nil {
+		n := ck.PCk.Sizes[0]
+		for _, s := range ck.PCk.Shards {
+			if s.Block == 0 && s.RowLo == 0 {
+				s.Rows[n-1] = math.Nextafter(s.Rows[n-1], math.Inf(1))
+			}
+		}
+		return fmt.Sprintf("block 0 is not symmetric: P[0][%d]", n-1)
+	}
+	p := ck.Opt.Kalman.P[0]
+	p[1] = math.Nextafter(p[1], math.Inf(1))
+	return "block 0 is not symmetric: P[0][1]"
+}
+
+// Resume rejects a checkpoint whose covariance is not bitwise symmetric,
+// in both placements: the row-walk drain relies on the symmetry and would
+// carry an asymmetric P forward unchanged.
+func TestResumeRejectsAsymmetricP(t *testing.T) {
+	for _, pshard := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pshard=%v", pshard), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fleet.ckpt")
+			cfg := Config{PShard: pshard, Seed: 9, Gate: online.GateConfig{Enabled: false}}
+			ds, f := newTestFleet(t, 2, cfg)
+			for i := 0; i < 4; i++ {
+				f.Ingest(ds.Snapshots[i])
+			}
+			f.drainAll()
+			f.loop.Step()
+			if err := f.WriteCheckpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := guard.Load[Checkpoint](path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := flipPMirror(ck)
+			if _, err := Resume(ck, cfg); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Resume error = %v, want one naming %q", err, want)
+			}
+		})
 	}
 }
 

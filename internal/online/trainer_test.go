@@ -2,8 +2,10 @@ package online
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -290,6 +292,36 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 		if p1[i] != p2[i] {
 			t.Fatalf("P diverged on the first post-resume step at %d", i)
 		}
+	}
+}
+
+// ResumeTrainer rejects a checkpoint whose P is not bitwise symmetric:
+// the row-walk drain relies on the symmetry and would carry an asymmetric
+// P forward unchanged.
+func TestResumeTrainerRejectsAsymmetricP(t *testing.T) {
+	ds, m, opt := onlineSetup(t)
+	path := filepath.Join(t.TempDir(), "online.ckpt")
+	cfg := TrainerConfig{BatchSize: 2, MinFrames: 2, Seed: 9, Gate: GateConfig{Enabled: false}}
+	tr, err := NewTrainer(m, opt, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		tr.admit(ds.Snapshots[i])
+	}
+	tr.loop.Step()
+	if err := tr.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := guard.Load[Checkpoint](path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ck.Opt.Kalman.P[0]
+	p[1] = math.Nextafter(p[1], math.Inf(1))
+	_, err = ResumeTrainer(ck, device.New("resume", device.A100()), cfg)
+	if want := "block 0 is not symmetric: P[0][1]"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ResumeTrainer error = %v, want one naming %q", err, want)
 	}
 }
 

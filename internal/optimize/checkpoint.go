@@ -39,27 +39,54 @@ func (ks *KalmanState) Checkpoint() *KalmanCheckpoint {
 
 // RestoreKalmanState rebuilds a KalmanState on dev from a checkpoint,
 // validating that the block structure derived from layerSizes matches the
-// one the checkpoint was taken from.
+// one the checkpoint was taken from and that every P block is bitwise
+// symmetric.  Validation runs before anything is allocated on dev, so a
+// rejected checkpoint leaves the device's live memory unchanged.
 func RestoreKalmanState(ck *KalmanCheckpoint, layerSizes []int, dev *device.Device) (*KalmanState, error) {
-	if len(ck.P) != len(ck.Sizes) {
-		return nil, fmt.Errorf("optimize: checkpoint has %d P blocks for %d sizes", len(ck.P), len(ck.Sizes))
+	blocks := SplitBlocks(layerSizes, ck.Cfg.BlockSize)
+	if len(blocks) != len(ck.Sizes) {
+		return nil, fmt.Errorf("optimize: checkpoint has %d blocks, model wants %d", len(ck.Sizes), len(blocks))
 	}
-	ks := NewKalmanState(ck.Cfg, layerSizes, dev)
-	if len(ks.Blocks) != len(ck.Sizes) {
-		return nil, fmt.Errorf("optimize: checkpoint has %d blocks, model wants %d", len(ck.Sizes), len(ks.Blocks))
-	}
-	for i, b := range ks.Blocks {
+	for i, b := range blocks {
 		if b.Size() != ck.Sizes[i] {
 			return nil, fmt.Errorf("optimize: checkpoint block %d has %d params, model wants %d", i, ck.Sizes[i], b.Size())
 		}
-		if len(ck.P[i]) != b.Size()*b.Size() {
-			return nil, fmt.Errorf("optimize: checkpoint block %d holds %d values, want %d", i, len(ck.P[i]), b.Size()*b.Size())
-		}
+	}
+	if err := ck.Validate(); err != nil {
+		return nil, err
+	}
+	ks := NewKalmanState(ck.Cfg, layerSizes, dev)
+	for i := range ks.P {
 		copy(ks.P[i].Data, ck.P[i])
 	}
 	ks.Lambda = ck.Lambda
 	ks.Updates = ck.Updates
 	return ks, nil
+}
+
+// Validate checks a decoded checkpoint on its own: one P block per size,
+// each holding size² values, each bitwise symmetric.  The row-walk drain
+// (tensor.PUpdateFusedSlab) relies on that symmetry and does not restore
+// it, so an asymmetric P must not enter the filter.
+func (ck *KalmanCheckpoint) Validate() error {
+	if len(ck.P) != len(ck.Sizes) {
+		return fmt.Errorf("optimize: checkpoint has %d P blocks for %d sizes", len(ck.P), len(ck.Sizes))
+	}
+	for b, p := range ck.P {
+		n := ck.Sizes[b]
+		if n < 0 || n > len(p) || n*n != len(p) {
+			return fmt.Errorf("optimize: checkpoint block %d holds %d values, want %d²", b, len(p), n)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if math.Float64bits(p[i*n+j]) != math.Float64bits(p[j*n+i]) {
+					return fmt.Errorf("optimize: checkpoint block %d is not symmetric: P[%d][%d] = %v, P[%d][%d] = %v",
+						b, i, j, p[i*n+j], j, i, p[j*n+i])
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // PDiagonal copies the diagonal of the block-diagonal P into a vector

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"fekf/internal/dataset"
@@ -107,22 +108,42 @@ func TestFEKFCheckpointBeforeFirstStep(t *testing.T) {
 	}
 }
 
+// A checkpoint that does not fit the model, or whose P is not bitwise
+// symmetric, is rejected — and leaves the device's live memory unchanged.
 func TestRestoreKalmanStateValidates(t *testing.T) {
 	ds, m := ckptSetup(t)
 	opt := NewFEKF()
 	if _, err := opt.Step(m, ds, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	ck := opt.ks.Checkpoint()
-	// wrong layer structure must be rejected, not silently mis-mapped
-	if _, err := RestoreKalmanState(ck, []int{3, 5}, m.Dev); err == nil {
-		t.Fatal("expected error for mismatched layer sizes")
-	}
-	// corrupt block payload must be rejected
-	ck2 := opt.ks.Checkpoint()
-	ck2.P[0] = ck2.P[0][:len(ck2.P[0])-1]
-	if _, err := RestoreKalmanState(ck2, m.Params.LayerSizes(), m.Dev); err == nil {
-		t.Fatal("expected error for truncated P block")
+	sizes := m.Params.LayerSizes()
+	n := opt.ks.Blocks[0].Size()
+	for _, tc := range []struct {
+		name  string
+		sizes []int
+		bad   func(ck *KalmanCheckpoint)
+	}{
+		// wrong layer structure must be rejected, not silently mis-mapped
+		{"layer sizes", []int{3, 5}, func(*KalmanCheckpoint) {}},
+		{"truncated block", sizes, func(ck *KalmanCheckpoint) { ck.P[0] = ck.P[0][:len(ck.P[0])-1] }},
+		{"missing block", sizes, func(ck *KalmanCheckpoint) { ck.P = ck.P[:len(ck.P)-1] }},
+		{"asymmetric", sizes, func(ck *KalmanCheckpoint) {
+			ck.P[0][1*n+2] = math.Nextafter(ck.P[0][1*n+2], math.Inf(1))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := opt.ks.Checkpoint()
+			tc.bad(ck)
+			live := m.Dev.Counters().LiveBytes
+			if _, err := RestoreKalmanState(ck, tc.sizes, m.Dev); err == nil {
+				t.Fatal("restore accepted a bad checkpoint")
+			} else if tc.name == "asymmetric" && !strings.Contains(err.Error(), "block 0 is not symmetric: P[1][2]") {
+				t.Fatalf("error %q does not name the block and element", err)
+			}
+			if got := m.Dev.Counters().LiveBytes; got != live {
+				t.Fatalf("rejected restore changed live device bytes %d -> %d", live, got)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // pipelineSweepShapes covers odd and even block splits at the test block
 // size 128: a split layer plus gathered tails (odd sizes exercise the
-// remainder paths of the striped kernels).
+// remainder paths of the row-sharded kernels).
 var pipelineSweepShapes = [][]int{
 	{70, 300, 64, 41}, // odd, multi-block with split layer
 	{33, 257, 65},     // odd, prime-ish sizes

@@ -6,85 +6,19 @@ import (
 	"fekf/internal/tensor"
 )
 
-// This file holds the shard-aware entry points of the Kalman update used
-// by internal/pshard: per-row-slab versions of the gain-stage mat-vec and
-// the deferred covariance drain.  A rank that owns rows [rowLo,rowHi) of
-// one block's P can run these on just its slab and obtain values bitwise
-// identical to the full-block kernels in kalman.go / tensor/kernels.go.
+// This file holds the row-slab form of the framework-style covariance
+// update, for internal/pshard.  The fused drain and the P·g mat-vec need
+// no slab forms: tensor.PUpdateFusedSlab and tensor.MatVecInto are row
+// kernels with the full P as their one-slab case.
 //
-// The bitwise contract rests on two facts:
-//
-//  1. SymMatVecInto and PUpdateFused/PUpdateNaive compute each output row
-//     from that row's data alone (plus the shared k/g vectors), so a slab
-//     can reproduce its rows with the exact same expression trees.
-//  2. P is exactly bitwise-symmetric at all times: it starts as the
-//     identity, PUpdateFused writes the same value to both mirror
-//     elements, and PUpdateNaive's symmetrization makes mirrors bit-equal
-//     (k[i]*k[j] == k[j]*k[i] in IEEE 754).  The drain kernels read the
-//     mirror element P[j][i] when updating P[i][j]; a slab owner
-//     substitutes its own row value P[i][j], which is the same bits.
-//
-// Every expression below keeps the source-level shape of its full-block
-// counterpart (operand order inside the multiply chains, the 0.5*(x+y)
-// symmetrization form) so any fused-multiply-add contraction the compiler
-// applies — per the Go spec, decided by source expression shape — applies
-// identically, keeping the equivalence bitwise on every architecture.
-
-// SlabMatVecInto computes dst = (P·g)[rowLo:rowLo+rows.Rows) from a row
-// slab of one block's P: rows is the (hi−lo)×n slab, g the full block
-// gradient (length n), dst the owned fragment (length hi−lo).  Each output
-// element uses the same serial dot loop as tensor.SymMatVecInto, so the
-// fragment is bitwise identical to the corresponding rows of the
-// full-block product.
-func SlabMatVecInto(dst []float64, rows *tensor.Dense, g []float64) {
-	if len(dst) != rows.Rows || len(g) != rows.Cols {
-		panic(fmt.Sprintf("optimize: SlabMatVecInto slab %dx%d dst %d g %d",
-			rows.Rows, rows.Cols, len(dst), len(g)))
-	}
-	n := rows.Cols
-	tensor.ParallelFor(rows.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := rows.Data[i*n : (i+1)*n]
-			s := 0.0
-			for k, v := range row {
-				s += v * g[k]
-			}
-			dst[i] = s
-		}
-	})
-}
-
-// SlabDrainFused refreshes rows [rowLo,rowLo+rows.Rows) of one block's
-// covariance in place: P ← (1/λ)(P − (1/a)KKᵀ) with symmetrization, the
-// slab form of tensor.PUpdateFused.  k is the full block gain (length n =
-// rows.Cols).  The fused kernel computes each element pair once with the
-// smaller index's k first; the slab reproduces that orientation per
-// element and substitutes its own row value for the (bit-equal) mirror
-// read, so the resulting rows match the full-block kernel bitwise.
-func SlabDrainFused(rows *tensor.Dense, rowLo int, k []float64, a, lambda float64) {
-	n := rows.Cols
-	if len(k) != n {
-		panic(fmt.Sprintf("optimize: SlabDrainFused slab %dx%d k %d", rows.Rows, n, len(k)))
-	}
-	invA := 1 / a
-	invL := 1 / lambda
-	tensor.ParallelFor(rows.Rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			i := rowLo + r
-			ki := k[i]
-			row := rows.Data[r*n : (r+1)*n]
-			for j := 0; j < i; j++ {
-				// Mirror of the fused kernel's (j,i) pass: k[j] (the
-				// smaller index) leads the product.
-				row[j] = invL * (0.5*(row[j]+row[j]) - invA*k[j]*ki)
-			}
-			row[i] = invL * (row[i] - invA*ki*ki)
-			for j := i + 1; j < n; j++ {
-				row[j] = invL * (0.5*(row[j]+row[j]) - invA*ki*k[j])
-			}
-		}
-	})
-}
+// The bitwise contract rests on one fact: P is exactly bitwise symmetric.
+// It starts as the identity, every drain writes bit-equal mirror elements
+// (k[i]*k[j] == k[j]*k[i] in IEEE 754), and restore rejects a checkpoint
+// whose P is not (RestoreKalmanState, pshard.Checkpoint.Validate).  So
+// where a full-P kernel would read the mirror P[j][i], a row reads its
+// own P[i][j] — the same bits.  SlabDrainNaive keeps PUpdateNaive's
+// source-level expression shape, so any fused-multiply-add contraction
+// the compiler applies applies identically.
 
 // SlabDrainNaive is the slab form of tensor.PUpdateNaive: the unfused
 // outer-product update followed by the symmetrization pass.  The outer

@@ -2,6 +2,7 @@ package pshard
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"fekf/internal/device"
@@ -90,21 +91,9 @@ func NewStateFrom(ck *Checkpoint, assign Assignment, rank int, dev *device.Devic
 				i, b.Size(), ck.Sizes[i])
 		}
 	}
-	// Index the source slabs per block, sorted by RowLo, for row lookup.
-	byBlock := make([][]ShardCheckpoint, len(ck.Sizes))
-	for _, s := range ck.Shards {
-		if s.Block < 0 || s.Block >= len(ck.Sizes) {
-			return nil, fmt.Errorf("pshard: checkpoint shard block %d out of range", s.Block)
-		}
-		n := ck.Sizes[s.Block]
-		if s.RowLo < 0 || s.RowHi > n || s.RowLo >= s.RowHi || len(s.Rows) != s.RowCount()*n {
-			return nil, fmt.Errorf("pshard: checkpoint shard block %d rows [%d,%d) len %d malformed",
-				s.Block, s.RowLo, s.RowHi, len(s.Rows))
-		}
-		byBlock[s.Block] = append(byBlock[s.Block], s)
-	}
-	for b := range byBlock {
-		sort.Slice(byBlock[b], func(i, j int) bool { return byBlock[b][i].RowLo < byBlock[b][j].RowLo })
+	byBlock, err := ck.slabsByBlock()
+	if err != nil {
+		return nil, err
 	}
 
 	st := newShell(ck.Cfg, assign, rank, dev)
@@ -125,6 +114,61 @@ func NewStateFrom(ck *Checkpoint, assign Assignment, rank int, dev *device.Devic
 		}
 	}
 	return st, nil
+}
+
+// slabsByBlock validates the shard geometry and indexes the source slabs
+// per block, sorted by RowLo, for row lookup.
+func (ck *Checkpoint) slabsByBlock() ([][]ShardCheckpoint, error) {
+	byBlock := make([][]ShardCheckpoint, len(ck.Sizes))
+	for _, s := range ck.Shards {
+		if s.Block < 0 || s.Block >= len(ck.Sizes) {
+			return nil, fmt.Errorf("pshard: checkpoint shard block %d out of range", s.Block)
+		}
+		n := ck.Sizes[s.Block]
+		// len(Rows) is compared by division: RowCount()·n can overflow.
+		if s.RowLo < 0 || s.RowHi > n || s.RowLo >= s.RowHi || len(s.Rows)%n != 0 || len(s.Rows)/n != s.RowCount() {
+			return nil, fmt.Errorf("pshard: checkpoint shard block %d rows [%d,%d) len %d malformed",
+				s.Block, s.RowLo, s.RowHi, len(s.Rows))
+		}
+		byBlock[s.Block] = append(byBlock[s.Block], s)
+	}
+	for b := range byBlock {
+		sort.Slice(byBlock[b], func(i, j int) bool { return byBlock[b][i].RowLo < byBlock[b][j].RowLo })
+	}
+	return byBlock, nil
+}
+
+// Validate checks a decoded checkpoint before it is cut into slabs: the
+// shard geometry, and that every block's P is bitwise symmetric across
+// slab boundaries.  The row-walk drain (tensor.PUpdateFusedSlab) relies
+// on that symmetry and does not restore it.  The in-memory repartition of
+// kill, revive and autoscale skips this check: its slabs come from live
+// states, which keep P symmetric.
+func (ck *Checkpoint) Validate() error {
+	byBlock, err := ck.slabsByBlock()
+	if err != nil {
+		return err
+	}
+	for b, slabs := range byBlock {
+		n := ck.Sizes[b]
+		for _, s := range slabs {
+			for i := s.RowLo; i < s.RowHi; i++ {
+				row := s.Rows[(i-s.RowLo)*n : (i-s.RowLo+1)*n]
+				for j := i + 1; j < n; j++ {
+					m := sourceRow(slabs, j)
+					if m == nil {
+						continue // a missing row is NewStateFrom's error
+					}
+					mirror := m.Rows[(j-m.RowLo)*n+i]
+					if math.Float64bits(row[j]) != math.Float64bits(mirror) {
+						return fmt.Errorf("pshard: checkpoint block %d is not symmetric: P[%d][%d] = %v, P[%d][%d] = %v",
+							b, i, j, row[j], j, i, mirror)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // RowCount returns the slab's row count (named to avoid colliding with

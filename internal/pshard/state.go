@@ -138,7 +138,7 @@ func (st *State) GainOwned(g []float64) []float64 {
 		b := st.Blocks[sh.Block]
 		rows := int64(sh.Rows())
 		n := int64(b.Size())
-		optimize.SlabMatVecInto(st.pg[b.Lo+sh.RowLo:b.Lo+sh.RowHi], st.slabs[si], g[b.Lo:b.Hi])
+		tensor.MatVecInto(st.pg[b.Lo+sh.RowLo:b.Lo+sh.RowHi], st.slabs[si], g[b.Lo:b.Hi])
 		st.Dev.LaunchPhase("p_matvec", device.PhaseOptimizer, 2*rows*n, rows*n*8)
 	}
 	return st.pg
@@ -224,8 +224,8 @@ func (st *State) FinishUpdate(g []float64, abe, scale float64) (delta []float64,
 }
 
 // drainShards refreshes the owned slabs: P ← (1/λ)(P − (1/a)KKᵀ) with
-// symmetrization, via the slab kernels that reproduce the full-block
-// update bitwise (see optimize/slab.go).
+// symmetrization, via the row kernels that reproduce the full-block
+// update bitwise (tensor.PUpdateFusedSlab, optimize.SlabDrainNaive).
 func (st *State) drainShards(lambda float64) {
 	tensor.ParallelFor(len(st.shards), func(lo, hi int) {
 		for si := lo; si < hi; si++ {
@@ -236,7 +236,7 @@ func (st *State) drainShards(lambda float64) {
 			k := st.kv[b.Lo:b.Hi]
 			a := st.av[sh.Block]
 			if st.Cfg.FusedPUpdate {
-				optimize.SlabDrainFused(st.slabs[si], sh.RowLo, k, a, lambda)
+				tensor.PUpdateFusedSlab(st.slabs[si], sh.RowLo, k, a, lambda)
 				st.Dev.LaunchPhase("p_update_fused", device.PhaseOptimizer, 3*rows*n, 2*rows*n*8)
 			} else {
 				optimize.SlabDrainNaive(st.slabs[si], sh.RowLo, k, a, lambda)

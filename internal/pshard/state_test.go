@@ -66,7 +66,7 @@ func TestSlabDrainMatchesKernels(t *testing.T) {
 					}
 					slab := tensor.FromSlice(hi-lo, n, append([]float64(nil), p0.Data[lo*n:hi*n]...))
 					if fused {
-						optimize.SlabDrainFused(slab, lo, k.Data, a, lambda)
+						tensor.PUpdateFusedSlab(slab, lo, k.Data, a, lambda)
 					} else {
 						optimize.SlabDrainNaive(slab, lo, k.Data, a, lambda)
 					}

@@ -59,12 +59,15 @@ func FuzzGEMMParallelMatchesSerial(f *testing.F) {
 	})
 }
 
+// FuzzPUpdateFusedParallelMatchesSerial also checks the row walk against
+// the triangle walk it replaced (triangleWalk), over the full P and over
+// a fuzzed row slab [lo,hi).
 func FuzzPUpdateFusedParallelMatchesSerial(f *testing.F) {
-	f.Add(int64(1), 8, 0.5, 0.98)
-	f.Add(int64(3), 96, 2.0, 0.9)  // the striped kernel's larger shapes
-	f.Add(int64(5), 1, 0.001, 0.5) // single-element P
-	f.Add(int64(11), 65, 10.0, 0.99)
-	f.Fuzz(func(t *testing.T, seed int64, n int, a, lambda float64) {
+	f.Add(int64(1), 8, 0.5, 0.98, 2, 5)
+	f.Add(int64(3), 96, 2.0, 0.9, 0, 96) // the whole P as one slab
+	f.Add(int64(5), 1, 0.001, 0.5, 0, 1) // single-element P
+	f.Add(int64(11), 65, 10.0, 0.99, 64, 65)
+	f.Fuzz(func(t *testing.T, seed int64, n int, a, lambda float64, lo, hi int) {
 		n = clampDim(n, 96)
 		// keep the scalars in the regime the filter produces: a > 0 from the
 		// gain denominator, λ ∈ (0, 1] from the memory schedule.
@@ -74,6 +77,8 @@ func FuzzPUpdateFusedParallelMatchesSerial(f *testing.F) {
 		if math.IsNaN(lambda) || lambda <= 0 || lambda > 1 {
 			lambda = 0.98
 		}
+		lo = clampDim(lo, n) - 1 // [0, n)
+		hi = lo + clampDim(hi, n-lo)
 		rng := rand.New(rand.NewSource(seed))
 		p := RandNormal(n, n, 1, rng)
 		SymmetrizeInPlace(p)
@@ -81,14 +86,24 @@ func FuzzPUpdateFusedParallelMatchesSerial(f *testing.F) {
 
 		pSerial := p.Clone()
 		pParallel := p.Clone()
+		pRef := p.Clone()
 		prev := SetWorkers(1)
 		PUpdateFused(pSerial, k, a, lambda)
 		SetWorkers(6)
 		PUpdateFused(pParallel, k, a, lambda)
+		slab := FromSlice(hi-lo, n, append([]float64(nil), p.Data[lo*n:hi*n]...))
+		PUpdateFusedSlab(slab, lo, k.Data, a, lambda)
 		SetWorkers(prev)
+		triangleWalk(pRef, k, a, lambda)
 
 		if i, ok := bitsEqual(pSerial.Data, pParallel.Data); !ok {
 			t.Fatalf("PUpdateFused n=%d a=%v λ=%v: elem %d diverged", n, a, lambda, i)
+		}
+		if i, ok := bitsEqual(pSerial.Data, pRef.Data); !ok {
+			t.Fatalf("PUpdateFused n=%d a=%v λ=%v: elem %d differs from the triangle walk", n, a, lambda, i)
+		}
+		if i, ok := bitsEqual(slab.Data, pRef.Data[lo*n:hi*n]); !ok {
+			t.Fatalf("PUpdateFusedSlab n=%d rows [%d,%d): elem %d differs from the triangle walk", n, lo, hi, i)
 		}
 		if !IsSymmetric(pParallel, 0) {
 			t.Fatalf("PUpdateFused n=%d: result not bitwise symmetric", n)

@@ -119,38 +119,40 @@ func MatVec(a, x *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: MatVec %dx%d · %dx%d", a.Rows, a.Cols, x.Rows, x.Cols))
 	}
 	out := New(a.Rows, 1)
-	flops := 2 * int64(a.Rows) * int64(a.Cols)
-	parallelRows(a.Rows, flops, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.Data[i*a.Cols : (i+1)*a.Cols]
-			s := 0.0
-			for k, v := range row {
-				s += v * x.Data[k]
-			}
-			out.Data[i] = s
-		}
-	})
+	MatVecInto(out.Data, a, x.Data)
 	return out
 }
 
 // SymMatVecInto computes y = P·x for symmetric P, writing into y (n×1).
-// It exists so that the optimizer's hot path allocates nothing; rows are
-// sharded across the worker pool.
+// It exists so that the optimizer's hot path allocates nothing.
 func SymMatVecInto(y, p, x *Dense) {
 	n := p.Rows
 	if p.Cols != n || x.Rows != n || x.Cols != 1 || y.Rows != n || y.Cols != 1 {
 		panic(fmt.Sprintf("tensor: SymMatVecInto P %dx%d x %dx%d y %dx%d",
 			p.Rows, p.Cols, x.Rows, x.Cols, y.Rows, y.Cols))
 	}
-	flops := 2 * int64(n) * int64(n)
-	parallelRows(n, flops, func(lo, hi int) {
+	MatVecInto(y.Data, p, x.Data)
+}
+
+// MatVecInto computes dst = a·x, one serial dot loop per row with rows
+// sharded across the worker pool.  a may be a row slab of a larger
+// matrix: each output element depends only on its own row, so a slab
+// owner gets exactly the bits of the corresponding rows of the full
+// product.
+func MatVecInto(dst []float64, a *Dense, x []float64) {
+	if len(dst) != a.Rows || len(x) != a.Cols {
+		panic(fmt.Sprintf("tensor: MatVecInto %dx%d · %d into %d", a.Rows, a.Cols, len(x), len(dst)))
+	}
+	n := a.Cols
+	flops := 2 * int64(a.Rows) * int64(n)
+	parallelRows(a.Rows, flops, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := p.Data[i*n : (i+1)*n]
+			row := a.Data[i*n : (i+1)*n]
 			s := 0.0
 			for k, v := range row {
-				s += v * x.Data[k]
+				s += v * x[k]
 			}
-			y.Data[i] = s
+			dst[i] = s
 		}
 	})
 }

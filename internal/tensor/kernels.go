@@ -73,33 +73,49 @@ func PUpdateNaive(p, k *Dense, a, lambda float64) (tmpElems int64) {
 
 // PUpdateFused is the handwritten single-pass kernel of Opt3.  It computes
 // the same update as PUpdateNaive — (1/λ)(P − (1/a)KKᵀ) followed by
-// symmetrization — but walks the upper triangle once, writes both mirror
-// elements, and allocates nothing.
-//
-// Rows are striped round-robin across the worker pool: iteration i reads
-// and writes exactly the element pairs {(i,j),(j,i) : j ≥ i}, i.e. the
-// pairs whose smaller index is i, so stripes touch disjoint memory and
-// the result is bitwise identical at every worker count.  Striping (rather
-// than contiguous ranges) balances the triangular row costs.
+// symmetrization — in one pass over P that allocates nothing.  The full P
+// is the one-slab case of PUpdateFusedSlab.
 func PUpdateFused(p, k *Dense, a, lambda float64) {
 	n := p.Rows
 	if p.Cols != n || k.Rows != n || k.Cols != 1 {
 		panic(fmt.Sprintf("tensor: PUpdateFused P %dx%d k %dx%d", p.Rows, p.Cols, k.Rows, k.Cols))
 	}
+	PUpdateFusedSlab(p, 0, k.Data, a, lambda)
+}
+
+// PUpdateFusedSlab refreshes rows [rowLo,rowLo+slab.Rows) of one n×n
+// covariance in place, where slab holds those rows and k is the full gain
+// (length n = slab.Cols): P ← (1/λ)(P − (1/a)KKᵀ), symmetrized.  Each row
+// reads and writes only its own n contiguous elements, so row ranges
+// shard across the worker pool with bitwise identical results at every
+// worker count, and a rank owning a row slab reproduces those rows of the
+// full update exactly.
+//
+// The symmetrization averages P[i][j] with its mirror P[j][i]; P is
+// bitwise symmetric (it starts as the identity, every drain writes equal
+// mirror values, and restore rejects a checkpoint that is not), so the
+// row's own element stands in for the mirror.  Element (i,j) puts the
+// smaller index's k first in the product, which makes the value written
+// for (i,j) and for (j,i) the same bits.
+func PUpdateFusedSlab(slab *Dense, rowLo int, k []float64, a, lambda float64) {
+	n := slab.Cols
+	if len(k) != n || rowLo < 0 || rowLo+slab.Rows > n {
+		panic(fmt.Sprintf("tensor: PUpdateFusedSlab slab %dx%d at row %d k %d", slab.Rows, n, rowLo, len(k)))
+	}
 	invA := 1 / a
 	invL := 1 / lambda
-	flops := 3 * int64(n) * int64(n)
-	parallelStriped(n, flops, func(start, stride int) {
-		for i := start; i < n; i += stride {
-			ki := k.Data[i]
-			rowI := p.Data[i*n:]
-			p.Data[i*n+i] = invL * (p.Data[i*n+i] - invA*ki*ki)
+	flops := 3 * int64(slab.Rows) * int64(n)
+	parallelRows(slab.Rows, flops, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			i := rowLo + r
+			ki := k[i]
+			row := slab.Data[r*n : (r+1)*n]
+			for j := 0; j < i; j++ {
+				row[j] = invL * (0.5*(row[j]+row[j]) - invA*k[j]*ki)
+			}
+			row[i] = invL * (row[i] - invA*ki*ki)
 			for j := i + 1; j < n; j++ {
-				// symmetrize and update in one expression; KKᵀ is symmetric
-				// already, so only P needs averaging.
-				v := invL * (0.5*(rowI[j]+p.Data[j*n+i]) - invA*ki*k.Data[j])
-				rowI[j] = v
-				p.Data[j*n+i] = v
+				row[j] = invL * (0.5*(row[j]+row[j]) - invA*ki*k[j])
 			}
 		}
 	})

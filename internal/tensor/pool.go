@@ -162,38 +162,3 @@ func parallelRows(rows int, flops int64, fn func(lo, hi int)) {
 	}
 	ParallelFor(rows, fn)
 }
-
-// parallelStriped runs fn(start, stride) on each of up to Workers()
-// goroutines with stride = shard count, interleaving rows round-robin.
-// Striping balances triangular workloads (row i of the P update touches
-// n-i elements) that contiguous ranges would skew toward the first shard.
-func parallelStriped(n int, flops int64, fn func(start, stride int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 || flops < minParallelFlops {
-		fn(0, 1)
-		return
-	}
-	ensureWorkers(w - 1)
-	var wg sync.WaitGroup
-	for s := 1; s < w; s++ {
-		start := s
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			fn(start, w)
-		}
-		select {
-		case poolTasks <- task:
-		default:
-			task()
-		}
-	}
-	fn(0, w)
-	wg.Wait()
-}

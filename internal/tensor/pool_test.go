@@ -127,7 +127,7 @@ func TestParallelPUpdateFusedBitwiseMatchesSerial(t *testing.T) {
 }
 
 // TestParallelPUpdateFusedMatchesNaive guards the numerics across the
-// parallel path: the striped fused kernel must still agree with the
+// parallel path: the row-walk fused kernel must still agree with the
 // framework-style reference update.
 func TestParallelPUpdateFusedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))

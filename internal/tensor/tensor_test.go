@@ -265,17 +265,6 @@ func TestPropPUpdateFusedEqualsNaive(t *testing.T) {
 	}
 }
 
-func TestPUpdateFusedKeepsSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 16
-	p := randMat(rng, n, n) // deliberately asymmetric input
-	k := randMat(rng, n, 1)
-	PUpdateFused(p, k, 1.3, 0.98)
-	if !IsSymmetric(p, 1e-12) {
-		t.Fatal("PUpdateFused output not symmetric")
-	}
-}
-
 func TestSymmetrizeAndEye(t *testing.T) {
 	p := FromSlice(2, 2, []float64{1, 2, 4, 3})
 	SymmetrizeInPlace(p)
