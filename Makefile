@@ -31,7 +31,7 @@ race-pipeline:
 
 # The online-learning subsystem is concurrency all the way down: HTTP
 # producers against the ingest queue, the trainer loop against snapshot
-# readers, the prediction micro-batcher against shutdown.  Soak it under
+# readers, concurrent predicts against shutdown.  Soak it under
 # the race detector explicitly (the broad `race` target covers it too;
 # this runs the streaming packages alone for a fast signal).
 race-online:

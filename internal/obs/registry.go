@@ -88,9 +88,6 @@ var DefSecondsBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10,
 }
 
-// SizeBuckets is a power-of-two ladder for batch and queue sizes.
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
 // family is one registered metric name: its metadata plus the labelled
 // children holding the actual values (or a scrape-time func).
 type family struct {

@@ -1,6 +1,7 @@
 // Package serve exposes the online trainer over a net/http JSON API:
-// labelled-frame ingest, micro-batched energy/force prediction from the
-// latest published model snapshot, health and stats.  See DESIGN.md,
+// labelled-frame ingest, energy/force prediction from the latest published
+// model snapshot (one forward pass per request, in its own handler),
+// health and stats.  See DESIGN.md,
 // "Online-learning subsystem".
 package serve
 
@@ -78,8 +79,6 @@ type PredictResponse struct {
 	Forces []float64 `json:"forces"` // 3N components, eV/Å
 	// SnapshotStep is the training step of the snapshot that answered.
 	SnapshotStep int64 `json:"snapshot_step"`
-	// Batch is the size of the micro-batch this request rode in.
-	Batch int `json:"batch"`
 }
 
 // HealthResponse is the /healthz body.  Status is "ok", or "degraded"
@@ -100,7 +99,7 @@ type HealthResponse struct {
 type StatsResponse struct {
 	online.Stats
 	PredictRequests int64        `json:"predict_requests"`
-	PredictBatches  int64        `json:"predict_batches"`
+	PredictBatches  int64        `json:"predict_batches"` // forward passes run, one per answered predict
 	FrameRequests   int64        `json:"frame_requests"`
 	UptimeMs        int64        `json:"uptime_ms"`
 	Fleet           *fleet.Stats `json:"fleet,omitempty"`

@@ -17,11 +17,10 @@ import (
 const maxRankGauges = 1024
 
 // httpMetrics is the server's push-side instrument set: per-route request
-// counts/latency and the predict micro-batch size distribution.
+// counts and latency.
 type httpMetrics struct {
-	requests    *obs.CounterVec   // fekf_http_requests_total{route,code}
-	latency     *obs.HistogramVec // fekf_http_request_seconds{route}
-	batchFrames *obs.Histogram    // fekf_predict_batch_frames
+	requests *obs.CounterVec   // fekf_http_requests_total{route,code}
+	latency  *obs.HistogramVec // fekf_http_request_seconds{route}
 }
 
 func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
@@ -30,8 +29,6 @@ func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
 			"HTTP requests served, by route and status code.", "route", "code"),
 		latency: reg.Histogram("fekf_http_request_seconds",
 			"HTTP request latency, by route.", obs.DefSecondsBuckets, "route"),
-		batchFrames: reg.Histogram("fekf_predict_batch_frames",
-			"Frames per executed prediction micro-batch.", obs.SizeBuckets).With(),
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"time"
 
 	"fekf/internal/dataset"
+	"fekf/internal/deepmd"
 	"fekf/internal/fleet"
 	"fekf/internal/md"
 	"fekf/internal/obs"
@@ -32,6 +34,9 @@ type Backend interface {
 	// Cutoff returns the model's neighbour cutoff (Å), which bounds every
 	// request's box (md.CheckBox).
 	Cutoff() float64
+	// NumAtoms returns the per-frame atom count ingest is locked to, or 0
+	// before the first frame fixes it.
+	NumAtoms() int
 	// Stats returns the aggregated trainer-stats view.
 	Stats() online.Stats
 	// Stop shuts the backend down gracefully.
@@ -49,13 +54,6 @@ type Config struct {
 	// Addr is the listen address; ":0" or "127.0.0.1:0" picks a random
 	// free port (see Server.Addr).
 	Addr string
-	// MaxBatch caps the prediction micro-batch (default 16).
-	MaxBatch int
-	// BatchWindow is how long the first request of a micro-batch waits
-	// for company (default 2ms).
-	BatchWindow time.Duration
-	// BatchWorkers is the number of parallel batch executors (default 2).
-	BatchWorkers int
 	// RequestTimeout bounds each request end to end (default 10s).
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 16 MiB).
@@ -84,15 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
 	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 16
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchWorkers < 1 {
-		c.BatchWorkers = 2
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
@@ -102,10 +91,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server wires a training backend (single trainer or fleet) and the
-// prediction batcher into an HTTP API:
+// Server wires a training backend (single trainer or fleet) into an HTTP
+// API:
 //
-//	POST /v1/predict  energy/forces from the latest snapshot (micro-batched)
+//	POST /v1/predict  energy/forces from the latest snapshot
 //	POST /v1/frames   labelled-frame ingest into the trainer queue
 //	GET  /healthz     liveness + snapshot provenance
 //	GET  /v1/stats    queue depth, snapshot age, λ, counters (+ per-replica
@@ -113,14 +102,20 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg Config
 	be  Backend
-	bat *Batcher
+	// slots holds one token per running forward pass.  Its capacity,
+	// GOMAXPROCS, keeps a burst of predicts from running more forwards
+	// at once than there are cores.
+	slots chan struct{}
 
-	http  *http.Server
-	ln    net.Listener
-	start time.Time
-	om    *httpMetrics // nil when cfg.Metrics is nil
+	http     *http.Server
+	ln       net.Listener
+	serveErr error         // http.Serve's failure, if any; set before served closes
+	served   chan struct{} // closed when the Serve goroutine returns
+	start    time.Time
+	om       *httpMetrics // nil when cfg.Metrics is nil
 
 	predictN atomic.Int64
+	forwardN atomic.Int64
 	frameN   atomic.Int64
 }
 
@@ -130,10 +125,11 @@ type Server struct {
 func New(be Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		be:    be,
-		bat:   NewBatcher(be.Snapshot, cfg.MaxBatch, cfg.BatchWindow, cfg.BatchWorkers),
-		start: time.Now(),
+		cfg:    cfg,
+		be:     be,
+		slots:  make(chan struct{}, runtime.GOMAXPROCS(0)),
+		served: make(chan struct{}),
+		start:  time.Now(),
 	}
 	if cfg.Metrics != nil {
 		s.om = newHTTPMetrics(cfg.Metrics)
@@ -177,11 +173,11 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	go func() {
-		if err := s.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			// Serve returns after Shutdown; anything else is fatal for
-			// the listener, surfaced through trainer stats' last_error
-			// being absent and the process logs of cmd/serve.
-			fmt.Println("serve:", err)
+		defer close(s.served)
+		// Serve returns ErrServerClosed after Shutdown; anything else
+		// ended the listener early and is reported by Shutdown.
+		if err := s.http.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			s.serveErr = fmt.Errorf("serve: listener: %w", err)
 		}
 	}()
 	return nil
@@ -196,13 +192,16 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains gracefully: stop accepting requests and wait for
-// handlers, stop the prediction batcher, then stop the backend — which
-// drains its queues and writes the final checkpoint.
+// handlers, then stop the backend — which drains its queues and writes the
+// final checkpoint.  The error joins an early listener failure, the HTTP
+// drain's and the backend's.
 func (s *Server) Shutdown(ctx context.Context) error {
 	httpErr := s.http.Shutdown(ctx)
-	s.bat.Stop()
+	if s.ln != nil {
+		<-s.served
+	}
 	beErr := s.be.Stop(ctx)
-	return errors.Join(httpErr, beErr)
+	return errors.Join(s.serveErr, httpErr, beErr)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -231,7 +230,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		Stats:           st,
 		PredictRequests: s.predictN.Load(),
-		PredictBatches:  s.bat.Batches(),
+		PredictBatches:  s.forwardN.Load(),
 		FrameRequests:   s.frameN.Load(),
 		UptimeMs:        time.Since(s.start).Milliseconds(),
 	}
@@ -252,9 +251,24 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "no frames in request")
 		return
 	}
-	resp := FramesResponse{}
+	// Validate every frame before ingesting any, so a 400 leaves the
+	// queues untouched and a client can retry the corrected request
+	// without counting a frame twice.
+	frames := make([]dataset.Snapshot, len(req.Frames))
+	atoms := s.be.NumAtoms()
+	if atoms == 0 {
+		atoms = len(req.Frames[0].Types)
+	}
 	for i := range req.Frames {
-		ok, err := s.be.Ingest(req.Frames[i].Snapshot())
+		frames[i] = req.Frames[i].Snapshot()
+		if err := online.ValidateFrame(&frames[i], s.be.Species(), s.be.Cutoff(), atoms); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Sprintf("frame %d: %v (no frame ingested)", i, err))
+			return
+		}
+	}
+	resp := FramesResponse{}
+	for i := range frames {
+		ok, err := s.be.Ingest(frames[i])
 		switch {
 		case errors.Is(err, online.ErrClosed):
 			writeErr(w, http.StatusServiceUnavailable, "trainer is shutting down")
@@ -287,24 +301,48 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	res, err := s.bat.Predict(r.Context(), sys)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, status, err.Error())
+	select {
+	case s.slots <- struct{}{}:
+	case <-r.Context().Done():
+		writeErr(w, http.StatusServiceUnavailable, "waiting for a forward slot: "+r.Context().Err().Error())
 		return
 	}
-	if s.om != nil {
-		s.om.batchFrames.Observe(float64(res.Batch))
+	resp, err := s.predict(sys)
+	<-s.slots
+	switch {
+	case errors.Is(err, errNoSnapshot):
+		writeErr(w, http.StatusServiceUnavailable, err.Error())
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, err.Error())
+	default:
+		writeJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, PredictResponse{
-		Energy:       res.Energy,
-		Forces:       res.Forces,
-		SnapshotStep: res.Step,
-		Batch:        res.Batch,
-	})
+}
+
+// errNoSnapshot answers predicts that reach a backend before its Start.
+var errNoSnapshot = errors.New("serve: no model snapshot published yet")
+
+// predict runs one forward pass of sys on the latest published snapshot.
+// Snapshots are immutable clones, so concurrent forwards only read the
+// weights.
+func (s *Server) predict(sys *md.System) (PredictResponse, error) {
+	snap := s.be.Snapshot()
+	if snap == nil {
+		return PredictResponse{}, errNoSnapshot
+	}
+	env, err := deepmd.BuildEnv(snap.Model.Cfg, []*md.System{sys})
+	if err != nil {
+		return PredictResponse{}, err
+	}
+	out := snap.Model.Forward(env, true)
+	resp := PredictResponse{
+		Energy:       out.Energies.Value.Data[0],
+		Forces:       append([]float64(nil), out.Forces.Value.Data...),
+		SnapshotStep: snap.Step,
+	}
+	out.Graph.Release()
+	s.forwardN.Add(1)
+	return resp, nil
 }
 
 // decodeJSON reads a bounded JSON body into v, answering 400 on failure.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -21,6 +23,7 @@ import (
 	"fekf/internal/device"
 	"fekf/internal/fleet"
 	"fekf/internal/guard"
+	"fekf/internal/md"
 	"fekf/internal/obs"
 	"fekf/internal/online"
 	"fekf/internal/optimize"
@@ -51,12 +54,15 @@ func tinyCu(t testing.TB) (*dataset.Dataset, *deepmd.Model, *optimize.FEKF) {
 	return ds, m, opt
 }
 
-// startServer starts be behind a server bound to a random port; the server
-// (and with it the backend) is shut down at cleanup.
-func startServer(t *testing.T, be interface {
+// startable is a backend the tests start themselves.
+type startable interface {
 	Backend
 	Start()
-}, scfg Config) *Server {
+}
+
+// startServer starts be behind a server bound to a random port; the server
+// (and with it the backend) is shut down at cleanup.
+func startServer(t *testing.T, be startable, scfg Config) *Server {
 	t.Helper()
 	be.Start()
 	srv := New(be, scfg)
@@ -228,13 +234,13 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 // Concurrent predictions against a training server: every response must be
-// complete and consistent, and micro-batching should group at least some of
-// them.  Run under -race via make ci.
+// complete and consistent, and each answered predict runs exactly one
+// forward pass.  Run under -race via make ci.
 func TestServerConcurrentPredict(t *testing.T) {
 	ds, _, srv := serveSetup(t,
 		online.TrainerConfig{BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
 			Gate: online.GateConfig{Enabled: false}},
-		Config{MaxBatch: 8, BatchWindow: 5 * time.Millisecond, BatchWorkers: 2})
+		Config{})
 	base := "http://" + srv.Addr()
 
 	req := FramesRequest{}
@@ -249,8 +255,6 @@ func TestServerConcurrentPredict(t *testing.T) {
 	const clients, rounds = 8, 5
 	var wg sync.WaitGroup
 	errs := make(chan error, clients*rounds)
-	maxBatch := int64(0)
-	var mu sync.Mutex
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -268,11 +272,6 @@ func TestServerConcurrentPredict(t *testing.T) {
 					errs <- fmt.Errorf("client %d round %d: incomplete response", c, r)
 					return
 				}
-				mu.Lock()
-				if int64(presp.Batch) > maxBatch {
-					maxBatch = int64(presp.Batch)
-				}
-				mu.Unlock()
 			}
 		}(c)
 	}
@@ -281,8 +280,225 @@ func TestServerConcurrentPredict(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if maxBatch < 2 {
-		t.Logf("note: no request shared a micro-batch (max batch %d)", maxBatch)
+	var stats StatsResponse
+	getJSON(t, base+"/v1/stats", &stats)
+	if stats.PredictRequests != clients*rounds || stats.PredictBatches != clients*rounds {
+		t.Fatalf("%d predicts ran %d forwards, want %d each", stats.PredictRequests, stats.PredictBatches, clients*rounds)
+	}
+}
+
+// dropLastAtom returns frame i's configuration without its last atom: a
+// second atom count for the same box.
+func dropLastAtom(ds *dataset.Dataset, i int) PredictRequest {
+	s := ds.Snapshots[i]
+	n := len(s.Types) - 1
+	return PredictRequest{Pos: s.Pos[:3*n], Box: s.Box, Types: s.Types[:n]}
+}
+
+// A served prediction is bitwise the forward pass of the answering
+// snapshot, at any atom count: the JSON round trip of a float64 is exact.
+func TestServerPredictMatchesDirectForward(t *testing.T) {
+	ds, tr, srv := serveSetup(t, online.TrainerConfig{Seed: 5}, Config{})
+	base := "http://" + srv.Addr()
+	s := ds.Snapshots[0]
+	for _, req := range []PredictRequest{
+		{Pos: s.Pos, Box: s.Box, Types: s.Types},
+		dropLastAtom(ds, 0),
+	} {
+		var presp PredictResponse
+		if code, err := postJSON(t, base+"/v1/predict", req, &presp); err != nil || code != http.StatusOK {
+			t.Fatalf("predict (%d atoms): %d %v", len(req.Types), code, err)
+		}
+		// No frame ever arrives, so the initial snapshot answers every
+		// predict.
+		snap := tr.Snapshot()
+		if presp.SnapshotStep != snap.Step {
+			t.Fatalf("answer carries snapshot step %d, want %d", presp.SnapshotStep, snap.Step)
+		}
+		sys, err := req.System(tr.Species(), tr.Cutoff())
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := deepmd.BuildEnv(snap.Model.Cfg, []*md.System{sys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := snap.Model.Forward(env, true)
+		if presp.Energy != out.Energies.Value.Data[0] {
+			t.Fatalf("%d atoms: served energy %v, direct %v", len(req.Types), presp.Energy, out.Energies.Value.Data[0])
+		}
+		if len(presp.Forces) != len(out.Forces.Value.Data) {
+			t.Fatalf("%d atoms: %d served force components, direct %d", len(req.Types), len(presp.Forces), len(out.Forces.Value.Data))
+		}
+		for i, f := range presp.Forces {
+			if f != out.Forces.Value.Data[i] {
+				t.Fatalf("%d atoms: served force %d is %v, direct %v", len(req.Types), i, f, out.Forces.Value.Data[i])
+			}
+		}
+		out.Graph.Release()
+	}
+}
+
+// A predict whose request is cancelled while every forward slot is taken
+// answers 503 without running a forward, and gives back no slot it never
+// held.
+func TestServerPredictCancelledWaitingForSlot(t *testing.T) {
+	ds, _, srv := serveSetup(t, online.TrainerConfig{Seed: 5}, Config{})
+	for i := 0; i < cap(srv.slots); i++ {
+		srv.slots <- struct{}{}
+	}
+	s := ds.Snapshots[0]
+	body, err := json.Marshal(PredictRequest{Pos: s.Pos, Box: s.Box, Types: s.Types})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every slot is taken, so the handler can only return through the
+	// cancellation, whether it lands before or during the wait.
+	ctx, cancel := context.WithCancel(context.Background())
+	rr := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		srv.handlePredict(rr, httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body)).WithContext(ctx))
+		close(done)
+	}()
+	cancel()
+	<-done
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled predict answered %d: %s", rr.Code, rr.Body)
+	}
+	if len(srv.slots) != cap(srv.slots) {
+		t.Fatalf("cancelled predict released a slot: %d of %d held", len(srv.slots), cap(srv.slots))
+	}
+	for i := 0; i < cap(srv.slots); i++ {
+		<-srv.slots
+	}
+
+	var presp PredictResponse
+	if code, err := postJSON(t, "http://"+srv.Addr()+"/v1/predict",
+		PredictRequest{Pos: s.Pos, Box: s.Box, Types: s.Types}, &presp); err != nil || code != http.StatusOK {
+		t.Fatalf("predict with free slots: %d %v", code, err)
+	}
+	if n := srv.forwardN.Load(); n != 1 {
+		t.Fatalf("%d forward passes, want 1 (the cancelled predict runs none)", n)
+	}
+}
+
+// Before the backend starts it has published no snapshot: a predict is
+// answered 503, and the same server answers 200 once the backend runs.
+func TestServerPredictBeforeStart(t *testing.T) {
+	for _, backend := range []string{"trainer", "fleet"} {
+		t.Run(backend, func(t *testing.T) {
+			ds, m, opt := tinyCu(t)
+			var be startable
+			var err error
+			if backend == "trainer" {
+				be, err = online.NewTrainer(m, opt, ds, online.TrainerConfig{Seed: 5})
+			} else {
+				be, err = fleet.New(m, opt, ds, fleet.Config{Replicas: 2, Seed: 5})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(be, Config{})
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			base := "http://" + srv.Addr()
+			s := ds.Snapshots[0]
+			req := PredictRequest{Pos: s.Pos, Box: s.Box, Types: s.Types}
+
+			var e ErrorResponse
+			if code, err := postJSON(t, base+"/v1/predict", req, &e); err != nil || code != http.StatusServiceUnavailable {
+				t.Fatalf("predict before Start: %d %v %q", code, err, e.Error)
+			}
+			be.Start()
+			var presp PredictResponse
+			if code, err := postJSON(t, base+"/v1/predict", req, &presp); err != nil || code != http.StatusOK {
+				t.Fatalf("predict after Start: %d %v", code, err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// A /v1/frames request with an invalid frame is refused whole: the 400
+// leaves every queue as it was, so a client may retry the corrected
+// request without counting a frame twice.  The backends are built without
+// a prototype frame, so no atom count is locked yet and the request's
+// first frame sets the one the rest must match.
+func TestServerFramesRejectionIngestsNothing(t *testing.T) {
+	for _, backend := range []string{"trainer", "fleet"} {
+		t.Run(backend, func(t *testing.T) {
+			ds, m, opt := tinyCu(t)
+			noProto := &dataset.Dataset{System: ds.System, Species: ds.Species}
+			var be startable
+			var err error
+			gate := online.GateConfig{Enabled: false}
+			if backend == "trainer" {
+				be, err = online.NewTrainer(m, opt, noProto, online.TrainerConfig{Seed: 5, Gate: gate})
+			} else {
+				be, err = fleet.New(m, opt, noProto, fleet.Config{Replicas: 2, Seed: 5, Gate: gate})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := startServer(t, be, Config{})
+			if be.NumAtoms() != 0 {
+				t.Fatalf("backend without a prototype frame locked %d atoms", be.NumAtoms())
+			}
+			base := "http://" + srv.Addr()
+			good := framePayload(ds, 0)
+			shortForces := framePayload(ds, 1)
+			shortForces.Forces = shortForces.Forces[:3]
+			fewerAtoms := framePayload(ds, 1)
+			n := len(fewerAtoms.Types) - 1
+			fewerAtoms.Pos, fewerAtoms.Types, fewerAtoms.Forces = fewerAtoms.Pos[:3*n], fewerAtoms.Types[:n], fewerAtoms.Forces[:3*n]
+
+			for _, bad := range []FramePayload{shortForces, fewerAtoms} {
+				var e ErrorResponse
+				code, err := postJSON(t, base+"/v1/frames", FramesRequest{Frames: []FramePayload{good, bad}}, &e)
+				if err != nil || code != http.StatusBadRequest || !strings.Contains(e.Error, "frame 1") {
+					t.Fatalf("[good, bad] frames: %d %v %q", code, err, e.Error)
+				}
+				var stats StatsResponse
+				getJSON(t, base+"/v1/stats", &stats)
+				if stats.FramesQueued != 0 {
+					t.Fatalf("rejected request queued %d frames", stats.FramesQueued)
+				}
+			}
+
+			var fresp FramesResponse
+			if code, err := postJSON(t, base+"/v1/frames", FramesRequest{Frames: []FramePayload{good}}, &fresp); err != nil || code != http.StatusOK {
+				t.Fatalf("corrected retry: %d %v", code, err)
+			}
+			var stats StatsResponse
+			getJSON(t, base+"/v1/stats", &stats)
+			if fresp.Accepted != 1 || stats.FramesQueued != 1 {
+				t.Fatalf("corrected retry accepted %d, queued %d; want 1 and 1", fresp.Accepted, stats.FramesQueued)
+			}
+		})
+	}
+}
+
+// A listener that fails under a running server is not lost: Shutdown
+// returns its error alongside the drain's.
+func TestServerShutdownReportsListenerFailure(t *testing.T) {
+	_, _, srv := serveSetup(t, online.TrainerConfig{Seed: 5}, Config{})
+	srv.ln.Close()
+	select {
+	case <-srv.served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("http.Serve kept running on a closed listener")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err := srv.Shutdown(ctx)
+	if err == nil || !errors.Is(err, net.ErrClosed) || !strings.Contains(err.Error(), "serve: listener:") {
+		t.Fatalf("Shutdown after a listener failure returned %v", err)
 	}
 }
 
@@ -622,7 +838,6 @@ func TestServerGuardDegradedHealthz(t *testing.T) {
 
 	// Without the 503 knob the same backend state answers 200 "degraded".
 	plain := New(tr, Config{})
-	t.Cleanup(plain.bat.Stop)
 	rr := httptest.NewRecorder()
 	plain.handleHealth(rr, httptest.NewRequest("GET", "/healthz", nil))
 	var ph HealthResponse
