@@ -78,7 +78,9 @@ race-obs:
 # corrupt-checkpoint quarantine, the conductor step watchdog mapping a hung
 # rank onto the replica-death path, and the chaos soak (byte flips + NaN
 # poison + hung rank over {replicated,pshard} × {chan,tcp}) with continuous
-# predict availability and bitwise drift==0 recovery.
+# predict availability and bitwise drift==0 recovery.  The fleet tests
+# inject the poison and the hang through unexported test seams on Fleet;
+# the trainer tests through TrainerConfig.Chaos.
 race-guard:
 	$(GO) test -race -timeout 20m -count=1 ./internal/guard
 	$(GO) test -race -timeout 30m -count=1 -run 'Guard|Rollback|Watchdog|Chaos|Corrupt|Quarantine' \
@@ -103,12 +105,13 @@ serve-smoke:
 	$(GO) test -race -count=1 ./cmd/serve
 
 # Short fuzz pass over the kernels whose parallel==serial bitwise contract
-# the pipeline relies on, plus the checkpoint loaders that read untrusted
-# files and the HTTP API's two JSON request decoders, whose accepted inputs
-# must build a neighbour environment in bounded time (go test runs one
-# fuzz target per invocation).  The loader target's seeds are whole ~20 kB
-# checkpoints: minimizing every new input byte by byte would eat the whole
-# budget, so it keeps inputs as found.
+# the pipeline relies on, plus the checkpoint and model loaders that read
+# untrusted files and the HTTP API's two JSON request decoders, whose
+# accepted inputs must build a neighbour environment in bounded time (go
+# test runs one fuzz target per invocation).  The loader, model and frames
+# targets' seeds are whole checkpoints or frame batches of several kB:
+# minimizing every new input byte by byte would eat the whole budget, so
+# they keep inputs as found.
 fuzz:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGEMMParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzPUpdateFusedParallelMatchesSerial$$' -fuzztime 5s
@@ -116,8 +119,9 @@ fuzz:
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime 5s
 	$(GO) test ./internal/pshard -run '^$$' -fuzz '^FuzzBlockPartition$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 5s -fuzzminimizetime 1x
+	$(GO) test ./internal/deepmd -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 5s
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzFramesRequest$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzFramesRequest$$' -fuzztime 5s -fuzzminimizetime 1x
 
 # Host-parallelism speedup curve (Kalman block update, GEMM family, the
 # pipelined FEKF iteration).

@@ -56,9 +56,6 @@ func (v *Var) Rows() int { return v.Value.Rows }
 // Cols returns the column count of the node's value.
 func (v *Var) Cols() int { return v.Value.Cols }
 
-// RequiresGrad reports whether gradients flow through this node.
-func (v *Var) RequiresGrad() bool { return v.requires }
-
 // Scalar returns the single element of a 1×1 node.
 func (v *Var) Scalar() float64 {
 	if v.Value.Len() != 1 {
@@ -117,9 +114,6 @@ func (g *Graph) op(name string, out *tensor.Dense, flops int64, inputs []*Var, b
 	g.nodes = append(g.nodes, v)
 	return v
 }
-
-// NumNodes returns the number of nodes registered so far.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // Release frees all op outputs from the simulated device allocator; call it
 // when an iteration's graph is no longer needed.  Leaf tensors (parameters,

@@ -2,7 +2,6 @@ package autodiff
 
 import (
 	"fmt"
-	"math"
 
 	"fekf/internal/tensor"
 )
@@ -26,9 +25,6 @@ func (g *Graph) Sub(a, b *Var) *Var {
 		return []*Var{grad, g.Scale(-1, grad)}
 	})
 }
-
-// Neg returns -a.
-func (g *Graph) Neg(a *Var) *Var { return g.Scale(-1, a) }
 
 // Mul returns the element-wise product a⊙b.
 func (g *Graph) Mul(a, b *Var) *Var {
@@ -120,15 +116,6 @@ func (g *Graph) Sum(a *Var) *Var {
 	return g.op("sum", out, int64(a.Value.Len()), []*Var{a}, func(grad *Var) []*Var {
 		return []*Var{g.Expand(grad, r, c)}
 	})
-}
-
-// Mean reduces a to its arithmetic mean as a 1×1 node.
-func (g *Graph) Mean(a *Var) *Var {
-	n := a.Value.Len()
-	if n == 0 {
-		panic("autodiff: Mean of empty node")
-	}
-	return g.Scale(1/float64(n), g.Sum(a))
 }
 
 // Expand broadcasts a 1×1 scalar node to an r×c matrix.
@@ -254,38 +241,3 @@ func (g *Graph) Square(a *Var) *Var { return g.Mul(a, a) }
 
 // Dot returns the inner product of two equally-shaped nodes as a 1×1 node.
 func (g *Graph) Dot(a, b *Var) *Var { return g.Sum(g.Mul(a, b)) }
-
-// Softplus returns log(1+exp(a)) element-wise; provided for completeness of
-// activation coverage in extension experiments.
-func (g *Graph) Softplus(a *Var) *Var {
-	out := tensor.New(a.Rows(), a.Cols())
-	for i, v := range a.Value.Data {
-		// numerically stable softplus
-		if v > 30 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = math.Log1p(math.Exp(v))
-		}
-	}
-	var node *Var
-	node = g.op("softplus", out, 6*int64(out.Len()), []*Var{a}, func(grad *Var) []*Var {
-		return []*Var{g.Mul(grad, g.Sigmoid(a))}
-	})
-	return node
-}
-
-// Sigmoid returns 1/(1+exp(-a)) element-wise.
-func (g *Graph) Sigmoid(a *Var) *Var {
-	out := tensor.New(a.Rows(), a.Cols())
-	for i, v := range a.Value.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	var node *Var
-	node = g.op("sigmoid", out, 4*int64(out.Len()), []*Var{a}, func(grad *Var) []*Var {
-		// σ' = σ(1-σ): reuse the output node.
-		one := tensor.New(node.Rows(), node.Cols())
-		one.Fill(1)
-		return []*Var{g.Mul(grad, g.Mul(node, g.Sub(g.Const(one), node)))}
-	})
-	return node
-}

@@ -213,7 +213,7 @@ func TestModeledIterationTime(t *testing.T) {
 	if dp.Name() != "FEKF[2 GPUs]" {
 		t.Fatalf("name = %q", dp.Name())
 	}
-	if dp.Workers() != 2 || len(dp.Devices()) != 2 {
+	if dp.ring.Size() != 2 || len(dp.devs) != 2 {
 		t.Fatal("worker bookkeeping wrong")
 	}
 }

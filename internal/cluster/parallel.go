@@ -66,17 +66,11 @@ func (dp *DataParallelFEKF) Name() string {
 	return fmt.Sprintf("FEKF[%d GPUs]", dp.ring.Size())
 }
 
-// Workers returns the rank count.
-func (dp *DataParallelFEKF) Workers() int { return dp.ring.Size() }
-
 // Model returns rank 0's replica (for evaluation; all replicas agree).
 func (dp *DataParallelFEKF) Model() *deepmd.Model { return dp.replicas[0] }
 
 // Ring exposes the communicator for wire-byte accounting.
 func (dp *DataParallelFEKF) Ring() *Ring { return dp.ring }
-
-// Devices returns the per-rank simulated devices.
-func (dp *DataParallelFEKF) Devices() []*device.Device { return dp.devs }
 
 // ReplicaDrift returns the maximum absolute weight difference between rank
 // 0 and any other rank — zero up to floating-point reduction order if the

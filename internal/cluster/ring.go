@@ -111,15 +111,6 @@ func (r *Ring) ModeledNs() float64 { return float64(r.modeledPs.Load()) / 1000 }
 // free).  Overlapping collectives with compute must not change it.
 func (r *Ring) Ops() int64 { return r.ops.Load() }
 
-// Barrier blocks rank until every rank has arrived, or fails wrapping
-// ErrRingBroken once the ring is aborted.
-func (r *Ring) Barrier(rank int) error {
-	if r.size == 1 {
-		return nil
-	}
-	return r.tr.Barrier(rank)
-}
-
 // send transfers a chunk to the next rank and accounts it.
 func (r *Ring) send(rank int, chunk []float64) error {
 	r.wireBytes.Add(int64(len(chunk)) * 8)

@@ -208,9 +208,6 @@ func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
 // Size returns the ring's rank count.
 func (e *Endpoint) Size() int { return e.size }
 
-// Rank returns this endpoint's rank.
-func (e *Endpoint) Rank() int { return e.rank }
-
 func (e *Endpoint) checkRank(rank int) error {
 	if rank != e.rank {
 		return fmt.Errorf("tcptransport: endpoint owns rank %d, not %d", e.rank, rank)

@@ -58,13 +58,6 @@ type GenOptions struct {
 	Seed int64
 }
 
-// DefaultGenOptions returns the settings used by the experiment harness:
-// small decorrelated datasets that keep the optimizer comparisons faithful
-// while fitting a single-core time budget.
-func DefaultGenOptions() GenOptions {
-	return GenOptions{Snapshots: 512, SampleEvery: 10, EquilSteps: 200, Scale: 1, Seed: 1}
-}
-
 // Generate samples a labelled dataset for the named Table 3 system.
 func Generate(systemName string, opt GenOptions) (*Dataset, error) {
 	spec, err := md.GetSystem(systemName)

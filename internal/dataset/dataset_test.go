@@ -85,7 +85,7 @@ func TestGenerateDiverseConfigurations(t *testing.T) {
 }
 
 func TestGenerateUnknownSystem(t *testing.T) {
-	if _, err := Generate("NotASystem", DefaultGenOptions()); err == nil {
+	if _, err := Generate("NotASystem", GenOptions{Snapshots: 1}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -46,6 +46,8 @@ func (m *Model) EncodeTo(w io.Writer) error {
 // list length, per-tensor shapes and normalization length must all match
 // the model the stored configuration builds — so a truncated or corrupted
 // checkpoint fails loudly instead of yielding a silently mangled model.
+// The config may not imply more parameters than the stream carries, so
+// the allocation stays proportional to the input.
 func DecodeModel(r io.Reader) (*Model, error) {
 	var ck checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
@@ -53,6 +55,16 @@ func DecodeModel(r io.Reader) (*Model, error) {
 	}
 	if len(ck.Shapes) != len(ck.Values) {
 		return nil, fmt.Errorf("deepmd: checkpoint has %d shapes for %d value tensors", len(ck.Shapes), len(ck.Values))
+	}
+	if err := ck.Cfg.Validate(); err != nil {
+		return nil, err
+	}
+	carried := 0
+	for _, v := range ck.Values {
+		carried += len(v)
+	}
+	if want, ok := ck.Cfg.numParams(); !ok || want > carried {
+		return nil, fmt.Errorf("deepmd: checkpoint config implies more parameters than its tensors' %d values", carried)
 	}
 	m, err := NewModel(ck.Cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package deepmd
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,6 +107,65 @@ func TestDecodeValidatesStructure(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// A crafted stream must be rejected before its config sizes the model:
+// DecodeModel checks the parameter count the config implies against the
+// values the stream carries, with arithmetic that cannot overflow.
+func TestDecodeRejectsOversizedConfig(t *testing.T) {
+	ds := testData(t, "Cu", 2)
+	base := testModel(t, ds, OptAll).Cfg
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"embedding-width", func(c *Config) { c.M, c.MSub = 1<<50, 1 }},
+		{"fitting-width", func(c *Config) { c.FitHidden = 1 << 50 }},
+	} {
+		cfg := base
+		tc.mutate(&cfg)
+		var buf bytes.Buffer
+		ck := checkpoint{Cfg: cfg, SNorm: make([]float64, cfg.NumSpecies)}
+		if err := gob.NewEncoder(&buf).Encode(&ck); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DecodeModel(&buf)
+		if err == nil || !strings.Contains(err.Error(), "implies more parameters") {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzDecodeModel feeds mutated model streams to the loader that resume
+// and fleet catch-up read: it must never panic or allocate beyond the
+// input's size, and whatever it accepts must re-encode to the same model.
+func FuzzDecodeModel(f *testing.F) {
+	ds := testData(f, "Cu", 2)
+	var buf bytes.Buffer
+	if err := testModel(f, ds, OptAll).EncodeTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := m.EncodeTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := DecodeModel(&again)
+		if err != nil {
+			t.Fatalf("re-encoded model does not decode: %v", err)
+		}
+		w, w2 := m.Params.FlattenValues(), m2.Params.FlattenValues()
+		for i := range w {
+			if math.Float64bits(w[i]) != math.Float64bits(w2[i]) {
+				t.Fatalf("weight %d changed across re-encode", i)
+			}
+		}
+	})
 }
 
 // Clone must produce an isolated copy: mutating the original afterwards

@@ -95,6 +95,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// numParams returns the parameter count NewModel(c) allocates — per
+// species an embedding net 1→M→M→M and a fitting net M·MSub→d→d→d→1 —
+// and false past 2⁵², so a crafted config cannot overflow it: up to there
+// every term is an integer below 2⁵³, which float64 holds exactly.  c must
+// be valid.
+func (c Config) numParams() (int, bool) {
+	m, sub, d := float64(c.M), float64(c.MSub), float64(c.FitHidden)
+	n := float64(c.NumSpecies) * (2*m*m + 4*m + m*sub*d + 2*d*d + 4*d + 1)
+	if n > 1<<52 {
+		return 0, false
+	}
+	return int(n), true
+}
+
 // TotalSlots returns N_m, the total per-atom neighbor slot count.
 func (c Config) TotalSlots() int {
 	n := 0

@@ -81,6 +81,21 @@ func TestPaperConfigParamCount(t *testing.T) {
 	if ls[0] != 50 || ls[1] != 650 || ls[2] != 650 || ls[3] != 20050 {
 		t.Fatalf("layer sizes = %v", ls)
 	}
+	// The count DecodeModel bounds a stream by, before building anything,
+	// is the count NewModel allocates, for every system and both scales.
+	for _, name := range md.SystemNames() {
+		spec, _ := md.GetSystem(name)
+		sys, _ := spec.Build(1)
+		for _, cfg := range []Config{PaperConfig(spec, sys), TinyConfig(sys)} {
+			m, err := NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, ok := cfg.numParams(); !ok || n != m.NumParams() {
+				t.Fatalf("%s: numParams = %d, %v; NewModel has %d", name, n, ok, m.NumParams())
+			}
+		}
+	}
 }
 
 func TestEnvPaddingAndTruncation(t *testing.T) {
@@ -407,8 +422,8 @@ func TestEvaluateRuns(t *testing.T) {
 	if math.IsNaN(met.EnergyRMSE) || math.IsNaN(met.ForceRMSE) {
 		t.Fatalf("metrics NaN: %+v", met)
 	}
-	if met.Combined() <= 0 {
-		t.Fatalf("combined metric %v", met.Combined())
+	if met.EnergyRMSE+met.ForceRMSE <= 0 {
+		t.Fatalf("combined metric %v", met.EnergyRMSE+met.ForceRMSE)
 	}
 }
 

@@ -66,33 +66,6 @@ type Metrics struct {
 	ForceRMSE         float64 // RMSE of force components, eV/Å
 }
 
-// Combined returns the scalar the paper's convergence criteria use: the
-// summation of energy and force RMSE.
-func (m Metrics) Combined() float64 { return m.EnergyRMSE + m.ForceRMSE }
-
-// EvalBatch computes prediction metrics for an output against labels.
-func EvalBatch(out *Output, lab *Labels) Metrics {
-	var me, mf float64
-	b := out.Energies.Rows()
-	for i := 0; i < b; i++ {
-		d := out.Energies.Value.Data[i] - lab.Energy.Data[i]
-		me += d * d
-	}
-	me /= float64(b)
-	na := float64(lab.NaPer)
-	nf := out.Forces.Value.Len()
-	for i := 0; i < nf; i++ {
-		d := out.Forces.Value.Data[i] - lab.Force.Data[i]
-		mf += d * d
-	}
-	mf /= float64(nf)
-	return Metrics{
-		EnergyRMSE:        math.Sqrt(me),
-		EnergyPerAtomRMSE: math.Sqrt(me) / na,
-		ForceRMSE:         math.Sqrt(mf),
-	}
-}
-
 // Evaluate runs the model over a whole dataset in chunks and returns
 // aggregate metrics; used for train/test RMSE reporting (Table 4).
 func (m *Model) Evaluate(ds *dataset.Dataset, chunk int) (Metrics, error) {

@@ -18,9 +18,6 @@
 package device
 
 import (
-	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -142,19 +139,12 @@ type Device struct {
 	live atomic.Int64
 	peak atomic.Int64
 
-	// byName counts launches per kernel name for diagnostics.  It is a
-	// sync.Map of *atomic.Int64 behind an atomic pointer (swapped on
-	// Reset) so that Launch — now called concurrently from the host
-	// worker pool and the cluster's rank goroutines — stays lock-free.
-	byName atomic.Pointer[sync.Map]
 	tracer atomic.Pointer[Tracer]
 }
 
 // New returns a device with the given name and cost model.
 func New(name string, model CostModel) *Device {
-	d := &Device{name: name, model: model}
-	d.byName.Store(new(sync.Map))
-	return d
+	return &Device{name: name, model: model}
 }
 
 // Default is a process-wide device used when code does not care about
@@ -164,18 +154,12 @@ var Default = New("gpu0", A100())
 // Name returns the device name.
 func (d *Device) Name() string { return d.name }
 
-// Model returns the device cost model.
-func (d *Device) Model() CostModel { return d.model }
-
 // SetPhase labels subsequent launches with the given iteration phase and
 // returns the previous phase so callers can restore it.
 func (d *Device) SetPhase(p Phase) Phase {
 	old := d.phase.Swap(int32(p))
 	return Phase(old)
 }
-
-// CurrentPhase returns the phase subsequent launches will be charged to.
-func (d *Device) CurrentPhase() Phase { return Phase(d.phase.Load()) }
 
 // Launch records the execution of one kernel with the given cost.  It is
 // the single entry point all simulated kernels go through; the fused kernels
@@ -220,12 +204,6 @@ func (d *Device) launch(name string, phase Phase, flops, bytes int64) {
 	}
 	d.phasePs[p].Add(ps)
 	d.phaseKern[p].Add(1)
-	m := d.byName.Load()
-	c, ok := m.Load(name)
-	if !ok {
-		c, _ = m.LoadOrStore(name, new(atomic.Int64))
-	}
-	c.(*atomic.Int64).Add(1)
 	if tr := d.tracer.Load(); tr != nil {
 		tr.record(name, Phase(p), ns)
 	}
@@ -298,30 +276,4 @@ func (d *Device) Reset() {
 	}
 	d.live.Store(0)
 	d.peak.Store(0)
-	d.byName.Store(new(sync.Map))
-}
-
-// KernelBreakdown returns "name: count" lines sorted by descending count,
-// useful when debugging which ops dominate a phase.
-func (d *Device) KernelBreakdown() []string {
-	type kv struct {
-		name string
-		n    int64
-	}
-	var all []kv
-	d.byName.Load().Range(func(k, v any) bool {
-		all = append(all, kv{k.(string), v.(*atomic.Int64).Load()})
-		return true
-	})
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].name < all[j].name
-	})
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = fmt.Sprintf("%s: %d", e.name, e.n)
-	}
-	return out
 }

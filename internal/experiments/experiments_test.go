@@ -193,9 +193,6 @@ func TestMarkersAndHelpers(t *testing.T) {
 	if ratio(RunStats{Converged: false}, RunStats{Converged: true, Epochs: 5}) != "-" {
 		t.Fatal("ratio with non-convergence")
 	}
-	if got := shuffledIdx(5, 1); len(got) != 5 {
-		t.Fatal("shuffledIdx")
-	}
 	_ = deepmd.OptAll
 }
 
@@ -210,31 +207,6 @@ func TestLargeBatchAblation(t *testing.T) {
 		if !strings.Contains(buf.String(), name) {
 			t.Fatalf("largebatch missing %s:\n%s", name, buf.String())
 		}
-	}
-}
-
-func TestRunSuiteSeedsReport(t *testing.T) {
-	opts := Quick()
-	opts.AdamBigMaxEpochs = 2
-	opts.FEKFMaxEpochs = 2
-	opts.RLEKFMaxEpochs = 1
-	res, err := RunSuiteSeeds("Cu", opts, []int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 2 {
-		t.Fatalf("runs = %d", len(res.Runs))
-	}
-	var buf bytes.Buffer
-	res.Report(&buf)
-	if !strings.Contains(buf.String(), "±") || !strings.Contains(buf.String(), "2 seeds") {
-		t.Fatalf("seed report:\n%s", buf.String())
-	}
-	empty := SeededResults{System: "X"}
-	buf.Reset()
-	empty.Report(&buf)
-	if !strings.Contains(buf.String(), "no runs") {
-		t.Fatal("empty report")
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"fekf/internal/deepmd"
 	"fekf/internal/device"
@@ -214,9 +213,4 @@ func Figure7bc(w io.Writer, opts Options, paperScale bool) ([]KernelCounts, erro
 		fmt.Fprintf(w, "iteration speedup baseline -> opt3: %.2fx\n", t0/t3)
 	}
 	return out, nil
-}
-
-// shuffledIdx is a small helper retained for ablation harnesses.
-func shuffledIdx(n int, seed int64) []int {
-	return rand.New(rand.NewSource(seed)).Perm(n)
 }

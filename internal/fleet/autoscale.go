@@ -307,12 +307,6 @@ func (a *Autoscaler) record(v Verdict) {
 	a.lastMu.Unlock()
 }
 
-// ScaleUps returns the number of committed scale-up decisions.
-func (a *Autoscaler) ScaleUps() int64 { return a.ups.Load() }
-
-// ScaleDowns returns the number of committed scale-down decisions.
-func (a *Autoscaler) ScaleDowns() int64 { return a.downs.Load() }
-
 // AutoscaleStats is the autoscaler row in the fleet stats (and /v1/stats).
 type AutoscaleStats struct {
 	Enabled       bool    `json:"enabled"`

@@ -31,8 +31,8 @@ func TestAutoscaleScaleUp(t *testing.T) {
 	if v.Pressure != 0.9 {
 		t.Fatalf("pressure %g, want 0.9 (occ alone with accept=1, lat=0)", v.Pressure)
 	}
-	if a.ScaleUps() != 1 || a.ScaleDowns() != 0 {
-		t.Fatalf("counters %d/%d, want 1/0", a.ScaleUps(), a.ScaleDowns())
+	if a.ups.Load() != 1 || a.downs.Load() != 0 {
+		t.Fatalf("counters %d/%d, want 1/0", a.ups.Load(), a.downs.Load())
 	}
 }
 
@@ -43,8 +43,8 @@ func TestAutoscaleScaleDown(t *testing.T) {
 	if v.Decision != ScaleDown || v.Target != 2 {
 		t.Fatalf("verdict %+v, want down to 2", v)
 	}
-	if a.ScaleDowns() != 1 {
-		t.Fatalf("downs %d, want 1", a.ScaleDowns())
+	if a.downs.Load() != 1 {
+		t.Fatalf("downs %d, want 1", a.downs.Load())
 	}
 }
 
@@ -61,7 +61,7 @@ func TestAutoscaleDeadBand(t *testing.T) {
 			t.Fatalf("occ %g: reason %q does not name the dead-band", occ, v.Reason)
 		}
 	}
-	if a.ScaleUps() != 0 || a.ScaleDowns() != 0 {
+	if a.ups.Load() != 0 || a.downs.Load() != 0 {
 		t.Fatal("dead-band evaluations committed scale events")
 	}
 }
@@ -100,8 +100,8 @@ func TestAutoscaleCooldownSuppression(t *testing.T) {
 	if v := a.Evaluate(lo); v.Decision != ScaleDown {
 		t.Fatalf("down after full cooldown: %+v", v)
 	}
-	if a.ScaleUps() != 2 || a.ScaleDowns() != 1 {
-		t.Fatalf("counters %d/%d, want 2/1", a.ScaleUps(), a.ScaleDowns())
+	if a.ups.Load() != 2 || a.downs.Load() != 1 {
+		t.Fatalf("counters %d/%d, want 2/1", a.ups.Load(), a.downs.Load())
 	}
 }
 
@@ -205,8 +205,8 @@ func TestAutoscaleFleetTransitionsBitwise(t *testing.T) {
 	if live := f.liveIDs(); len(live) != 2 {
 		t.Fatalf("burst did not scale up: live %v", live)
 	}
-	if f.scaler.ScaleUps() != 1 {
-		t.Fatalf("scale-ups %d, want 1", f.scaler.ScaleUps())
+	if f.scaler.ups.Load() != 1 {
+		t.Fatalf("scale-ups %d, want 1", f.scaler.ups.Load())
 	}
 	assertBitwiseConsistent(t, f) // the revived slot caught up bitwise
 
@@ -258,7 +258,7 @@ func TestAutoscaleFleetTransitionsBitwise(t *testing.T) {
 	if live := f.liveIDs(); len(live) != 1 {
 		t.Fatalf("scaled below Min: live %v", live)
 	}
-	if ups, downs := f.scaler.ScaleUps(), f.scaler.ScaleDowns(); ups != 2 || downs != 2 {
+	if ups, downs := f.scaler.ups.Load(), f.scaler.downs.Load(); ups != 2 || downs != 2 {
 		t.Fatalf("scale events %d up / %d down, want 2/2", ups, downs)
 	}
 

@@ -56,14 +56,14 @@ func TestReplicaCrashMidStepKeepsConsistency(t *testing.T) {
 			assertBitwiseConsistent(t, f)
 
 			boom := errors.New("simulated mid-step crash")
-			f.failStep = func(id int, step int64) error {
+			f.preCollective = func(_ context.Context, id int, _ int64, _ func()) error {
 				if id == 1 {
 					return boom
 				}
 				return nil
 			}
 			f.loop.Step()
-			f.failStep = nil
+			f.preCollective = nil
 
 			if f.Steps() != 2 {
 				t.Fatalf("took %d steps, want 2", f.Steps())
@@ -95,7 +95,7 @@ func TestRingFailureOfEveryRankKeepsOneReplica(t *testing.T) {
 			rings := 0
 			cfg := Config{PShard: mode.pshard, Seed: 23, CheckpointPath: path,
 				Gate: online.GateConfig{Enabled: false}}
-			cfg.RingFactory = func(size int) (*cluster.Ring, error) {
+			ringFactory := func(size int) (*cluster.Ring, error) {
 				rings++
 				var tr cluster.Transport = cluster.NewChanTransport(size)
 				if rings == 1 {
@@ -108,6 +108,7 @@ func TestRingFailureOfEveryRankKeepsOneReplica(t *testing.T) {
 				return cluster.NewRingOver(tr, cluster.RoCE25()), nil
 			}
 			ds, f := newTestFleet(t, 3, cfg)
+			f.ringFactory = ringFactory
 			for i := 0; i < 12; i++ {
 				if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 					t.Fatalf("ingest %d: %v %v", i, ok, err)

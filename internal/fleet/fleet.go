@@ -74,10 +74,6 @@ type Config struct {
 	// the conductor aborts the stuck rank's transport, which maps the hang
 	// onto the existing ring-broken → replica-death → reconcile path.
 	StepTimeout time.Duration
-	// Chaos deterministically injects faults (weight poison at step k, a
-	// rank hung at step k) to drive the guard's recovery paths under test.
-	// A configured hang requires StepTimeout > 0.
-	Chaos guard.ChaosConfig
 	// Gate configures per-replica uncertainty gating.
 	Gate online.GateConfig
 	// TrainIdle keeps stepping on the replay buffers while no new frames
@@ -92,10 +88,6 @@ type Config struct {
 	// bitwise-identical reductions, real deadlines/reconnects/failure
 	// detection).
 	Transport string
-	// RingFactory, when non-nil, overrides Transport and builds each ring
-	// outright — the fault-injection tests use it to wrap transports with
-	// deterministic drop/delay/sever rules.
-	RingFactory func(size int) (*cluster.Ring, error)
 	// Clock supplies time to the conductor: snapshot provenance,
 	// step-latency measurement, the step watchdog, autoscaler cooldowns and
 	// the autoscaler deadline of the loop's idle wait.  Nil means the
@@ -189,11 +181,6 @@ type Fleet struct {
 
 	rr atomic.Uint64 // round-robin shard cursor
 
-	// conductor-owned one-shot flags for the chaos injectors (the
-	// checkpoint ring, sentinel and health ledger live in the loop).
-	poisoned  bool // chaos weight poison fired
-	hangFired bool // chaos rank hang fired
-
 	lambdaBits atomic.Uint64
 	wDriftBits atomic.Uint64
 	pDriftBits atomic.Uint64
@@ -204,10 +191,20 @@ type Fleet struct {
 	// that optimizer out (Stats runs from any goroutine).
 	forceGroups int
 
-	// failStep, when non-nil, injects a per-replica failure into a step
-	// (after the environment build); the failure-path tests use it to
-	// prove a crashing replica cannot make the survivors diverge.
-	failStep func(id int, step int64) error
+	// Fault-injection seams for the package tests; nil in production.
+	//
+	// preCollective runs on each rank goroutine after the rank's
+	// environment build and before it enters the collective of 1-based
+	// step; an error makes the rank contribute zero partials.  The rank
+	// counts as in the collective for the watchdog's attribution once the
+	// hook calls enter or returns, so a hook that parks on ctx — cancelled
+	// when the watchdog aborts the step — is the rank the watchdog blames.
+	preCollective func(ctx context.Context, id int, step int64, enter func()) error
+	// postStep runs on the conductor after the ranks of completed step n
+	// join, before the invariants refresh and the sentinel samples.
+	postStep func(n int64, live []int)
+	// ringFactory builds each ring in place of cfg.Transport.
+	ringFactory func(size int) (*cluster.Ring, error)
 }
 
 // New builds a fleet of cfg.Replicas replicas cloned from an initialized
@@ -231,9 +228,6 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 		return nil, fmt.Errorf("fleet: prototype has %d species, model wants %d", len(proto.Species), m.Cfg.NumSpecies)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Chaos.HangStep > 0 && cfg.StepTimeout <= 0 {
-		return nil, fmt.Errorf("fleet: a chaos hang needs StepTimeout > 0 to be recoverable")
-	}
 	f := &Fleet{
 		cfg:     cfg,
 		system:  proto.System,
@@ -328,9 +322,6 @@ func (f *Fleet) NumAtoms() int { return int(f.naPer.Load()) }
 
 // Replicas returns the configured replica count.
 func (f *Fleet) Replicas() int { return len(f.reps) }
-
-// Router returns the predict-tier snapshot router.
-func (f *Fleet) Router() *Router { return f.router }
 
 // Steps returns the number of completed lockstep steps.
 func (f *Fleet) Steps() int64 { return f.loop.Steps.Load() }
@@ -628,8 +619,8 @@ func (f *Fleet) ensureRing(live []int) (*cluster.Ring, error) {
 // newRing builds a ring for size ranks over the configured transport.
 func (f *Fleet) newRing(size int) (*cluster.Ring, error) {
 	f.ringEpoch++
-	if f.cfg.RingFactory != nil {
-		return f.cfg.RingFactory(size)
+	if f.ringFactory != nil {
+		return f.ringFactory(size)
 	}
 	switch f.cfg.Transport {
 	case "", "chan":
@@ -752,17 +743,8 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 	}
 	stepNo := f.loop.Steps.Load()
 	t0 := f.clock.Now()
-
-	// Chaos hang: at the configured step, one rank parks before entering
-	// the collective until the watchdog fires and releases it.  One-shot,
-	// so the re-run after recovery proceeds clean.
-	var hangCh chan struct{}
-	hangID := -1
-	if c := f.cfg.Chaos; c.HangStep > 0 && !f.hangFired && stepNo+1 == c.HangStep {
-		f.hangFired = true
-		hangID = c.HangReplica
-		hangCh = make(chan struct{})
-	}
+	ctx, release := context.WithCancel(context.Background())
+	defer release()
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(live))
@@ -776,13 +758,13 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 		wg.Add(1)
 		go func(rank, id int, cov optimize.Covariance) {
 			defer wg.Done()
-			inject := f.buildInject(id, stepNo, hangID, hangCh, &progress[rank])
+			inject := f.buildInject(ctx, id, stepNo+1, &progress[rank])
 			infos[rank], errs[rank] = optimize.RankStep(ring, rank, f.reps[id].model, cov, params,
 				shares[rank].ds, shares[rank].idx, inject)
 			progress[rank].Store(2)
 		}(k, id, f.cov.over(id, ring))
 	}
-	f.awaitStep(&wg, ring, live, stepNo, progress, hangCh)
+	f.awaitStep(&wg, ring, live, stepNo, progress, release)
 
 	n := f.loop.Steps.Add(1)
 	if err := errors.Join(errs...); err != nil {
@@ -795,14 +777,8 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 			live = f.recoverRing(ring)
 		}
 	}
-	if d := f.cfg.Chaos.MaybePoison(n, &f.poisoned, f.reps[live[0]].model.NumParams()); d != nil {
-		// The same delta lands on every live replica — a poisoned reduced
-		// gradient reaches all ranks identically under the funnel
-		// schedule, so the bitwise drift invariant holds over the broken
-		// state.
-		for _, id := range live {
-			f.reps[id].model.Params.AddFlat(d)
-		}
+	if f.postStep != nil {
+		f.postStep(n, live)
 	}
 	f.updateInvariants(live)
 	lat := f.clock.Now().Sub(t0)

@@ -1,46 +1,38 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"fekf/internal/cluster"
-	"fekf/internal/guard"
 )
 
 // This file is what the fleet adds to the shared self-healing layer (the
-// online.Loop's guard.Keeper and rollback tail): the step watchdog, the
-// chaos-hang injection, and the in-place restore that rolls every replica
-// and the covariance back bitwise.  Everything here runs on the conductor
-// goroutine except buildInject's returned closure, which runs on a rank
-// goroutine and touches only its own arguments.
+// online.Loop's guard.Keeper and rollback tail): the step watchdog and the
+// in-place restore that rolls every replica and the covariance back
+// bitwise.  Everything here runs on the conductor goroutine except
+// buildInject's returned closure, which runs on a rank goroutine and
+// touches only its own arguments.
 
-// buildInject composes the per-rank step injection: the failStep test seam,
-// the chaos hang, and — whenever the watchdog is armed — a progress marker
-// so a stall can be attributed to the rank that never reached the
-// collective.  Returns nil when there is nothing to inject (the fast path).
-func (f *Fleet) buildInject(id int, stepNo int64, hangID int, hangCh chan struct{}, prog *atomic.Int32) func() error {
-	fail := f.failStep
-	hung := hangCh != nil && id == hangID
-	if fail == nil && !hung && f.cfg.StepTimeout <= 0 {
+// buildInject composes the per-rank step injection: the preCollective test
+// seam and — whenever the watchdog is armed — a progress marker so a stall
+// can be attributed to the rank that never reached the collective.  Returns
+// nil when there is nothing to inject (the fast path).
+func (f *Fleet) buildInject(ctx context.Context, id int, step int64, prog *atomic.Int32) func() error {
+	hook := f.preCollective
+	if hook == nil && f.cfg.StepTimeout <= 0 {
 		return nil
 	}
+	enter := func() { prog.Store(1) }
 	return func() error {
-		if hung {
-			// Park until the watchdog aborts the step and releases us.  The
-			// inject error only deactivates this rank (it still runs the
-			// collectives on the now-broken ring), so the hang surfaces in
-			// the step error through the watchdog's abort cause, not this
-			// return value.
-			<-hangCh
-			return fmt.Errorf("replica %d: %w", id, guard.ErrHungRank)
+		var err error
+		if hook != nil {
+			err = hook(ctx, id, step, enter)
 		}
-		prog.Store(1)
-		if fail != nil {
-			return fail(id, stepNo)
-		}
-		return nil
+		enter()
+		return err
 	}
 }
 
@@ -49,8 +41,8 @@ func (f *Fleet) buildInject(id int, stepNo int64, hangID int, hangCh chan struct
 // least-advanced rank's transport is aborted — releasing every rank blocked
 // in the collective with ErrRingBroken and marking the stuck rank dead, so
 // the caller's existing recovery path kills it and reconciles the
-// survivors — and a parked chaos hang is released.  Conductor only.
-func (f *Fleet) awaitStep(wg *sync.WaitGroup, ring *cluster.Ring, live []int, stepNo int64, progress []atomic.Int32, hangCh chan struct{}) {
+// survivors — and release cancels the step's context.  Conductor only.
+func (f *Fleet) awaitStep(wg *sync.WaitGroup, ring *cluster.Ring, live []int, stepNo int64, progress []atomic.Int32, release func()) {
 	if f.cfg.StepTimeout <= 0 {
 		wg.Wait()
 		return
@@ -78,9 +70,7 @@ func (f *Fleet) awaitStep(wg *sync.WaitGroup, ring *cluster.Ring, live []int, st
 		cause := fmt.Errorf("fleet: step %d watchdog: rank %d (replica %d) stuck after %v",
 			stepNo+1, stuck, live[stuck], f.cfg.StepTimeout)
 		ring.Transport().Abort(stuck, cause)
-		if hangCh != nil {
-			close(hangCh)
-		}
+		release()
 		f.loop.Health().NoteWatchdog(stepNo + 1)
 		f.loop.Recorder().Span(-1, "watchdog_abort", f.clock.Now(), 0)
 		<-stepDone

@@ -60,6 +60,39 @@ func assertFleetsBitwise(t *testing.T, a, b *Fleet, when string) {
 	}
 }
 
+// poisonAt makes the post-step seam add c's one-shot poison delta to every
+// live replica: a poisoned reduced gradient reaches all ranks identically
+// under the funnel schedule, so the bitwise drift invariant holds over the
+// broken state and the sentinel reads ReasonWeightNonFinite at that step.
+func poisonAt(f *Fleet, c guard.ChaosConfig) {
+	fired := false // conductor-owned
+	f.postStep = func(n int64, live []int) {
+		if d := c.MaybePoison(n, &fired, f.reps[live[0]].model.NumParams()); d != nil {
+			for _, id := range live {
+				f.reps[id].model.Params.AddFlat(d)
+			}
+		}
+	}
+}
+
+// hangAt makes the pre-collective seam park replica id once, at the given
+// 1-based step, until the watchdog aborts that step.  Every other rank
+// marks itself in the collective and then calls reached (nil: no-op).
+func hangAt(f *Fleet, id int, step int64, reached func(id int)) {
+	var fired atomic.Bool
+	f.preCollective = func(ctx context.Context, rid int, n int64, enter func()) error {
+		if rid == id && n == step && fired.CompareAndSwap(false, true) {
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		enter()
+		if reached != nil {
+			reached(rid)
+		}
+		return nil
+	}
+}
+
 // The tentpole acceptance path over the full transport/covariance matrix: a
 // NaN poisoned into every replica at step 5 must trip the sentinel and roll
 // the whole fleet back — bitwise — to the newest ring generation, after
@@ -79,10 +112,10 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 					BatchSize: 2, MinFrames: 2,
 					CheckpointPath: path, CheckpointEvery: 2, CheckpointKeep: 3,
 					Guard: guard.SentinelConfig{Enabled: true, SampleStride: 1},
-					Chaos: guard.ChaosConfig{PoisonStep: 5},
 					Trace: trace,
 				}
 				ds, f := newTestFleet(t, 3, cfg)
+				poisonAt(f, guard.ChaosConfig{PoisonStep: 5})
 				for i := 0; i < 12; i++ {
 					if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 						t.Fatalf("ingest %d: %v %v", i, ok, err)
@@ -101,7 +134,6 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 				}
 				twinCfg := cfg
 				twinCfg.CheckpointPath, twinCfg.CheckpointEvery, twinCfg.CheckpointKeep = "", 0, 0
-				twinCfg.Chaos = guard.ChaosConfig{}
 				twinCfg.Guard = guard.SentinelConfig{}
 				twinCfg.Trace = nil
 				twin, err := Resume(ck, twinCfg)
@@ -177,9 +209,9 @@ func TestFleetRollbackSkipsCorruptGeneration(t *testing.T) {
 		Seed: 3, BatchSize: 2, MinFrames: 2,
 		CheckpointPath: path, CheckpointEvery: 2, CheckpointKeep: 3,
 		Guard: guard.SentinelConfig{Enabled: true, SampleStride: 1},
-		Chaos: guard.ChaosConfig{PoisonStep: 5, PoisonInf: true},
 	}
 	ds, f := newTestFleet(t, 2, cfg)
+	poisonAt(f, guard.ChaosConfig{PoisonStep: 5, PoisonInf: true})
 	for i := 0; i < 8; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("ingest %d: %v %v", i, ok, err)
@@ -208,7 +240,6 @@ func TestFleetRollbackSkipsCorruptGeneration(t *testing.T) {
 	}
 	twinCfg := cfg
 	twinCfg.CheckpointPath, twinCfg.CheckpointEvery, twinCfg.CheckpointKeep = "", 0, 0
-	twinCfg.Chaos = guard.ChaosConfig{}
 	twinCfg.Guard = guard.SentinelConfig{}
 	twin, err := Resume(ck, twinCfg)
 	if err != nil {
@@ -232,7 +263,6 @@ func TestFleetWatchdogKillsHungRank(t *testing.T) {
 	cfg := Config{
 		Seed: 7, Clock: clk,
 		StepTimeout: time.Second,
-		Chaos:       guard.ChaosConfig{HangStep: 2, HangReplica: 1},
 	}
 	ds, f := newTestFleet(t, 3, cfg)
 	for i := 0; i < 9; i++ {
@@ -247,15 +277,12 @@ func TestFleetWatchdogKillsHungRank(t *testing.T) {
 	// inside it.  Advance the fake clock past the deadline once the
 	// watchdog has armed itself — step 1's already-expired registration is
 	// still parked on the fake clock, so wait for the second one — AND the
-	// healthy ranks have provably reached their inject point (the failStep
-	// seam runs after the progress marker): firing the fake clock while a
-	// healthy rank's goroutine is still unscheduled at progress 0 would tie
-	// it with the hung rank and mis-attribute the stall.
+	// healthy ranks have provably passed their progress marker (hangAt
+	// reports them after enter): firing the fake clock while a healthy
+	// rank's goroutine is still unscheduled at progress 0 would tie it with
+	// the hung rank and mis-attribute the stall.
 	var reached [3]atomic.Bool
-	f.failStep = func(id int, _ int64) error {
-		reached[id].Store(true)
-		return nil
-	}
+	hangAt(f, 1, 2, func(id int) { reached[id].Store(true) })
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -281,7 +308,7 @@ func TestFleetWatchdogKillsHungRank(t *testing.T) {
 	if st.Guard.LastReason != "step_watchdog" {
 		t.Fatalf("watchdog reason: %+v", st.Guard)
 	}
-	// The hung rank's inject error is swallowed by design (a failing rank
+	// The parked rank's inject error is swallowed by design (a failing rank
 	// contributes zero partials but still runs the collectives); the hang
 	// surfaces through the watchdog's abort cause, which names the stuck
 	// rank and replica.
@@ -293,7 +320,7 @@ func TestFleetWatchdogKillsHungRank(t *testing.T) {
 	}
 	assertBitwiseConsistent(t, f)
 
-	// The chaos hang is one-shot: the dead rank rejoins through the normal
+	// The hang is one-shot: the dead rank rejoins through the normal
 	// catch-up path and the fleet steps on, drift still exactly zero.
 	if err := f.Revive(context.Background(), 1); err != nil {
 		t.Fatal(err)
@@ -333,9 +360,10 @@ func TestFleetGuardChaosSoak(t *testing.T) {
 				// under -race): a spurious watchdog fire would kill a
 				// healthy rank.
 				StepTimeout: 5 * time.Second,
-				Chaos:       guard.ChaosConfig{PoisonStep: 6, HangStep: 9, HangReplica: 2},
 			}
 			ds, f := newTestFleet(t, 3, cfg)
+			poisonAt(f, guard.ChaosConfig{PoisonStep: 6})
+			hangAt(f, 2, 9, nil)
 			f.Start()
 
 			stop := make(chan struct{})

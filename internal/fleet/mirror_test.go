@@ -82,7 +82,6 @@ func mirrorFleetConfig(k mirrorKnobs, pshard bool) Config {
 		Gate:           online.GateConfig{Enabled: true, Threshold: 1.5, Warmup: 2},
 		CheckpointPath: k.path, CheckpointEvery: 2, CheckpointKeep: k.keep,
 		Guard:         guard.SentinelConfig{Enabled: k.poisonStep > 0, SampleStride: 1},
-		Chaos:         guard.ChaosConfig{PoisonStep: k.poisonStep},
 		SnapshotEvery: k.snapshotEvery, OnStep: k.onStep, Trace: k.trace,
 	}
 }
@@ -97,6 +96,7 @@ func mirrorKinds() []mirrorKind {
 				if err != nil {
 					t.Fatal(err)
 				}
+				poisonAt(f, guard.ChaosConfig{PoisonStep: k.poisonStep})
 				return ds, f
 			},
 			resume: func(t *testing.T, path string, k mirrorKnobs) mirrorSubject {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -63,14 +64,14 @@ func TestFleetBitwiseChanVsTCP(t *testing.T) {
 		f.loop.Step()
 		// Cooperative mid-step failure on replica 1: zero partials, full
 		// collectives — deterministic on every transport.
-		f.failStep = func(id int, step int64) error {
+		f.preCollective = func(_ context.Context, id int, _ int64, _ func()) error {
 			if id == 1 {
 				return errors.New("injected mid-step failure")
 			}
 			return nil
 		}
 		f.loop.Step()
-		f.failStep = nil
+		f.preCollective = nil
 		f.loop.Step()
 		assertBitwiseConsistent(t, f)
 		if f.WeightDrift() != 0 || f.PDrift() != 0 {
@@ -102,7 +103,7 @@ func TestFleetBitwiseChanVsTCP(t *testing.T) {
 func TestFleetTCPReconnectMidStep(t *testing.T) {
 	rings := 0
 	cfg := Config{Seed: 11, Gate: online.GateConfig{Enabled: false}}
-	cfg.RingFactory = func(size int) (*cluster.Ring, error) {
+	ringFactory := func(size int) (*cluster.Ring, error) {
 		rings++
 		g, err := tcptransport.NewLoopbackGroup(size, tcptransport.Options{RingID: "cut-test"})
 		if err != nil {
@@ -116,6 +117,7 @@ func TestFleetTCPReconnectMidStep(t *testing.T) {
 		return cluster.NewRingOver(tr, cluster.RoCE25()), nil
 	}
 	ds, f := newTestFleet(t, 3, cfg)
+	f.ringFactory = ringFactory
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("ingest %d: %v %v", i, ok, err)
@@ -148,7 +150,7 @@ func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			rings := 0
 			cfg := Config{PShard: mode.pshard, Seed: 21, Gate: online.GateConfig{Enabled: false}}
-			cfg.RingFactory = func(size int) (*cluster.Ring, error) {
+			ringFactory := func(size int) (*cluster.Ring, error) {
 				rings++
 				g, err := tcptransport.NewLoopbackGroup(size, tcptransport.Options{RingID: "sever-test"})
 				if err != nil {
@@ -163,6 +165,7 @@ func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
 				return cluster.NewRingOver(tr, cluster.RoCE25()), nil
 			}
 			ds, f := newTestFleet(t, 3, cfg)
+			f.ringFactory = ringFactory
 			for i := 0; i < 12; i++ {
 				if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 					t.Fatalf("ingest %d: %v %v", i, ok, err)

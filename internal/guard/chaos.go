@@ -1,53 +1,28 @@
 package guard
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
 )
 
-// ErrHungRank is returned by a chaos-hung rank's injected step once the
-// watchdog releases it; the conductor treats it like any other mid-step
-// rank failure.
-var ErrHungRank = errors.New("guard: chaos-hung rank released by watchdog")
-
-// ChaosConfig is the deterministic state-level fault injector, the
-// checkpoint/step counterpart of cluster.FaultyTransport's wire faults.
-// Steps are 1-based completed-step numbers (the same counter stats
-// report); the zero value injects nothing.
+// ChaosConfig is the deterministic weight-poison injector, the state-level
+// counterpart of cluster.FaultyTransport's wire faults.  Steps are 1-based
+// completed-step numbers (the same counter stats report); the zero value
+// injects nothing.
 type ChaosConfig struct {
-	// PoisonStep poisons the weight vector of every live replica with a
-	// non-finite value immediately after that step completes — the
-	// observable effect of a NaN/Inf gradient surviving the reduction —
-	// so the sentinel must catch it and roll back.  0 disables.
+	// PoisonStep poisons the weights with a non-finite value immediately
+	// after that step completes — the observable effect of a NaN/Inf
+	// gradient surviving the reduction — so the sentinel must catch it and
+	// roll back.  0 disables.
 	PoisonStep int64
 	// PoisonInf injects +Inf instead of NaN.
 	PoisonInf bool
-	// PoisonIndex is the flat weight index poisoned (default 0).
-	PoisonIndex int
-	// HangStep blocks replica HangReplica inside its rank step at that
-	// step, simulating a wedged collective participant.  Requires a step
-	// watchdog (fleet StepTimeout > 0) to release it; the stuck rank is
-	// aborted onto the replica-death path.  0 disables.
-	HangStep    int64
-	HangReplica int
-}
-
-// Enabled reports whether any injector is armed.
-func (c ChaosConfig) Enabled() bool { return c.PoisonStep > 0 || c.HangStep > 0 }
-
-// PoisonValue returns the non-finite value to inject.
-func (c ChaosConfig) PoisonValue() float64 {
-	if c.PoisonInf {
-		return math.Inf(1)
-	}
-	return math.NaN()
 }
 
 // MaybePoison returns the weight delta the poison injector applies after
-// completed step n — zeros with PoisonValue at PoisonIndex (clamped to 0
-// when out of range) over nParams weights — or nil when none is due.
+// completed step n — nParams zeros with NaN (+Inf under PoisonInf) at
+// index 0 — or nil when none is due.
 // One-shot: *fired is set on the first injection, so the re-run of step n
 // after a rollback sees the clean gradient, not the fault again.
 func (c ChaosConfig) MaybePoison(n int64, fired *bool, nParams int) []float64 {
@@ -56,11 +31,10 @@ func (c ChaosConfig) MaybePoison(n int64, fired *bool, nParams int) []float64 {
 	}
 	*fired = true
 	delta := make([]float64, nParams)
-	idx := c.PoisonIndex
-	if idx < 0 || idx >= nParams {
-		idx = 0
+	delta[0] = math.NaN()
+	if c.PoisonInf {
+		delta[0] = math.Inf(1)
 	}
-	delta[idx] = c.PoisonValue()
 	return delta
 }
 

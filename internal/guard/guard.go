@@ -121,9 +121,6 @@ func NewSentinel(cfg SentinelConfig) *Sentinel {
 	return &Sentinel{cfg: cfg.withDefaults()}
 }
 
-// Config returns the defaulted thresholds in effect.
-func (s *Sentinel) Config() SentinelConfig { return s.cfg }
-
 // Check validates one step's sample against the configured invariants,
 // returning nil when healthy.  On a healthy check the strided weight
 // sample is retained as the baseline for the next update-norm check; on a

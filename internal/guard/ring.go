@@ -45,9 +45,6 @@ func NewRing(path string, keep int) *Ring {
 // Path returns the base checkpoint path the ring was built around.
 func (r *Ring) Path() string { return r.path }
 
-// Keep returns the retention count.
-func (r *Ring) Keep() int { return r.keep }
-
 // splitPath returns the base path split around the extension, so
 // generation numbers land before ".gob" (ckpt.000017.gob, not
 // ckpt.gob.000017).

@@ -425,88 +425,3 @@ func TestTinyBuildsStableAndSmall(t *testing.T) {
 		}
 	}
 }
-
-func TestRDFCrystalPeak(t *testing.T) {
-	s := FCC(3.615, 3, Species{Name: "Cu", Mass: massCu})
-	rdf := NewRDF(0, 0, 5.0, 100)
-	rdf.Accumulate(s)
-	pos, height := rdf.FirstPeak()
-	// fcc nearest-neighbor distance a/√2 = 2.556 Å
-	want := 3.615 / math.Sqrt2
-	if math.Abs(pos-want) > 0.1 {
-		t.Fatalf("first peak at %v Å, want ~%v", pos, want)
-	}
-	if height < 5 {
-		t.Fatalf("crystal peak height %v implausibly low", height)
-	}
-	// no pairs below the nearest-neighbor shell
-	rs, g := rdf.Curve()
-	for i, r := range rs {
-		if r < 2.0 && g[i] != 0 {
-			t.Fatalf("g(%v) = %v, expected 0 below first shell", r, g[i])
-		}
-	}
-}
-
-func TestRDFCrossPair(t *testing.T) {
-	s := RockSalt(5.64, 2, Species{Name: "Na", Mass: massNa, Charge: 1},
-		Species{Name: "Cl", Mass: massCl, Charge: -1})
-	rdf := NewRDF(0, 1, 5.0, 80)
-	rdf.Accumulate(s)
-	pos, _ := rdf.FirstPeak()
-	// rock salt cation-anion distance a/2 = 2.82 Å
-	if math.Abs(pos-2.82) > 0.1 {
-		t.Fatalf("Na-Cl peak at %v, want ~2.82", pos)
-	}
-}
-
-func TestRDFEmptyAndMissingSpecies(t *testing.T) {
-	r := NewRDF(0, 0, 5, 10)
-	rs, g := r.Curve()
-	if len(rs) != 10 || len(g) != 10 {
-		t.Fatal("curve shape")
-	}
-	s := FCC(3.6, 2, Species{Name: "Cu", Mass: 1})
-	r2 := NewRDF(0, 1, 5, 10) // species 1 absent
-	r2.Accumulate(s)
-	if _, h := r2.FirstPeak(); h != 0 {
-		t.Fatal("missing species should accumulate nothing")
-	}
-}
-
-func TestMSDStaticIsZero(t *testing.T) {
-	s := FCC(3.6, 2, Species{Name: "Cu", Mass: massCu})
-	m := NewMSD(s)
-	m.Accumulate(s)
-	m.Accumulate(s)
-	for _, v := range m.Series() {
-		if v != 0 {
-			t.Fatalf("static MSD = %v", v)
-		}
-	}
-	if d := m.DiffusionCoefficient(1); d != 0 {
-		t.Fatalf("static diffusion = %v", d)
-	}
-}
-
-func TestMSDBallisticDrift(t *testing.T) {
-	s := FCC(3.6, 2, Species{Name: "Cu", Mass: massCu})
-	m := NewMSD(s)
-	// move every atom by v=0.01 Å per step along x: MSD = (0.01·k)²
-	for k := 1; k <= 8; k++ {
-		for i := 0; i < s.NumAtoms(); i++ {
-			s.Pos[3*i] += 0.01
-		}
-		m.Accumulate(s)
-	}
-	series := m.Series()
-	for k, v := range series {
-		want := math.Pow(0.01*float64(k+1), 2)
-		if math.Abs(v-want) > 1e-12 {
-			t.Fatalf("MSD[%d] = %v want %v", k, v, want)
-		}
-	}
-	if m.DiffusionCoefficient(1) <= 0 {
-		t.Fatal("drifting system must show positive slope")
-	}
-}

@@ -40,17 +40,6 @@ func (nl *NeighborList) Refresh(s *System) {
 	}
 }
 
-// MaxLen returns the longest per-atom neighbor count (the paper's N_m).
-func (nl *NeighborList) MaxLen() int {
-	m := 0
-	for _, l := range nl.Lists {
-		if len(l) > m {
-			m = len(l)
-		}
-	}
-	return m
-}
-
 // BuildNeighborsBrute builds the neighbor list with the O(N²) all-pairs
 // scan.  It is the correctness reference for the cell-list version and is
 // fine for the small cells used in tests.

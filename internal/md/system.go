@@ -57,9 +57,6 @@ func (s *System) Clone() *System {
 	return c
 }
 
-// Volume returns the cell volume in Å³.
-func (s *System) Volume() float64 { return s.Box[0] * s.Box[1] * s.Box[2] }
-
 // Wrap maps every atom back into the primary cell.
 func (s *System) Wrap() {
 	for i := 0; i < s.NumAtoms(); i++ {

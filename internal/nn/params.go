@@ -8,10 +8,8 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
-	"fekf/internal/autodiff"
 	"fekf/internal/tensor"
 )
 
@@ -34,24 +32,8 @@ func (ps *ParamSet) Register(name string, t *tensor.Dense) *tensor.Dense {
 // NumParams returns the total number of scalar parameters.
 func (ps *ParamSet) NumParams() int { return ps.total }
 
-// NumTensors returns the number of registered tensors.
-func (ps *ParamSet) NumTensors() int { return len(ps.tensors) }
-
-// Names returns the registered tensor names in order.
-func (ps *ParamSet) Names() []string { return ps.names }
-
 // Tensors returns the registered tensors in order (aliased).
 func (ps *ParamSet) Tensors() []*tensor.Dense { return ps.tensors }
-
-// Sizes returns the per-tensor element counts in registration order; this
-// is the layer-size sequence the EKF gather-and-split strategy consumes.
-func (ps *ParamSet) Sizes() []int {
-	out := make([]int, len(ps.tensors))
-	for i, t := range ps.tensors {
-		out[i] = t.Len()
-	}
-	return out
-}
 
 // LayerSizes returns element counts grouped per layer, where consecutive
 // (weight, bias) registrations belonging to the same layer share a name
@@ -121,7 +103,7 @@ func (ps *ParamSet) AddFlat(delta []float64) {
 }
 
 // FlattenAligned copies a list of tensors shaped like the parameter set
-// (e.g. gradients returned by autodiff.Grad over BindGraph's vars) into a
+// (e.g. gradients returned by autodiff.Grad over the parameters) into a
 // flat vector aligned with FlattenValues.
 func (ps *ParamSet) FlattenAligned(ts []*tensor.Dense) []float64 {
 	if len(ts) != len(ps.tensors) {
@@ -136,25 +118,6 @@ func (ps *ParamSet) FlattenAligned(ts []*tensor.Dense) []float64 {
 		out = append(out, t.Data...)
 	}
 	return out
-}
-
-// BindGraph registers every parameter as a Param leaf on g and returns the
-// vars in registration order.
-func (ps *ParamSet) BindGraph(g *autodiff.Graph) []*autodiff.Var {
-	out := make([]*autodiff.Var, len(ps.tensors))
-	for i, t := range ps.tensors {
-		out[i] = g.Param(t)
-	}
-	return out
-}
-
-// Clone returns a deep copy (for checkpointing / best-model tracking).
-func (ps *ParamSet) Clone() *ParamSet {
-	c := &ParamSet{}
-	for i, t := range ps.tensors {
-		c.Register(ps.names[i], t.Clone())
-	}
-	return c
 }
 
 // CopyFrom overwrites this set's values from another set with identical
@@ -180,14 +143,4 @@ func NewDense(ps *ParamSet, name string, in, out int, rng *rand.Rand) Dense {
 	w := ps.Register(name+"/W", tensor.XavierInit(in, out, rng))
 	b := ps.Register(name+"/b", tensor.RandNormal(1, out, 0.01, rng))
 	return Dense{W: w, B: b}
-}
-
-// NormOfFlat returns the Euclidean norm of a flat vector; a convenience for
-// gradient diagnostics.
-func NormOfFlat(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

@@ -112,12 +112,6 @@ func (g *Gate) Admit(m *deepmd.Model, pd []float64, ds *dataset.Dataset, idx int
 // EMA returns the running mean score.
 func (g *Gate) EMA() float64 { return g.ema }
 
-// Accepted returns the number of admitted frames.
-func (g *Gate) Accepted() int64 { return g.accepted }
-
-// Rejected returns the number of gated-out frames.
-func (g *Gate) Rejected() int64 { return g.rejected }
-
 // GateCheckpoint is the serializable gate state.
 type GateCheckpoint struct {
 	EMA      float64

@@ -14,8 +14,8 @@ func TestGateAdmitsWhenDisabledOrBlind(t *testing.T) {
 	if !ok || err != nil {
 		t.Fatalf("gate without covariance: %v %v", ok, err)
 	}
-	if g.Accepted() != 1 {
-		t.Fatalf("accepted %d, want 1", g.Accepted())
+	if g.accepted != 1 {
+		t.Fatalf("accepted %d, want 1", g.accepted)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestGateScoresAgainstPDiagonal(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("informative frame rejected: %v %v", ok, err)
 	}
-	if g.Accepted() != 2 || g.Rejected() != 1 {
-		t.Fatalf("counters: accepted %d rejected %d", g.Accepted(), g.Rejected())
+	if g.accepted != 2 || g.rejected != 1 {
+		t.Fatalf("counters: accepted %d rejected %d", g.accepted, g.rejected)
 	}
 	if !(g.EMA() > 0 && g.EMA() < 1) {
 		t.Fatalf("EMA %v not between the observed scores", g.EMA())
@@ -62,7 +62,7 @@ func TestGateCheckpointRoundTrip(t *testing.T) {
 	g := NewGate(DefaultGateConfig())
 	g.ema, g.n, g.accepted, g.rejected = 0.25, 10, 8, 2
 	got := RestoreGate(g.Checkpoint(), DefaultGateConfig())
-	if got.EMA() != 0.25 || got.n != 10 || got.Accepted() != 8 || got.Rejected() != 2 {
-		t.Fatalf("restored gate state %v %d %d %d", got.EMA(), got.n, got.Accepted(), got.Rejected())
+	if got.EMA() != 0.25 || got.n != 10 || got.accepted != 8 || got.rejected != 2 {
+		t.Fatalf("restored gate state %v %d %d %d", got.EMA(), got.n, got.accepted, got.rejected)
 	}
 }

@@ -143,20 +143,6 @@ func (a Assignment) TotalBytes() int64 {
 	return total
 }
 
-// MaxShardBytes returns the largest single shard, the quantity the load
-// bound is stated in.
-func (a Assignment) MaxShardBytes() int64 {
-	var max int64
-	for _, shards := range a.Owners {
-		for _, s := range shards {
-			if b := a.ShardBytes(s); b > max {
-				max = b
-			}
-		}
-	}
-	return max
-}
-
 // ImbalanceRatio returns maxRankBytes/minRankBytes over the ranks, the
 // partition-quality gauge.  If any rank holds nothing (more ranks than
 // units) the ratio is reported as 0 rather than +Inf so it stays

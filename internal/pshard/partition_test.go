@@ -65,12 +65,20 @@ func checkPartition(t *testing.T, sizes []int, ranks int) {
 		}
 	}
 	bound := target + 8*int64(maxN)
-	if ms := a.MaxShardBytes(); ms > bound {
+	var ms int64
+	for _, shards := range a.Owners {
+		for _, s := range shards {
+			if b := a.ShardBytes(s); b > ms {
+				ms = b
+			}
+		}
+	}
+	if ms > bound {
 		t.Fatalf("sizes %v ranks %d: max shard %d exceeds bound %d", sizes, ranks, ms, bound)
 	}
-	if spread := max - min; spread > a.MaxShardBytes() {
+	if spread := max - min; spread > ms {
 		t.Fatalf("sizes %v ranks %d: load spread %d exceeds max shard %d",
-			sizes, ranks, spread, a.MaxShardBytes())
+			sizes, ranks, spread, ms)
 	}
 }
 

@@ -94,12 +94,6 @@ func newShell(cfg optimize.KalmanConfig, assign Assignment, rank int, dev *devic
 	return st
 }
 
-// NumParams returns the flat parameter count the filter covers.
-func (st *State) NumParams() int { return len(st.pg) }
-
-// Shards returns the owned shard list (sorted by block, row).
-func (st *State) Shards() []Shard { return st.shards }
-
 // Segments returns the allgather exchange table — identical on every rank
 // of the same assignment.
 func (st *State) Segments() []cluster.Segment { return st.segs }

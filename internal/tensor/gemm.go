@@ -113,16 +113,6 @@ func MatMulTB(a, b *Dense) *Dense {
 	return out
 }
 
-// MatVec returns the matrix-vector product a·x where x is n×1.
-func MatVec(a, x *Dense) *Dense {
-	if x.Cols != 1 || a.Cols != x.Rows {
-		panic(fmt.Sprintf("tensor: MatVec %dx%d · %dx%d", a.Rows, a.Cols, x.Rows, x.Cols))
-	}
-	out := New(a.Rows, 1)
-	MatVecInto(out.Data, a, x.Data)
-	return out
-}
-
 // SymMatVecInto computes y = P·x for symmetric P, writing into y (n×1).
 // It exists so that the optimizer's hot path allocates nothing.
 func SymMatVecInto(y, p, x *Dense) {

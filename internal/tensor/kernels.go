@@ -53,20 +53,22 @@ func ResidualAffineTanh(x, w, b *Dense) *Dense {
 // materializing the K·Kᵀ outer product and the transpose, exactly like the
 // torch.matmul implementation the paper replaces.  It returns the two
 // temporaries' sizes in elements so callers can account device memory.
+// The host holds only one of them at a time: Pᵀ overwrites the K·Kᵀ
+// buffer once the subtraction has consumed it.
 func PUpdateNaive(p, k *Dense, a, lambda float64) (tmpElems int64) {
 	n := p.Rows
 	if p.Cols != n || k.Rows != n || k.Cols != 1 {
 		panic(fmt.Sprintf("tensor: PUpdateNaive P %dx%d k %dx%d", p.Rows, p.Cols, k.Rows, k.Cols))
 	}
-	kkt := Outer(k, k) // N×N temporary (the memory overhead the paper measures)
+	tmp := Outer(k, k) // K·Kᵀ, the N×N temporary the paper measures
 	invA := 1 / a
 	invL := 1 / lambda
 	for i, v := range p.Data {
-		p.Data[i] = invL * (v - invA*kkt.Data[i])
+		p.Data[i] = invL * (v - invA*tmp.Data[i])
 	}
-	pt := Transpose(p) // second N×N temporary for the symmetrization
+	transposeInto(tmp, p) // the second temporary, Pᵀ, for the symmetrization
 	for i, v := range p.Data {
-		p.Data[i] = 0.5 * (v + pt.Data[i])
+		p.Data[i] = 0.5 * (v + tmp.Data[i])
 	}
 	return int64(2 * n * n)
 }

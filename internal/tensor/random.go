@@ -15,15 +15,6 @@ func RandNormal(r, c int, std float64, rng *rand.Rand) *Dense {
 	return out
 }
 
-// RandUniform returns an r×c matrix with i.i.d. U(lo,hi) entries.
-func RandUniform(r, c int, lo, hi float64, rng *rand.Rand) *Dense {
-	out := New(r, c)
-	for i := range out.Data {
-		out.Data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return out
-}
-
 // XavierInit returns an r×c weight matrix initialized with the Glorot
 // normal scheme std = sqrt(2/(fanIn+fanOut)), the initialization used by
 // the DeePMD reference implementation for its tanh networks.

@@ -66,13 +66,6 @@ func (m *Dense) Reshape(r, c int) *Dense {
 	return &Dense{Rows: r, Cols: c, Data: m.Data}
 }
 
-// Zero sets every element of m to 0.
-func (m *Dense) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Fill sets every element of m to v.
 func (m *Dense) Fill(v float64) {
 	for i := range m.Data {
@@ -137,16 +130,6 @@ func Scale(s float64, a *Dense) *Dense {
 	return out
 }
 
-// AddScaled performs dst += s·src in place (AXPY).
-func AddScaled(dst *Dense, s float64, src *Dense) {
-	if !dst.SameShape(src) {
-		panic(shapeErr("AddScaled", dst, src))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] += s * v
-	}
-}
-
 // Tanh returns element-wise tanh(a).
 func Tanh(a *Dense) *Dense {
 	out := New(a.Rows, a.Cols)
@@ -169,12 +152,17 @@ func TanhPrimeFromOutput(y *Dense) *Dense {
 // Transpose returns aᵀ as a new matrix.
 func Transpose(a *Dense) *Dense {
 	out := New(a.Cols, a.Rows)
+	transposeInto(out, a)
+	return out
+}
+
+// transposeInto writes aᵀ into out, which must be a.Cols×a.Rows.
+func transposeInto(out, a *Dense) {
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
 			out.Data[j*a.Rows+i] = a.Data[i*a.Cols+j]
 		}
 	}
-	return out
 }
 
 // Sum returns the sum of all elements.
@@ -184,14 +172,6 @@ func Sum(a *Dense) float64 {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty matrices).
-func Mean(a *Dense) float64 {
-	if a.Len() == 0 {
-		return 0
-	}
-	return Sum(a) / float64(a.Len())
 }
 
 // Dot returns the inner product of a and b viewed as flat vectors.
@@ -208,17 +188,6 @@ func Dot(a, b *Dense) float64 {
 
 // Norm2 returns the Euclidean norm of a viewed as a flat vector.
 func Norm2(a *Dense) float64 { return math.Sqrt(Dot(a, a)) }
-
-// MaxAbs returns the largest absolute element value (0 for empty matrices).
-func MaxAbs(a *Dense) float64 {
-	m := 0.0
-	for _, v := range a.Data {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
 
 // AddRowVec returns a with the 1×c row vector b added to every row.
 func AddRowVec(a, b *Dense) *Dense {

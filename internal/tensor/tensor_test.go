@@ -57,8 +57,10 @@ func TestMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randMat(rng, 8, 5)
 	x := randMat(rng, 5, 1)
-	if !Equal(MatVec(a, x), MatMul(a, x), 1e-12) {
-		t.Fatal("MatVec != MatMul")
+	y := New(8, 1)
+	MatVecInto(y.Data, a, x.Data)
+	if !Equal(y, MatMul(a, x), 1e-12) {
+		t.Fatal("MatVecInto != MatMul")
 	}
 }
 
@@ -147,11 +149,6 @@ func TestElementwiseOps(t *testing.T) {
 	if !Equal(Scale(2, a), FromSlice(2, 2, []float64{2, 4, 6, 8}), 0) {
 		t.Fatal("Scale")
 	}
-	c := a.Clone()
-	AddScaled(c, -1, a)
-	if Norm2(c) != 0 {
-		t.Fatal("AddScaled")
-	}
 }
 
 func TestReductionsAndNorms(t *testing.T) {
@@ -159,17 +156,8 @@ func TestReductionsAndNorms(t *testing.T) {
 	if Sum(a) != -2 {
 		t.Fatalf("Sum = %v", Sum(a))
 	}
-	if Mean(a) != -0.5 {
-		t.Fatalf("Mean = %v", Mean(a))
-	}
-	if MaxAbs(a) != 4 {
-		t.Fatalf("MaxAbs = %v", MaxAbs(a))
-	}
 	if math.Abs(Norm2(a)-math.Sqrt(30)) > 1e-12 {
 		t.Fatalf("Norm2 = %v", Norm2(a))
-	}
-	if Mean(New(0, 3)) != 0 {
-		t.Fatal("Mean of empty should be 0")
 	}
 }
 
@@ -300,12 +288,6 @@ func TestRandomInit(t *testing.T) {
 	got := math.Sqrt(s2 / float64(m.Len()))
 	if got < 0.8*std || got > 1.2*std {
 		t.Fatalf("Xavier std = %v want ~%v", got, std)
-	}
-	u := RandUniform(10, 10, -1, 2, rng)
-	for _, v := range u.Data {
-		if v < -1 || v > 2 {
-			t.Fatalf("uniform out of range: %v", v)
-		}
 	}
 }
 
