@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench bench-fleet bench-pshard bench-transport bench-autoscale bench-obs bench-smoke fmt loc serve-smoke
+.PHONY: ci vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench bench-layers bench-fleet bench-pshard bench-transport bench-autoscale bench-obs bench-smoke fmt loc serve-smoke
 
-ci: vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench-fleet bench-pshard bench-transport bench-autoscale bench-obs bench-smoke serve-smoke
+ci: vet test race race-pipeline race-online race-fleet race-pshard race-transport race-autoscale race-obs race-guard fuzz bench-layers bench-fleet bench-pshard bench-transport bench-autoscale bench-obs bench-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -127,6 +127,13 @@ fuzz:
 # pipelined FEKF iteration).
 bench:
 	$(GO) test -bench 'Kalman|GEMM|FEKFPipeline' -benchmem .
+
+# Layer benchmarks below the step: the environment build and one forward
+# with a double-backprop force gradient, at batch 1 and 4 on the tiny Cu
+# frame, with allocations reported.  Run once per iteration in ci as a
+# smoke; drop -benchtime for real numbers.
+bench-layers:
+	$(GO) test ./internal/deepmd -run '^$$' -bench 'BuildEnv|ForwardForceGrad' -benchtime 1x
 
 # Replica-count sweep of one lockstep fleet step (1/2/4 replicas); run once
 # per iteration in ci as a smoke, without -benchtime for real numbers.

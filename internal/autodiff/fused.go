@@ -49,7 +49,7 @@ func (g *Graph) Affine(x, w, b *Var) *Var {
 	if !g.Fused {
 		return g.AddRowVec(g.MatMul(x, w), b)
 	}
-	out := tensor.AddRowVec(tensor.MatMul(x.Value, w.Value), b.Value)
+	out := tensor.Affine(x.Value, w.Value, b.Value)
 	flops := 2*int64(x.Rows())*int64(x.Cols())*int64(w.Cols()) + int64(out.Len())
 	return g.op("affine", out, flops, []*Var{x, w, b}, func(grad *Var) []*Var {
 		return []*Var{g.MatMulTB(grad, w), g.MatMulTA(x, grad), g.ColSum(grad)}
@@ -60,7 +60,7 @@ func (g *Graph) Affine(x, w, b *Var) *Var {
 // tanh-shaped) activation output.  Its own backward is expressed with
 // primitives, keeping the engine closed under double differentiation.
 func (g *Graph) TanhBwd(grad, y *Var) *Var {
-	out := tensor.MulElem(grad.Value, tensor.TanhPrimeFromOutput(y.Value))
+	out := tensor.TanhBackward(grad.Value, y.Value)
 	return g.op("tanh_bwd", out, 3*int64(out.Len()), []*Var{grad, y}, func(h *Var) []*Var {
 		dGrad := g.TanhBwd(h, y)
 		dY := g.Scale(-2, g.Mul(g.Mul(h, grad), y))

@@ -11,6 +11,15 @@
 // the reproduction train on forces, which are first derivatives of the
 // network output, with a quasi-Newton optimizer that needs derivatives of
 // those forces with respect to the weights.
+//
+// # Ownership
+//
+// Leaves (Param, Const, Leaf) alias tensors the caller owns.  Every op
+// output — forward values, adjoints, the seeds and zero gradients Grad
+// creates — is owned by the graph, and Release hands those buffers back
+// to tensor.New for the next graph to reuse.  So no value of a graph may
+// be read after its Release: copy out what outlives it first.  A Reshape
+// is a view of its input's buffer and is never recycled on its own.
 package autodiff
 
 import (
@@ -30,6 +39,9 @@ type Graph struct {
 
 	nodes     []*Var
 	liveBytes int64
+	// owned lists the buffers Release recycles: op outputs and adopted
+	// tensors, never a leaf's or a view's.
+	owned []*tensor.Dense
 }
 
 // NewGraph returns an empty graph executing on dev (which may be nil for
@@ -107,6 +119,9 @@ func (g *Graph) op(name string, out *tensor.Dense, flops int64, inputs []*Var, b
 		g.Dev.Alloc(int64(out.Len()) * 8)
 	}
 	g.liveBytes += int64(out.Len()) * 8
+	if !aliasesAny(out, inputs) {
+		g.owned = append(g.owned, out)
+	}
 	v := &Var{g: g, Value: out, requires: req, inputs: inputs, name: name}
 	if req {
 		v.back = back
@@ -115,21 +130,53 @@ func (g *Graph) op(name string, out *tensor.Dense, flops int64, inputs []*Var, b
 	return v
 }
 
-// Release frees all op outputs from the simulated device allocator; call it
-// when an iteration's graph is no longer needed.  Leaf tensors (parameters,
-// inputs) are owned by the caller and are not freed.
+// aliasesAny reports whether out shares its first element with one of
+// the inputs' buffers — an op that passes an input through.
+func aliasesAny(out *tensor.Dense, inputs []*Var) bool {
+	if len(out.Data) == 0 {
+		return false
+	}
+	for _, in := range inputs {
+		if len(in.Value.Data) > 0 && &in.Value.Data[0] == &out.Data[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// Adopt makes val's buffer the graph's own, so Release recycles it with
+// the op outputs, and returns val.  Use it for a tensor allocated for this
+// graph alone, such as a scaled copy of an input registered as a leaf.
+// Adopting costs no simulated device memory.
+func (g *Graph) Adopt(val *tensor.Dense) *tensor.Dense {
+	g.owned = append(g.owned, val)
+	return val
+}
+
+// Release ends the graph: it frees all op outputs from the simulated
+// device allocator and recycles every buffer the graph owns into
+// tensor.New.  No value of the graph — an op output's Value, a gradient
+// from Grad, a Reshape of either — may be read or written after Release;
+// callers copy out what they need first.  Leaf tensors (parameters,
+// inputs, seeds passed to Grad) are owned by the caller and are neither
+// freed nor recycled.
 func (g *Graph) Release() {
 	if g.Dev != nil {
 		g.Dev.Free(g.liveBytes)
 	}
+	for _, t := range g.owned {
+		tensor.Recycle(t)
+	}
 	g.liveBytes = 0
 	g.nodes = nil
+	g.owned = nil
 }
 
 // Custom registers an externally computed primitive op: out is its eagerly
-// computed value, flops its kernel cost, and back its reverse rule (which
-// must itself be built from graph ops if the op is to support double
-// differentiation).  This is the extension point model code uses for
+// computed value — a buffer the op allocated, which Release recycles, or
+// one of the inputs' own values passed through — flops its kernel cost,
+// and back its reverse rule (which must itself be built from graph ops if
+// the op is to support double differentiation).  This is the extension point model code uses for
 // domain kernels such as the environment-matrix force contraction.
 func (g *Graph) Custom(name string, out *tensor.Dense, flops int64, inputs []*Var, back func(grad *Var) []*Var) *Var {
 	return g.op(name, out, flops, inputs, back)
@@ -227,7 +274,7 @@ func gradCore(outputs []*Var, seeds []*Var, wrt []*Var, stopAtWrt bool) []*Var {
 		}
 		var seed *Var
 		if seeds == nil || seeds[i] == nil {
-			ones := tensor.New(o.Rows(), o.Cols())
+			ones := g.Adopt(tensor.New(o.Rows(), o.Cols()))
 			ones.Fill(1)
 			seed = g.Const(ones)
 		} else {
@@ -264,7 +311,7 @@ func gradCore(outputs []*Var, seeds []*Var, wrt []*Var, stopAtWrt bool) []*Var {
 		if a, ok := adj[w]; ok {
 			res[i] = a
 		} else {
-			res[i] = g.Const(tensor.New(w.Rows(), w.Cols()))
+			res[i] = g.Const(g.Adopt(tensor.New(w.Rows(), w.Cols())))
 		}
 	}
 	return res

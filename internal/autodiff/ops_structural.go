@@ -90,19 +90,8 @@ func (g *Graph) BlockSum(a *Var, r int) *Var {
 // BlockRepeat repeats each row of a B×c input r times, returning (B·r)×c;
 // it is the adjoint of BlockSum.
 func (g *Graph) BlockRepeat(a *Var, r int) *Var {
-	if r <= 0 {
-		panic("autodiff: BlockRepeat with non-positive factor")
-	}
-	b := a.Rows()
-	c := a.Cols()
-	out := tensor.New(b*r, c)
-	for bi := 0; bi < b; bi++ {
-		src := a.Value.Data[bi*c : (bi+1)*c]
-		for j := 0; j < r; j++ {
-			copy(out.Data[(bi*r+j)*c:(bi*r+j+1)*c], src)
-		}
-	}
-	return g.op("block_repeat", out, int64(b*r*c), []*Var{a}, func(grad *Var) []*Var {
+	out := tensor.BlockRepeat(a.Value, r)
+	return g.op("block_repeat", out, int64(out.Len()), []*Var{a}, func(grad *Var) []*Var {
 		return []*Var{g.BlockSum(grad, r)}
 	})
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fekf/internal/md"
 )
 
 // Save must be crash-safe: after a successful write the directory holds
@@ -70,22 +72,7 @@ func TestDecodeValidatesStructure(t *testing.T) {
 	ds := testData(t, "Cu", 2)
 	m := testModel(t, ds, OptAll)
 
-	encode := func(mutate func(*checkpoint)) []byte {
-		var buf bytes.Buffer
-		if err := m.EncodeTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var ck checkpoint
-		if err := gob.NewDecoder(&buf).Decode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&ck)
-		var out bytes.Buffer
-		if err := gob.NewEncoder(&out).Encode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
+	encode := func(mutate func(*checkpoint)) []byte { return mutatedStream(t, m, mutate) }
 
 	cases := []struct {
 		name   string
@@ -97,16 +84,48 @@ func TestDecodeValidatesStructure(t *testing.T) {
 		{"snorm-length", func(ck *checkpoint) { ck.SNorm = ck.SNorm[:len(ck.SNorm)-1] }, "normalization"},
 		{"tensor-shape", func(ck *checkpoint) { ck.Shapes[0][0]++; ck.Values[0] = append(ck.Values[0], 0) }, "x"},
 		{"value-count", func(ck *checkpoint) { ck.Values[0] = ck.Values[0][:len(ck.Values[0])-1] }, "values"},
+		// The slot count does not enter the parameter count, so only the
+		// config's own bound stops it before BuildEnv sizes R from it.
+		{"slot-count", hugeSlotCount, "slot count"},
 	}
 	for _, tc := range cases {
-		_, err := DecodeModel(bytes.NewReader(encode(tc.mutate)))
+		got, err := DecodeModel(bytes.NewReader(encode(tc.mutate)))
 		if err == nil {
+			// Build an environment from the accepted config, as the first
+			// step, admit or predict after a resume does.
+			_, _ = BuildEnv(got.Cfg, []*md.System{SnapshotSystem(ds, &ds.Snapshots[0])})
 			t.Fatalf("%s: corrupt checkpoint decoded without error", tc.name)
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// mutatedStream encodes m, applies mutate to the decoded checkpoint record
+// and re-encodes it: a stream as real as m's with one field forged.
+func mutatedStream(tb testing.TB, m *Model, mutate func(*checkpoint)) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := m.EncodeTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	var ck checkpoint
+	if err := gob.NewDecoder(&buf).Decode(&ck); err != nil {
+		tb.Fatal(err)
+	}
+	mutate(&ck)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&ck); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// hugeSlotCount forges a per-species slot count far past
+// MaxSlotsPerSpecies; unchecked, BuildEnv's R allocation panics on it.
+func hugeSlotCount(ck *checkpoint) {
+	ck.Cfg.MaxNeighbors = []int{1 << 50}
 }
 
 // A crafted stream must be rejected before its config sizes the model:
@@ -146,6 +165,7 @@ func FuzzDecodeModel(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add(mutatedStream(f, testModel(f, ds, OptAll), hugeSlotCount))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeModel(bytes.NewReader(data))
 		if err != nil {

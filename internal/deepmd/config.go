@@ -56,7 +56,8 @@ type Config struct {
 	Rcs, Rc float64
 	// MaxNeighbors is the per-neighbor-species slot count; its sum is the
 	// paper's N_m.  Neighbor lists longer than the slot count are
-	// truncated to the nearest atoms; shorter ones are zero-padded.
+	// truncated to the nearest atoms; shorter ones are zero-padded.  Each
+	// entry lies in [1, MaxSlotsPerSpecies].
 	MaxNeighbors []int
 	// M is the symmetry order (embedding output width); MSub is M< of the
 	// paper ("the truncation value of the symmetry-preserving operation").
@@ -69,6 +70,12 @@ type Config struct {
 	Seed int64
 }
 
+// MaxSlotsPerSpecies bounds each MaxNeighbors entry.  It sits above any
+// DeePMD-kit "sel" (a few hundred neighbors at most per species) and keeps
+// a decoded config from sizing environment matrices of arbitrary length:
+// BuildEnv allocates B·Na·MaxNeighbors[t] rows per species.
+const MaxSlotsPerSpecies = 1024
+
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
 	if c.Rc <= c.Rcs || c.Rcs <= 0 {
@@ -79,8 +86,8 @@ func (c Config) Validate() error {
 			len(c.MaxNeighbors), c.NumSpecies)
 	}
 	for _, n := range c.MaxNeighbors {
-		if n < 1 {
-			return fmt.Errorf("deepmd: non-positive neighbor slot count %d", n)
+		if n < 1 || n > MaxSlotsPerSpecies {
+			return fmt.Errorf("deepmd: neighbor slot count %d outside [1, %d]", n, MaxSlotsPerSpecies)
 		}
 	}
 	if c.M < 1 || c.MSub < 1 || c.MSub > c.M {

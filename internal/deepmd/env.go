@@ -2,7 +2,7 @@ package deepmd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fekf/internal/dataset"
 	"fekf/internal/md"
@@ -55,33 +55,62 @@ func BuildEnv(cfg Config, systems []*md.System) (*Env, error) {
 		}
 	}
 	b := len(systems)
+	ns := cfg.NumSpecies
+
+	// Size every output exactly from the neighbor lists first: atoms per
+	// center species, and occupied slots per neighbor species (an upper
+	// bound: a slot whose s and ds are both zero is skipped below).
+	nls := make([]*md.NeighborList, b)
+	typeRows := make([]int, ns)
+	slots := make([]int, ns)
+	cnt := make([]int, ns)
+	for ib, sys := range systems {
+		nls[ib] = md.BuildNeighbors(sys, cfg.Rc)
+		for i := 0; i < na; i++ {
+			typeRows[sys.Types[i]]++
+			clear(cnt)
+			for _, nb := range nls[ib].Lists[i] {
+				cnt[sys.Types[nb.J]]++
+			}
+			for t, c := range cnt {
+				slots[t] += min(c, cfg.MaxNeighbors[t])
+			}
+		}
+	}
 	env := &Env{
 		Cfg: cfg, B: b, NaPer: na,
 		Types:    make([]int, 0, b*na),
-		R:        make([]*tensor.Dense, cfg.NumSpecies),
-		Entries:  make([][]EnvEntry, cfg.NumSpecies),
-		TypeRows: make([][]int, cfg.NumSpecies),
+		R:        make([]*tensor.Dense, ns),
+		Entries:  make([][]EnvEntry, ns),
+		TypeRows: make([][]int, ns),
 	}
-	for t := 0; t < cfg.NumSpecies; t++ {
+	for t := 0; t < ns; t++ {
 		env.R[t] = tensor.New(b*na*cfg.MaxNeighbors[t], 4)
+		env.Entries[t] = make([]EnvEntry, 0, slots[t])
+		env.TypeRows[t] = make([]int, 0, typeRows[t])
 	}
 	sc := md.SmoothCutoff{Rcs: cfg.Rcs, Rc: cfg.Rc}
 
+	// byType buckets one atom's neighbors by species; it is reused for
+	// every atom of the batch.
+	byType := make([][]md.Neighbor, ns)
 	for ib, sys := range systems {
-		nl := md.BuildNeighbors(sys, cfg.Rc)
+		nl := nls[ib]
 		for i := 0; i < na; i++ {
 			gi := ib*na + i // global atom row
 			env.Types = append(env.Types, sys.Types[i])
 			env.TypeRows[sys.Types[i]] = append(env.TypeRows[sys.Types[i]], gi)
 
 			// bucket neighbors by species, nearest first
-			byType := make([][]md.Neighbor, cfg.NumSpecies)
+			for t := range byType {
+				byType[t] = byType[t][:0]
+			}
 			for _, nb := range nl.Lists[i] {
 				t := sys.Types[nb.J]
 				byType[t] = append(byType[t], nb)
 			}
 			for t := range byType {
-				sort.Slice(byType[t], func(a, b int) bool { return byType[t][a].R < byType[t][b].R })
+				slices.SortFunc(byType[t], nearer)
 				nm := cfg.MaxNeighbors[t]
 				lst := byType[t]
 				if len(lst) > nm {
@@ -125,6 +154,20 @@ func BuildEnv(cfg Config, systems []*md.System) (*Env, error) {
 		}
 	}
 	return env, nil
+}
+
+// nearer orders neighbors by distance.  pdqsort only asks whether
+// nearer(a, b) < 0, which holds exactly when the old sort.Slice less
+// (a.R < b.R) did, so it visits and swaps the same elements and tied
+// neighbors keep the same slot order.
+func nearer(a, b md.Neighbor) int {
+	if a.R < b.R {
+		return -1
+	}
+	if b.R < a.R {
+		return 1
+	}
+	return 0
 }
 
 // SnapshotSystem wraps a dataset snapshot as an md.System for BuildEnv.

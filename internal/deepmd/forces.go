@@ -74,6 +74,7 @@ func (m *Model) symOpBwd(g *autodiff.Graph, x, xs, dED *autodiff.Var, batch int)
 	term2 := tensor.BatchedMatMul(x.Value, dED.Value, batch)    // X·Ĝ:  (B·4)×MSub
 	out := term1
 	tensor.AccumulateCols(out, 0, term2)
+	tensor.Recycle(term2)
 	flops := 2 * int64(x.Rows()) * int64(mm) * int64(msub) * 2
 	return g.Custom("sym_op_bwd", out, flops, []*autodiff.Var{x, xs, dED},
 		func(h *autodiff.Var) []*autodiff.Var {

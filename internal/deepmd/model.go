@@ -195,7 +195,7 @@ func (m *Model) Forward(env *Env, withForces bool) *Output {
 	gOut := make([]*autodiff.Var, cfg.NumSpecies)
 	var x *autodiff.Var
 	for t := 0; t < cfg.NumSpecies; t++ {
-		rt := g.Leaf(scaleEnv(env.R[t], m.SNorm[t]), true)
+		rt := g.Leaf(scaleEnv(g, env.R[t], m.SNorm[t]), true)
 		rVars[t] = rt
 		s := g.SliceCols(rt, 0, 1)
 		h := g.AffineTanh(s, bp.embed[t][0][0], bp.embed[t][0][1])
@@ -281,13 +281,14 @@ func (m *Model) perImageMatMulTA(g *autodiff.Graph, a, b *autodiff.Var, env *Env
 	return g.ConcatRows(parts...)
 }
 
-// scaleEnv returns env matrix r divided by the normalization norm (copy;
-// the raw env is preserved for reuse across models).
-func scaleEnv(r *tensor.Dense, norm float64) *tensor.Dense {
+// scaleEnv returns env matrix r divided by the normalization norm, as a
+// copy g owns and recycles at Release (the raw env is preserved for reuse
+// across models).
+func scaleEnv(g *autodiff.Graph, r *tensor.Dense, norm float64) *tensor.Dense {
 	if norm == 1 {
 		return r
 	}
-	return tensor.Scale(1/norm, r)
+	return g.Adopt(tensor.Scale(1/norm, r))
 }
 
 // EnergyGrad returns d(Σ_b seed_b·E_b)/dparams as a flat vector; seed nil

@@ -12,19 +12,7 @@ import (
 // wiring, so comparing them bounds the instrumentation overhead (the
 // bench-obs Makefile target asserts < 2%).
 func benchStep(b *testing.B, cfg TrainerConfig) {
-	ds, m, opt := onlineSetup(b)
-	cfg.BatchSize = 2
-	cfg.MinFrames = 2
-	cfg.SnapshotEvery = 8
-	cfg.Seed = 9
-	cfg.Gate = GateConfig{Enabled: false}
-	tr, err := NewTrainer(m, opt, ds, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		tr.admit(ds.Snapshots[i])
-	}
+	tr := benchTrainer(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,6 +22,25 @@ func benchStep(b *testing.B, cfg TrainerConfig) {
 	if le := tr.Stats().LastError; le != "" {
 		b.Fatalf("trainer errored: %s", le)
 	}
+}
+
+// benchTrainer returns the trainer benchStep times: batch 2 over a replay
+// buffer of 8 admitted frames, gate off.
+func benchTrainer(tb testing.TB, cfg TrainerConfig) *Trainer {
+	ds, m, opt := onlineSetup(tb)
+	cfg.BatchSize = 2
+	cfg.MinFrames = 2
+	cfg.SnapshotEvery = 8
+	cfg.Seed = 9
+	cfg.Gate = GateConfig{Enabled: false}
+	tr, err := NewTrainer(m, opt, ds, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		tr.admit(ds.Snapshots[i])
+	}
+	return tr
 }
 
 func BenchmarkTrainStepBare(b *testing.B) {

@@ -87,7 +87,7 @@ func BatchedMatMulTB(a, b *Dense, batch int) *Dense {
 	if b.Cols != k {
 		panic(fmt.Sprintf("tensor: BatchedMatMulTB inner dim %d vs %d", k, b.Cols))
 	}
-	out := New(batch*m, n)
+	out := newUninit(batch*m, n)
 	for bi := 0; bi < batch; bi++ {
 		ab := a.Data[bi*m*k : (bi+1)*m*k]
 		bb := b.Data[bi*n*k : (bi+1)*n*k]

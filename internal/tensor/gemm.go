@@ -94,7 +94,7 @@ func MatMulTB(a, b *Dense) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTB %dx%d ·ᵀ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
+	out := newUninit(a.Rows, b.Rows)
 	flops := 2 * int64(a.Rows) * int64(a.Cols) * int64(b.Rows)
 	parallelRows(a.Rows, flops, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -152,7 +152,7 @@ func Outer(x, y *Dense) *Dense {
 	if x.Cols != 1 || y.Cols != 1 {
 		panic(fmt.Sprintf("tensor: Outer wants column vectors, got %dx%d and %dx%d", x.Rows, x.Cols, y.Rows, y.Cols))
 	}
-	out := New(x.Rows, y.Rows)
+	out := newUninit(x.Rows, y.Rows)
 	flops := int64(x.Rows) * int64(y.Rows)
 	parallelRows(x.Rows, flops, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -19,7 +19,7 @@ func AffineTanh(x, w, b *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: AffineTanh x %dx%d w %dx%d b %dx%d",
 			x.Rows, x.Cols, w.Rows, w.Cols, b.Rows, b.Cols))
 	}
-	out := New(x.Rows, w.Cols)
+	out := newUninit(x.Rows, w.Cols)
 	for i := 0; i < x.Rows; i++ {
 		copy(out.Data[i*w.Cols:(i+1)*w.Cols], b.Data)
 	}
@@ -40,6 +40,53 @@ func ResidualAffineTanh(x, w, b *Dense) *Dense {
 	out := AffineTanh(x, w, b)
 	for i, v := range x.Data {
 		out.Data[i] += v
+	}
+	return out
+}
+
+// Affine returns x·w + 1⊗b with the bias added in place on the GEMM
+// output, the same values as AddRowVec(MatMul(x, w), b) without the
+// second matrix.
+func Affine(x, w, b *Dense) *Dense {
+	if b.Rows != 1 || b.Cols != w.Cols {
+		panic(fmt.Sprintf("tensor: Affine w %dx%d b %dx%d", w.Rows, w.Cols, b.Rows, b.Cols))
+	}
+	out := MatMul(x, w)
+	for i := 0; i < out.Rows; i++ {
+		row := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for j, v := range row {
+			row[j] = v + b.Data[j]
+		}
+	}
+	return out
+}
+
+// TanhBackward returns grad ⊙ (1−y²) in one pass, where y is a tanh
+// output: the same values as MulElem(grad, TanhPrimeFromOutput(y))
+// without the derivative temporary.
+func TanhBackward(grad, y *Dense) *Dense {
+	if !grad.SameShape(y) {
+		panic(shapeErr("TanhBackward", grad, y))
+	}
+	out := newUninit(y.Rows, y.Cols)
+	for i, v := range y.Data {
+		out.Data[i] = grad.Data[i] * (1 - v*v)
+	}
+	return out
+}
+
+// BlockRepeat repeats each row of a B×c matrix r times, returning (B·r)×c.
+func BlockRepeat(a *Dense, r int) *Dense {
+	if r <= 0 {
+		panic(fmt.Sprintf("tensor: BlockRepeat by %d", r))
+	}
+	c := a.Cols
+	out := newUninit(a.Rows*r, c)
+	for bi := 0; bi < a.Rows; bi++ {
+		src := a.Data[bi*c : (bi+1)*c]
+		for j := 0; j < r; j++ {
+			copy(out.Data[(bi*r+j)*c:(bi*r+j+1)*c], src)
+		}
 	}
 	return out
 }

@@ -19,14 +19,6 @@ type Dense struct {
 	Data       []float64
 }
 
-// New returns a zeroed r×c matrix.
-func New(r, c int) *Dense {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("tensor: negative dimension %dx%d", r, c))
-	}
-	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
 // FromSlice wraps data (not copied) as an r×c matrix.
 func FromSlice(r, c int, data []float64) *Dense {
 	if len(data) != r*c {
@@ -40,7 +32,7 @@ func Vector(data []float64) *Dense { return FromSlice(len(data), 1, data) }
 
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
-	out := New(m.Rows, m.Cols)
+	out := newUninit(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
 }
@@ -90,7 +82,7 @@ func Add(a, b *Dense) *Dense {
 	if !a.SameShape(b) {
 		panic(shapeErr("Add", a, b))
 	}
-	out := New(a.Rows, a.Cols)
+	out := newUninit(a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = v + b.Data[i]
 	}
@@ -102,7 +94,7 @@ func Sub(a, b *Dense) *Dense {
 	if !a.SameShape(b) {
 		panic(shapeErr("Sub", a, b))
 	}
-	out := New(a.Rows, a.Cols)
+	out := newUninit(a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = v - b.Data[i]
 	}
@@ -114,7 +106,7 @@ func MulElem(a, b *Dense) *Dense {
 	if !a.SameShape(b) {
 		panic(shapeErr("MulElem", a, b))
 	}
-	out := New(a.Rows, a.Cols)
+	out := newUninit(a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = v * b.Data[i]
 	}
@@ -123,7 +115,7 @@ func MulElem(a, b *Dense) *Dense {
 
 // Scale returns s·a.
 func Scale(s float64, a *Dense) *Dense {
-	out := New(a.Rows, a.Cols)
+	out := newUninit(a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = s * v
 	}
@@ -132,7 +124,7 @@ func Scale(s float64, a *Dense) *Dense {
 
 // Tanh returns element-wise tanh(a).
 func Tanh(a *Dense) *Dense {
-	out := New(a.Rows, a.Cols)
+	out := newUninit(a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = math.Tanh(v)
 	}
@@ -142,7 +134,7 @@ func Tanh(a *Dense) *Dense {
 // TanhPrimeFromOutput returns 1-y² element-wise, the derivative of tanh
 // expressed in terms of its output y.
 func TanhPrimeFromOutput(y *Dense) *Dense {
-	out := New(y.Rows, y.Cols)
+	out := newUninit(y.Rows, y.Cols)
 	for i, v := range y.Data {
 		out.Data[i] = 1 - v*v
 	}
@@ -151,7 +143,7 @@ func TanhPrimeFromOutput(y *Dense) *Dense {
 
 // Transpose returns aᵀ as a new matrix.
 func Transpose(a *Dense) *Dense {
-	out := New(a.Cols, a.Rows)
+	out := newUninit(a.Cols, a.Rows)
 	transposeInto(out, a)
 	return out
 }
@@ -194,7 +186,7 @@ func AddRowVec(a, b *Dense) *Dense {
 	if b.Rows != 1 || b.Cols != a.Cols {
 		panic(shapeErr("AddRowVec", a, b))
 	}
-	out := New(a.Rows, a.Cols)
+	out := newUninit(a.Rows, a.Cols)
 	for i := 0; i < a.Rows; i++ {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*a.Cols : (i+1)*a.Cols]
@@ -223,7 +215,7 @@ func SliceCols(a *Dense, lo, hi int) *Dense {
 	if lo < 0 || hi > a.Cols || lo > hi {
 		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %d cols", lo, hi, a.Cols))
 	}
-	out := New(a.Rows, hi-lo)
+	out := newUninit(a.Rows, hi-lo)
 	for i := 0; i < a.Rows; i++ {
 		copy(out.Data[i*out.Cols:(i+1)*out.Cols], a.Data[i*a.Cols+lo:i*a.Cols+hi])
 	}
