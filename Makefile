@@ -116,6 +116,7 @@ fuzz:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGEMMParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzPUpdateFusedParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzSymMatVecParallelMatchesSerial$$' -fuzztime 5s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzDenseKernelsMatchReference$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime 5s
 	$(GO) test ./internal/pshard -run '^$$' -fuzz '^FuzzBlockPartition$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime 5s -fuzzminimizetime 1x
@@ -128,11 +129,13 @@ fuzz:
 bench:
 	$(GO) test -bench 'Kalman|GEMM|FEKFPipeline' -benchmem .
 
-# Layer benchmarks below the step: the environment build and one forward
-# with a double-backprop force gradient, at batch 1 and 4 on the tiny Cu
-# frame, with allocations reported.  Run once per iteration in ci as a
-# smoke; drop -benchtime for real numbers.
+# Layer benchmarks below the step: the dense tensor kernels at the step's
+# shapes (one goroutine), then the environment build and one forward with
+# a double-backprop force gradient, at batch 1 and 4 on the tiny Cu frame,
+# with allocations reported.  Run once per iteration in ci as a smoke;
+# drop -benchtime for real numbers.
 bench-layers:
+	$(GO) test ./internal/tensor -run '^$$' -bench Kernels -benchtime 1x
 	$(GO) test ./internal/deepmd -run '^$$' -bench 'BuildEnv|ForwardForceGrad' -benchtime 1x
 
 # Replica-count sweep of one lockstep fleet step (1/2/4 replicas); run once

@@ -76,10 +76,17 @@ type Config struct {
 // BuildEnv allocates B·Na·MaxNeighbors[t] rows per species.
 const MaxSlotsPerSpecies = 1024
 
+// MaxCutoff bounds the cutoff radius Rc, in Å.  It sits above the rcut of
+// every DeePMD-kit example (6–9 Å) and keeps a decoded config from setting
+// the neighbor work of every BuildEnv, which grows as Rc³: one tiny-Cu
+// frame at a 40 Å cutoff takes seconds and hundreds of MB.
+const MaxCutoff = 12.0
+
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
-	if c.Rc <= c.Rcs || c.Rcs <= 0 {
-		return fmt.Errorf("deepmd: need 0 < Rcs < Rc, got %v, %v", c.Rcs, c.Rc)
+	// Written so that a NaN cutoff fails too.
+	if !(0 < c.Rcs && c.Rcs < c.Rc && c.Rc <= MaxCutoff) {
+		return fmt.Errorf("deepmd: cutoffs need 0 < Rcs < Rc <= %v, got Rcs=%v Rc=%v", MaxCutoff, c.Rcs, c.Rc)
 	}
 	if len(c.MaxNeighbors) != c.NumSpecies {
 		return fmt.Errorf("deepmd: MaxNeighbors has %d entries for %d species",

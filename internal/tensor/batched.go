@@ -21,22 +21,8 @@ func BatchedMatMul(a, b *Dense, batch int) *Dense {
 	n := b.Cols
 	out := New(a.Rows, n)
 	for bi := 0; bi < batch; bi++ {
-		ab := a.Data[bi*m*k : (bi+1)*m*k]
-		bb := b.Data[bi*k*n : (bi+1)*k*n]
-		ob := out.Data[bi*m*n : (bi+1)*m*n]
-		for i := 0; i < m; i++ {
-			arow := ab[i*k : (i+1)*k]
-			orow := ob[i*n : (i+1)*n]
-			for kk, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := bb[kk*n : (kk+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
+		gemmTile(out.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*k*n:(bi+1)*k*n],
+			n, k, k, 1, 0, m)
 	}
 	return out
 }
@@ -55,22 +41,8 @@ func BatchedMatMulTA(a, b *Dense, batch int) *Dense {
 	n := b.Cols
 	out := New(batch*m, n)
 	for bi := 0; bi < batch; bi++ {
-		ab := a.Data[bi*k*m : (bi+1)*k*m]
-		bb := b.Data[bi*k*n : (bi+1)*k*n]
-		ob := out.Data[bi*m*n : (bi+1)*m*n]
-		for kk := 0; kk < k; kk++ {
-			arow := ab[kk*m : (kk+1)*m]
-			brow := bb[kk*n : (kk+1)*n]
-			for i, av := range arow {
-				if av == 0 {
-					continue
-				}
-				orow := ob[i*n : (i+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
+		gemmTile(out.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*k*m:(bi+1)*k*m], b.Data[bi*k*n:(bi+1)*k*n],
+			n, k, 1, m, 0, m)
 	}
 	return out
 }
@@ -89,21 +61,8 @@ func BatchedMatMulTB(a, b *Dense, batch int) *Dense {
 	}
 	out := newUninit(batch*m, n)
 	for bi := 0; bi < batch; bi++ {
-		ab := a.Data[bi*m*k : (bi+1)*m*k]
-		bb := b.Data[bi*n*k : (bi+1)*n*k]
-		ob := out.Data[bi*m*n : (bi+1)*m*n]
-		for i := 0; i < m; i++ {
-			arow := ab[i*k : (i+1)*k]
-			orow := ob[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := bb[j*k : (j+1)*k]
-				s := 0.0
-				for kk, av := range arow {
-					s += av * brow[kk]
-				}
-				orow[j] = s
-			}
-		}
+		matMulTBRows(out.Data[bi*m*n:(bi+1)*m*n], a.Data[bi*m*k:(bi+1)*m*k], b.Data[bi*n*k:(bi+1)*n*k],
+			k, n, 0, m)
 	}
 	return out
 }

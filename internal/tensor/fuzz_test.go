@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,8 @@ import (
 // The fuzz targets below pin the worker pool's bitwise determinism
 // contract on the three kernels the pipelined Kalman update leans on:
 // whatever shapes and values the fuzzer invents, running the kernel on one
-// worker and on several must produce identical bits.  They run in `make
+// worker and on several must produce identical bits.  The last one holds
+// every tiled dense kernel to its plain-loop reference.  They run in `make
 // ci` with a short -fuzztime, and any corpus the fuzzer saves becomes a
 // permanent regression seed.
 
@@ -132,6 +134,30 @@ func FuzzSymMatVecParallelMatchesSerial(f *testing.F) {
 
 		if i, ok := bitsEqual(ySerial.Data, yParallel.Data); !ok {
 			t.Fatalf("SymMatVecInto n=%d: elem %d diverged", n, i)
+		}
+	})
+}
+
+// FuzzDenseKernelsMatchReference compares every tiled kernel with its
+// plain-loop reference (reference_test.go) on fuzzed shapes, with runs of
+// zeros and -0 in a and ±Inf and NaN in b, at 1 and 5 workers, plus the
+// drain on a fuzzed row slab of an m×m P.
+func FuzzDenseKernelsMatchReference(f *testing.F) {
+	f.Add(int64(1), 3, 4, 5)
+	f.Add(int64(7), 65, 1, 64)
+	f.Add(int64(42), 2, 80, 9)
+	f.Add(int64(9), 17, 33, 29)
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n int) {
+		m, k, n = clampDim(m, 80), clampDim(k, 80), clampDim(n, 80)
+		lo := clampDim(k, m) - 1
+		hi := lo + clampDim(n, m-lo)
+		for _, w := range []int{1, 5} {
+			withWorkers(t, w, func() {
+				rng := rand.New(rand.NewSource(seed))
+				name := fmt.Sprintf("workers=%d %dx%dx%d", w, m, k, n)
+				checkDenseKernels(t, name, m, k, n, rng)
+				checkDrainSlab(t, name, m, lo, hi, rng)
+			})
 		}
 	})
 }

@@ -153,21 +153,32 @@ func PUpdateFusedSlab(slab *Dense, rowLo int, k []float64, a, lambda float64) {
 	}
 	invA := 1 / a
 	invL := 1 / lambda
+	// The products invA·k[j] and invA·k[i] are hoisted out of the row
+	// walk; each element still computes (invA·k[j])·k[i] for j < i and
+	// (invA·k[i])·k[j] for j ≥ i, as written per element.
+	v := newUninit(n, 1)
+	for j, kj := range k {
+		v.Data[j] = invA * kj
+	}
 	flops := 3 * int64(slab.Rows) * int64(n)
 	parallelRows(slab.Rows, flops, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			i := rowLo + r
 			ki := k[i]
-			row := slab.Data[r*n : (r+1)*n]
-			for j := 0; j < i; j++ {
-				row[j] = invL * (0.5*(row[j]+row[j]) - invA*k[j]*ki)
+			c := v.Data[i]
+			row := slab.Data[r*n:][:n]
+			lower, vl := row[:i], v.Data[:i]
+			for j, x := range lower {
+				lower[j] = invL * (0.5*(x+x) - vl[j]*ki)
 			}
-			row[i] = invL * (row[i] - invA*ki*ki)
-			for j := i + 1; j < n; j++ {
-				row[j] = invL * (0.5*(row[j]+row[j]) - invA*ki*k[j])
+			row[i] = invL * (row[i] - c*ki)
+			upper, ku := row[i+1:], k[i+1:n]
+			for j, x := range upper {
+				upper[j] = invL * (0.5*(x+x) - c*ku[j])
 			}
 		}
 	})
+	Recycle(v)
 }
 
 // SymmetrizeInPlace replaces p with (p + pᵀ)/2 without temporaries.
