@@ -24,9 +24,9 @@ race:
 
 # Exercise the force-group pipeline (background covariance drains
 # overlapping forward/backward and ring collectives) under the race
-# detector, with the pipeline forced on regardless of the environment.
+# detector; the pipeline is on by default.
 race-pipeline:
-	FEKF_PIPELINE=1 $(GO) test -race -timeout 45m -run 'Pipelin|Golden|UpdateSplit' \
+	$(GO) test -race -timeout 45m -run 'Pipelin|Golden|UpdateSplit' \
 		./internal/optimize ./internal/cluster ./internal/train
 
 # The online-learning subsystem is concurrency all the way down: HTTP

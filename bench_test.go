@@ -255,7 +255,7 @@ func BenchmarkMemoryPUpdate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if fused {
-					tensor.PUpdateFused(p, k, 1.2, 0.98)
+					tensor.PUpdateFusedSlab(p, 0, k.Data, 1.2, 0.98)
 				} else {
 					tensor.PUpdateNaive(p, k, 1.2, 0.98)
 				}
@@ -424,7 +424,7 @@ func BenchmarkKalmanPUpdateFused(b *testing.B) {
 				p := tensor.Eye(n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tensor.PUpdateFused(p, k, 1.2, 0.98)
+					tensor.PUpdateFusedSlab(p, 0, k.Data, 1.2, 0.98)
 				}
 			})
 		}
@@ -449,21 +449,21 @@ func BenchmarkGEMMWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMSymMatVec measures the sharded symmetric mat-vec — the
-// P·g product that dominates each Kalman block — at the block edge of the
+// BenchmarkGEMMSymMatVec measures the row-sharded mat-vec on P — the P·g
+// product that dominates each Kalman block — at the block edge of the
 // speedup criterion.
 func BenchmarkGEMMSymMatVec(b *testing.B) {
 	const n = 1024
 	rng := rand.New(rand.NewSource(43))
 	p := tensor.RandNormal(n, n, 1, rng)
 	x := tensor.RandNormal(n, 1, 1, rng)
-	y := tensor.New(n, 1)
+	y := make([]float64, n)
 	for _, w := range benchWorkerCounts {
 		b.Run(byWorkers(w), func(b *testing.B) {
 			setBenchWorkers(b, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tensor.SymMatVecInto(y, p, x)
+				tensor.MatVecInto(y, p, x.Data)
 			}
 		})
 	}

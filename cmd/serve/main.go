@@ -63,7 +63,7 @@ func main() {
 		gateOn      = flag.Bool("gate", true, "ALKPU-style uncertainty gating of ingested frames")
 		gateThresh  = flag.Float64("gate-threshold", 0.5, "gate threshold (fraction of the EMA score)")
 		trainIdle   = flag.Bool("train-idle", false, "keep training on the replay buffer while no frames arrive")
-		workers     = flag.Int("workers", 0, "host worker pool size (0 = GOMAXPROCS / FEKF_WORKERS)")
+		workers     = flag.Int("workers", 0, "host worker pool size (0 = GOMAXPROCS)")
 		mdClient    = flag.Bool("mdclient", false, "run the synthetic MD frame producer against this server")
 		mdFrames    = flag.Int("md-frames", 0, "frames the MD client sends (0 = until shutdown)")
 		mdPeriod    = flag.Duration("md-period", 100*time.Millisecond, "delay between MD client frames")

@@ -42,9 +42,9 @@ func main() {
 		savePath  = flag.String("save", "", "write the trained model checkpoint here")
 		loadPath  = flag.String("load", "", "resume from a model checkpoint")
 		tracePath = flag.String("trace", "", "write a chrome://tracing kernel timeline here")
-		workers   = flag.Int("workers", 0, "host worker pool size for parallel kernels (0 = GOMAXPROCS / FEKF_WORKERS)")
-		pipeline  = flag.Bool("pipeline", optimize.PipelineDefault(),
-			"overlap each Kalman covariance drain with the next force group (bitwise identical; also FEKF_PIPELINE)")
+		workers   = flag.Int("workers", 0, "host worker pool size for parallel kernels (0 = GOMAXPROCS)")
+		pipeline  = flag.Bool("pipeline", true,
+			"overlap each Kalman covariance drain with the next force group (bitwise identical)")
 	)
 	flag.Parse()
 	tensor.SetWorkers(*workers)

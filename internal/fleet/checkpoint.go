@@ -111,7 +111,8 @@ func (f *Fleet) WriteCheckpoint(path string) error { return f.loop.WriteCheckpoi
 // and counters.  The replica count, shard policy and covariance placement
 // come from the checkpoint; cfg supplies the runtime knobs.  A covariance
 // that is not bitwise symmetric is rejected (optimize.RestoreKalmanState,
-// pshard.Checkpoint.Validate).
+// pshard.Checkpoint.Validate), and so is a replay stream that ingest would
+// not accept (validateReplays).
 func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	if len(ck.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: checkpoint has no replicas")
@@ -125,6 +126,9 @@ func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := ck.validateReplays(m.Cfg.Rc); err != nil {
+		return nil, err
+	}
 	cfg.Replicas = len(ck.Replicas)
 	cfg.ShardPolicy = ck.ShardPolicy
 	cfg.PShard = ck.PShard
@@ -134,6 +138,18 @@ func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	}
 	f.restoreStream(ck)
 	return f, nil
+}
+
+// validateReplays checks every replica's replay stream against the
+// checkpoint's species and atom count and the model cutoff, before a
+// restore replaces anything (online.ReplayCheckpoint.Validate).
+func (ck *Checkpoint) validateReplays(cutoff float64) error {
+	for _, rck := range ck.Replicas {
+		if err := rck.Replay.Validate(ck.Species, cutoff, int(ck.NumAtoms)); err != nil {
+			return fmt.Errorf("fleet: replica %d: %w", rck.ID, err)
+		}
+	}
+	return nil
 }
 
 // restoreStream rewinds every replica's liveness and ingest lane and the

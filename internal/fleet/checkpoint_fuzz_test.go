@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fekf/internal/deepmd"
 	"fekf/internal/guard"
 	"fekf/internal/online"
 	"fekf/internal/optimize"
@@ -17,18 +18,41 @@ import (
 )
 
 // loadAll runs every shared checkpoint loader over path, for both the
-// trainer and the fleet checkpoint type, followed by the covariance checks
-// restore applies to what they decoded, and returns their errors.
+// trainer and the fleet checkpoint type, followed by the covariance and
+// replay-stream checks restore applies to what they decoded, and returns
+// their errors.
 func loadAll(path string) []error {
 	ckT, errT := guard.Load[online.Checkpoint](path)
 	if errT == nil {
 		errT = validateCovariance(ckT.Opt, nil)
 	}
+	if errT == nil {
+		var rc float64
+		if rc, errT = modelCutoff(ckT.Model); errT == nil {
+			errT = ckT.Replay.Validate(ckT.Species, rc, int(ckT.NumAtoms))
+		}
+	}
 	ckF, errF := guard.Load[Checkpoint](path)
 	if errF == nil {
 		errF = validateCovariance(ckF.Opt, ckF.PCk)
 	}
+	if errF == nil {
+		var rc float64
+		if rc, errF = modelCutoff(ckF.Model); errF == nil {
+			errF = ckF.validateReplays(rc)
+		}
+	}
 	return []error{errT, errF}
+}
+
+// modelCutoff decodes a checkpoint's model stream for the cutoff that
+// bounds its replay frames.
+func modelCutoff(model []byte) (float64, error) {
+	m, err := deepmd.DecodeModel(bytes.NewReader(model))
+	if err != nil {
+		return 0, err
+	}
+	return m.Cfg.Rc, nil
 }
 
 // validateCovariance runs the symmetry and shape checks of

@@ -6,7 +6,6 @@ import (
 	"fekf/internal/cluster"
 	"fekf/internal/deepmd"
 	"fekf/internal/optimize"
-	"fekf/internal/pshard"
 )
 
 // placement is where the fleet's Kalman covariance P lives: whole on every
@@ -54,7 +53,7 @@ func newPlacement(sharded bool, reps []*replica, m *deepmd.Model, opt *optimize.
 	return &shardedP{
 		reps:   reps,
 		blocks: optimize.SplitBlocks(m.Params.LayerSizes(), opt.KCfg.BlockSize),
-		states: make([]*pshard.State, len(reps)),
+		states: make([]*optimize.KalmanState, len(reps)),
 	}, nil
 }
 

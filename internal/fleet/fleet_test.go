@@ -346,6 +346,55 @@ func TestResumeRejectsAsymmetricP(t *testing.T) {
 	}
 }
 
+// Resume and guard rollback reject a replay stream that a replica could
+// not sample, before they replace anything: a forged window capacity (it
+// makes NewReplay panic with "makeslice: len out of range") and frames
+// whose box ingest would refuse (sampling one panics the step in
+// md.BuildNeighbors, on the conductor).
+func TestRestoreRejectsBadReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.ckpt")
+	cfg := Config{Seed: 9, Gate: online.GateConfig{Enabled: false}}
+	ds, f := newTestFleet(t, 2, cfg)
+	for i := 0; i < 4; i++ {
+		f.Ingest(ds.Snapshots[i])
+	}
+	f.drainAll()
+	f.loop.Step()
+	if err := f.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(*online.ReplayCheckpoint)
+	}{
+		{"window capacity", "exceed", func(r *online.ReplayCheckpoint) { r.WindowCap = 1 << 50 }},
+		{"huge box", "replay window frame 0", func(r *online.ReplayCheckpoint) {
+			for i := range r.Window {
+				r.Window[i].Box = [3]float64{1e18, 1e18, 1e18}
+			}
+		}},
+	} {
+		ck, err := guard.Load[Checkpoint](path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rck := range ck.Replicas {
+			c.edit(rck.Replay)
+		}
+		if _, err := f.applyCheckpoint(ck); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: rollback error = %v, want one naming %q", c.name, err, c.want)
+		}
+		f2, err := Resume(ck, cfg)
+		if err == nil {
+			f2.loop.Step()
+			t.Fatalf("%s: Resume accepted the checkpoint", c.name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Resume error = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
 // Race soak: concurrent sharded ingest, routed prediction and stats polling
 // while the fleet conductor steps — run under -race (make race-fleet).
 func TestFleetConcurrentSoak(t *testing.T) {

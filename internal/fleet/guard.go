@@ -85,6 +85,9 @@ func (f *Fleet) awaitStep(wg *sync.WaitGroup, ring *cluster.Ring, live []int, st
 // placement loads the checkpointed covariance, and clean snapshots are
 // republished.  It returns the restored step.  Conductor only.
 func (f *Fleet) applyCheckpoint(ck *Checkpoint) (int64, error) {
+	if err := ck.validateReplays(f.cutoff); err != nil {
+		return 0, err
+	}
 	f.retireRing()
 	if len(ck.Replicas) != len(f.reps) {
 		return 0, fmt.Errorf("fleet: checkpoint has %d replicas, fleet has %d", len(ck.Replicas), len(f.reps))

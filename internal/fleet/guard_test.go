@@ -45,7 +45,7 @@ func assertFleetsBitwise(t *testing.T, a, b *Fleet, when string) {
 			if math.Float64bits(sa.Lambda) != math.Float64bits(sb.Lambda) || sa.Updates != sb.Updates {
 				t.Fatalf("%s: shard scalar state differs on rank %d", when, k)
 			}
-			da, db := sa.PDiagonalOwned(), sb.PDiagonalOwned()
+			da, db := sa.PDiagonal(), sb.PDiagonal()
 			if len(da) != len(db) {
 				t.Fatalf("%s: owned diagonal sizes differ on rank %d", when, k)
 			}

@@ -36,27 +36,28 @@ type PShardStats struct {
 }
 
 // shardedP splits P by rows across the live ranks (internal/pshard): each
-// live replica owns a slab share, the P·g fragments are exchanged over the
-// ring, and the scalar filter state (λ, update count) is replicated; the
-// replicas' own filters hold no Kalman state.  Membership changes retile
-// the slabs lazily, when the ring re-forms (settle).  Conductor-owned
-// except the stats mirror.
+// live replica's Kalman state owns a slab share, the P·g fragments are
+// exchanged over the ring, and the scalar filter state (λ, update count) is
+// replicated; the replicas' own filters hold no Kalman state.  Membership
+// changes retile the slabs lazily, when the ring re-forms (settle).
+// Conductor-owned except the stats mirror.
 type shardedP struct {
 	reps    []*replica
 	blocks  []optimize.Block
-	states  []*pshard.State // per slot; nil for slots holding no slabs
+	states  []*optimize.KalmanState // per slot; nil for slots holding no slabs
 	assign  pshard.Assignment
-	liveIDs []int // the live set assign was built for
+	segs    []cluster.Segment // assign's exchange table
+	liveIDs []int             // the live set assign was built for; rank k is liveIDs[k]
 	stats   atomic.Pointer[PShardStats]
 }
 
 func (s *shardedP) over(id int, ring *cluster.Ring) optimize.Covariance {
-	return s.states[id].Over(ring)
+	return pshard.Over(s.states[id], slices.Index(s.liveIDs, id), s.segs, ring)
 }
 
 // held returns the shard states the given slots hold, skipping empty ones.
-func (s *shardedP) held(ids []int) []*pshard.State {
-	var out []*pshard.State
+func (s *shardedP) held(ids []int) []*optimize.KalmanState {
+	var out []*optimize.KalmanState
 	for _, id := range ids {
 		if st := s.states[id]; st != nil {
 			out = append(out, st)
@@ -91,7 +92,7 @@ func (s *shardedP) settle(live []int) error {
 // slabs are freed and the new assignment installed.
 func (s *shardedP) retile(ck *pshard.Checkpoint, live []int) error {
 	assign := pshard.Partition(s.blocks, len(live))
-	next := make([]*pshard.State, len(live))
+	next := make([]*optimize.KalmanState, len(live))
 	for k, id := range live {
 		if ck == nil {
 			next[k] = pshard.NewState(s.reps[live[0]].opt.KCfg, assign, k, s.reps[id].dev)
@@ -128,6 +129,7 @@ func (s *shardedP) drop() {
 // stats mirror.
 func (s *shardedP) install(assign pshard.Assignment, live []int) {
 	s.assign = assign
+	s.segs = assign.Segments()
 	s.liveIDs = append(s.liveIDs[:0], live...)
 	ps := &PShardStats{
 		Ranks:                assign.Ranks,
@@ -159,7 +161,7 @@ func (s *shardedP) recover(survivors []int) error {
 		return s.retile(nil, survivors)
 	}
 	ref := held[0]
-	var keep []*pshard.State
+	var keep []*optimize.KalmanState
 	for _, st := range held {
 		if math.Float64bits(st.Lambda) == math.Float64bits(ref.Lambda) && st.Updates == ref.Updates {
 			keep = append(keep, st)
@@ -224,7 +226,7 @@ func resetLostRows(ck *pshard.Checkpoint, blocks []optimize.Block) {
 // stricter.
 func (s *shardedP) diag(id int) []float64 {
 	if st := s.states[id]; st != nil {
-		return st.PDiagonalOwned()
+		return st.PDiagonal()
 	}
 	return nil
 }
@@ -242,7 +244,7 @@ func (s *shardedP) lambda(id int) (float64, bool) {
 // bit-identical under the lockstep schedule.  An update-count mismatch or a
 // missing state reports +Inf.
 func (s *shardedP) drift(live []int) float64 {
-	var ref *pshard.State
+	var ref *optimize.KalmanState
 	d := 0.0
 	for _, id := range live {
 		st := s.states[id]

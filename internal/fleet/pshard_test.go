@@ -12,6 +12,7 @@ import (
 	"fekf/internal/fleet/clocktest"
 	"fekf/internal/guard"
 	"fekf/internal/online"
+	"fekf/internal/optimize"
 	"fekf/internal/pshard"
 	"fekf/internal/tensor"
 )
@@ -328,7 +329,7 @@ func TestPShardRecoverShards(t *testing.T) {
 	f.loop.Step()
 
 	// Snapshot rank 0's slabs before the failure.
-	ck0, err := pshard.BuildCheckpoint([]*pshard.State{shardsOf(f).states[0]})
+	ck0, err := pshard.BuildCheckpoint([]*optimize.KalmanState{shardsOf(f).states[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,13 +84,17 @@ func RestoreModel(model []byte, opt *optimize.FEKFCheckpoint, dev *device.Device
 
 // ResumeTrainer reconstructs a trainer from a checkpoint: model weights,
 // optimizer (λ, update counter, P blocks — bitwise), replay buffer and
-// gate all resume where the checkpointed trainer stopped.  dev places the
+// gate all resume where the checkpointed trainer stopped.  The replay
+// stream is validated first (ReplayCheckpoint.Validate).  dev places the
 // model (nil keeps the default device); cfg supplies the runtime knobs,
 // with its replay/gate capacities overridden by the checkpointed ones so
 // the restored buffer structure matches.
 func ResumeTrainer(ck *Checkpoint, dev *device.Device, cfg TrainerConfig) (*Trainer, error) {
 	m, opt, err := RestoreModel(ck.Model, ck.Opt, dev)
 	if err != nil {
+		return nil, err
+	}
+	if err := ck.Replay.Validate(ck.Species, m.Cfg.Rc, int(ck.NumAtoms)); err != nil {
 		return nil, err
 	}
 	t, err := NewTrainer(m, opt, &dataset.Dataset{System: ck.System, Species: ck.Species}, cfg)
@@ -122,6 +126,9 @@ func (t *Trainer) restoreStream(ck *Checkpoint) {
 func (t *Trainer) rollbackTo(ck *Checkpoint) (int64, error) {
 	m, opt, err := RestoreModel(ck.Model, ck.Opt, t.model.Dev)
 	if err != nil {
+		return 0, err
+	}
+	if err := ck.Replay.Validate(ck.Species, m.Cfg.Rc, int(ck.NumAtoms)); err != nil {
 		return 0, err
 	}
 	t.model, t.opt = m, opt

@@ -1,8 +1,16 @@
 package online
 
 import (
+	"fmt"
+
 	"fekf/internal/dataset"
+	"fekf/internal/md"
 )
+
+// MaxReplayCap bounds a replay buffer's window and reservoir capacities.
+// NewReplay clamps to it and a checkpoint that asks for more is rejected,
+// so a forged capacity cannot make restore allocate without bound.
+const MaxReplayCap = 1 << 16
 
 // ReplayBuffer is the training-set surrogate of the streaming trainer: a
 // FIFO window holding the newest gated frames (recency) combined with a
@@ -30,14 +38,11 @@ type ReplayBuffer struct {
 }
 
 // NewReplay returns a buffer with the given window and reservoir
-// capacities (minimum 1 each) and a deterministic sampling stream.
+// capacities (each clamped to [1, MaxReplayCap]) and a deterministic
+// sampling stream.
 func NewReplay(windowSize, reservoirSize int, seed int64) *ReplayBuffer {
-	if windowSize < 1 {
-		windowSize = 1
-	}
-	if reservoirSize < 1 {
-		reservoirSize = 1
-	}
+	windowSize = min(max(windowSize, 1), MaxReplayCap)
+	reservoirSize = min(max(reservoirSize, 1), MaxReplayCap)
 	return &ReplayBuffer{
 		window: make([]dataset.Snapshot, windowSize),
 		resCap: reservoirSize,
@@ -128,6 +133,33 @@ func (rb *ReplayBuffer) Checkpoint() *ReplayCheckpoint {
 		ck.Window = append(ck.Window, rb.window[(rb.wHead+i)%len(rb.window)])
 	}
 	return ck
+}
+
+// Validate checks a decoded replay checkpoint before it replaces a live
+// buffer: both capacities at most MaxReplayCap, and every frame one that
+// ingest would accept (ValidateFrame) under the checkpoint's species, the
+// restored model's cutoff and the stream's atom count.  A frame that fails
+// would otherwise panic the first step that samples it.  A nil checkpoint
+// (restore keeps the current buffer) is valid.
+func (ck *ReplayCheckpoint) Validate(species []md.Species, cutoff float64, numAtoms int) error {
+	if ck == nil {
+		return nil
+	}
+	if ck.WindowCap > MaxReplayCap || ck.ResCap > MaxReplayCap {
+		return fmt.Errorf("online: replay checkpoint capacities %d/%d exceed %d", ck.WindowCap, ck.ResCap, MaxReplayCap)
+	}
+	check := func(part string, frames []dataset.Snapshot) error {
+		for i := range frames {
+			if err := ValidateFrame(&frames[i], species, cutoff, numAtoms); err != nil {
+				return fmt.Errorf("online: replay %s frame %d: %w", part, i, err)
+			}
+		}
+		return nil
+	}
+	if err := check("window", ck.Window); err != nil {
+		return err
+	}
+	return check("reservoir", ck.Reservoir)
 }
 
 // RestoreReplay rebuilds a buffer from a checkpoint, resuming the sampling

@@ -325,6 +325,55 @@ func TestResumeTrainerRejectsAsymmetricP(t *testing.T) {
 	}
 }
 
+// ResumeTrainer rejects a replay stream that the trainer could not
+// sample, before it restores anything: forged capacities (a window of
+// 1<<50 makes NewReplay panic with "makeslice: len out of range") and
+// frames whose box ingest would refuse (sampling one panics the step in
+// md.BuildNeighbors).
+func TestResumeTrainerRejectsBadReplay(t *testing.T) {
+	ds, m, opt := onlineSetup(t)
+	path := filepath.Join(t.TempDir(), "online.ckpt")
+	cfg := TrainerConfig{BatchSize: 2, MinFrames: 2, Seed: 9, Gate: GateConfig{Enabled: false}}
+	tr, err := NewTrainer(m, opt, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		tr.admit(ds.Snapshots[i])
+	}
+	tr.loop.Step()
+	if err := tr.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	hugeBox := func(frames []dataset.Snapshot) {
+		for i := range frames {
+			frames[i].Box = [3]float64{1e18, 1e18, 1e18}
+		}
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(*ReplayCheckpoint)
+	}{
+		{"window capacity", "exceed", func(r *ReplayCheckpoint) { r.WindowCap = 1 << 50 }},
+		{"reservoir capacity", "exceed", func(r *ReplayCheckpoint) { r.ResCap = MaxReplayCap + 1 }},
+		{"huge box", "replay window frame 0", func(r *ReplayCheckpoint) { hugeBox(r.Window); hugeBox(r.Reservoir) }},
+	} {
+		ck, err := guard.Load[Checkpoint](path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.edit(ck.Replay)
+		tr2, err := ResumeTrainer(ck, device.New("resume", device.A100()), cfg)
+		if err == nil {
+			tr2.loop.Step()
+			t.Fatalf("%s: ResumeTrainer accepted the checkpoint", c.name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: ResumeTrainer error = %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+}
+
 // Stop must drain queued frames into the replay buffer and write the final
 // checkpoint.
 func TestGracefulStopDrainsAndCheckpoints(t *testing.T) {

@@ -21,13 +21,17 @@ type KalmanCheckpoint struct {
 	P       [][]float64 // per-block covariance values, row-major
 }
 
-// Checkpoint deep-copies the filter state.  It must not be called while a
-// covariance drain is in flight (between UpdateSplit and its drain); the
-// optimizers' Step never returns in that window, so any caller that
-// serializes with Step is safe.
+// Checkpoint deep-copies a full filter state; a sharded rank's rows are
+// checkpointed by pshard.BuildCheckpoint instead.  It must not be called
+// while a covariance drain is in flight (between UpdateSplit and its
+// drain); the optimizers' Step never returns in that window, so any caller
+// that serializes with Step is safe.
 func (ks *KalmanState) Checkpoint() *KalmanCheckpoint {
 	if ks.draining {
 		panic("optimize: Checkpoint during an in-flight covariance drain")
+	}
+	if !ks.ownsAll() {
+		panic("optimize: Checkpoint of a state that owns only some rows of P")
 	}
 	ck := &KalmanCheckpoint{Cfg: ks.Cfg, Lambda: ks.Lambda, Updates: ks.Updates}
 	for i, b := range ks.Blocks {
@@ -92,16 +96,17 @@ func (ck *KalmanCheckpoint) Validate() error {
 // PDiagonal copies the diagonal of the block-diagonal P into a vector
 // aligned with the flat parameter ordering.  The diagonal is the filter's
 // per-parameter error variance — the uncertainty signal ALKPU-style frame
-// gating scores streamed configurations against.
+// gating scores streamed configurations against.  A state that owns only
+// some rows fills those and leaves the others 0.
 func (ks *KalmanState) PDiagonal() []float64 {
 	if len(ks.Blocks) == 0 {
 		return nil
 	}
-	out := make([]float64, ks.Blocks[len(ks.Blocks)-1].Hi)
-	for i, b := range ks.Blocks {
-		p := ks.P[i]
-		for j := 0; j < b.Size(); j++ {
-			out[b.Lo+j] = p.At(j, j)
+	out := make([]float64, len(ks.pg))
+	for si, s := range ks.Slabs {
+		lo := ks.Blocks[s.Block].Lo
+		for r := 0; r < s.Rows(); r++ {
+			out[lo+s.RowLo+r] = ks.P[si].At(r, s.RowLo+r)
 		}
 	}
 	return out
@@ -135,8 +140,8 @@ func (ks *KalmanState) PDrift(other *KalmanState) float64 {
 // FEKFCheckpoint is the serializable state of a FEKF optimizer: the
 // hyper-parameters that shape the update schedule plus the Kalman state
 // (nil when no step has been taken yet).  Pipeline mode is deliberately
-// absent — it is bitwise neutral, so the restored optimizer keeps the
-// environment default.
+// absent — it is bitwise neutral, so the restored optimizer pipelines, as
+// a new one does.
 type FEKFCheckpoint struct {
 	Name        string
 	Factor      QuasiLRFactor
@@ -175,7 +180,7 @@ func RestoreFEKF(ck *FEKFCheckpoint, m *deepmd.Model) (*FEKF, error) {
 		ForceGroups: ck.ForceGroups,
 		EnergyDiv:   ck.EnergyDiv,
 		ForceDiv:    ck.ForceDiv,
-		Pipeline:    PipelineDefault(),
+		Pipeline:    true,
 		name:        ck.Name,
 	}
 	if f.name == "" {

@@ -33,8 +33,7 @@ type FEKF struct {
 	EnergyDiv, ForceDiv TrustDiv
 	// Pipeline overlaps each measurement's covariance drain with the next
 	// measurement's forward/backward (the two-stage force-group pipeline);
-	// results are bitwise identical to the serial order.  Defaults to
-	// PipelineDefault() (on unless FEKF_PIPELINE disables it).
+	// results are bitwise identical to the serial order.  On by default.
 	Pipeline bool
 
 	name string
@@ -75,7 +74,7 @@ func NewFEKF() *FEKF {
 		ForceGroups: 4,
 		EnergyDiv:   DivSqrtAtoms,
 		ForceDiv:    DivAtoms,
-		Pipeline:    PipelineDefault(),
+		Pipeline:    true,
 		name:        "FEKF",
 	}
 }
@@ -89,7 +88,7 @@ func NewRLEKF() *FEKF {
 		ForceGroups: 4,
 		EnergyDiv:   DivSqrtAtoms,
 		ForceDiv:    DivAtoms,
-		Pipeline:    PipelineDefault(),
+		Pipeline:    true,
 		name:        "RLEKF",
 	}
 }

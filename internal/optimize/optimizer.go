@@ -2,8 +2,6 @@ package optimize
 
 import (
 	"math"
-	"os"
-	"strings"
 
 	"fekf/internal/dataset"
 	"fekf/internal/deepmd"
@@ -17,20 +15,6 @@ import (
 type Optimizer interface {
 	Name() string
 	Step(m *deepmd.Model, ds *dataset.Dataset, idx []int) (StepInfo, error)
-}
-
-// PipelineDefault reports the default for the two-stage force-group
-// pipeline (FEKF.Pipeline, which every step reads through StepParams):
-// enabled unless the FEKF_PIPELINE environment variable is set to one of
-// 0/false/off/no.  The pipeline is bitwise identical to the serial
-// measurement order (see DESIGN.md), so the switch exists for ablation
-// and debugging rather than correctness.
-func PipelineDefault() bool {
-	switch strings.ToLower(os.Getenv("FEKF_PIPELINE")) {
-	case "0", "false", "off", "no":
-		return false
-	}
-	return true
 }
 
 // StartDrain schedules the deferred covariance refresh returned by

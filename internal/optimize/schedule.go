@@ -32,8 +32,9 @@ func (local) AllreduceScalars(int, []float64) error { return nil }
 // Measure may time sub-phases on pt: the schedule has started a "gain"
 // phase before the call and ends it once the increment is applied.
 //
-// *KalmanState (a full, replicated P) implements it; a pshard.State bound
-// to its ring adds the P·g exchange between its gain halves.
+// A full *KalmanState implements it; a sharded rank's state bound to its
+// ring (pshard.Over) adds the P·g exchange between GainOwned and
+// FinishUpdate.
 type Covariance interface {
 	Measure(g []float64, abe, scale float64, pt *PhaseTimer) (delta []float64, drain func(), err error)
 }

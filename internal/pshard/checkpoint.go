@@ -37,30 +37,27 @@ type Checkpoint struct {
 // one checkpoint, deep-copying the slabs.  The ranks' replicated scalar
 // state must agree — a mismatch means the lockstep invariant was already
 // broken and is reported as an error rather than silently picking one.
-func BuildCheckpoint(states []*State) (*Checkpoint, error) {
+func BuildCheckpoint(states []*optimize.KalmanState) (*Checkpoint, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("pshard: checkpoint of zero states")
 	}
 	ref := states[0]
-	if ref.draining {
-		return nil, fmt.Errorf("pshard: checkpoint while a drain is in flight")
-	}
 	ck := &Checkpoint{
 		Cfg:     ref.Cfg,
 		Lambda:  ref.Lambda,
 		Updates: ref.Updates,
 		Sizes:   optimize.BlockSizes(ref.Blocks),
 	}
-	for _, st := range states {
-		if st.draining {
+	for i, st := range states {
+		if st.Draining() {
 			return nil, fmt.Errorf("pshard: checkpoint while a drain is in flight")
 		}
 		if st.Lambda != ref.Lambda || st.Updates != ref.Updates {
-			return nil, fmt.Errorf("pshard: rank %d scalar state diverged (λ %v vs %v, updates %d vs %d)",
-				st.Rank, st.Lambda, ref.Lambda, st.Updates, ref.Updates)
+			return nil, fmt.Errorf("pshard: state %d scalar state diverged (λ %v vs %v, updates %d vs %d)",
+				i, st.Lambda, ref.Lambda, st.Updates, ref.Updates)
 		}
-		for si, sh := range st.shards {
-			rows := append([]float64(nil), st.slabs[si].Data...)
+		for si, sh := range st.Slabs {
+			rows := append([]float64(nil), st.P[si].Data...)
 			ck.Shards = append(ck.Shards, ShardCheckpoint{
 				Block: sh.Block, RowLo: sh.RowLo, RowHi: sh.RowHi, Rows: rows,
 			})
@@ -80,7 +77,7 @@ func BuildCheckpoint(states []*State) (*Checkpoint, error) {
 // under: every target row is copied from the source slab that holds it.
 // Shard boundaries may differ arbitrarily as long as the block structure
 // matches.
-func NewStateFrom(ck *Checkpoint, assign Assignment, rank int, dev *device.Device) (*State, error) {
+func NewStateFrom(ck *Checkpoint, assign Assignment, rank int, dev *device.Device) (*optimize.KalmanState, error) {
 	if len(assign.Blocks) != len(ck.Sizes) {
 		return nil, fmt.Errorf("pshard: checkpoint has %d blocks, assignment %d",
 			len(ck.Sizes), len(assign.Blocks))
@@ -96,12 +93,12 @@ func NewStateFrom(ck *Checkpoint, assign Assignment, rank int, dev *device.Devic
 		return nil, err
 	}
 
-	st := newShell(ck.Cfg, assign, rank, dev)
+	st := NewState(ck.Cfg, assign, rank, dev)
 	st.Lambda = ck.Lambda
 	st.Updates = ck.Updates
-	for si, sh := range st.shards {
+	for si, sh := range st.Slabs {
 		n := assign.Blocks[sh.Block].Size()
-		slab := st.slabs[si]
+		slab := st.P[si]
 		for r := 0; r < sh.Rows(); r++ {
 			row := sh.RowLo + r
 			src := sourceRow(byBlock[sh.Block], row)

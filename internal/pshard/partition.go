@@ -1,11 +1,19 @@
 // Package pshard shards the block-diagonal Kalman covariance P across
 // cluster ranks so the fleet can train models whose covariance exceeds a
-// single host's memory.  A deterministic partitioner assigns row slabs of
-// the P blocks to ranks; each rank allocates only its slabs, computes the
-// gain-stage P·g fragments and the deferred covariance drain for its rows,
-// and the fragments are allgathered over the ring so every rank applies
-// the identical Kalman update — bitwise equal to the unsharded single-host
-// FEKF (see internal/optimize/slab.go for the kernel-level contract).
+// single host's memory.  It holds no filter of its own: a rank's filter is
+// an optimize.KalmanState that owns only some row slabs of P, and this
+// package decides which.
+//
+//   - Partition deterministically assigns row slabs of the P blocks to
+//     ranks; Assignment reports their bytes and the exchange table.
+//   - NewState and NewStateFrom build one rank's KalmanState over its
+//     shards, fresh or from a Checkpoint (the slab form of a sharded P,
+//     restorable under any other assignment).
+//   - Over binds a rank's state to its ring: GainOwned computes the owned
+//     rows of P·g, AllgatherSegments exchanges them, and FinishUpdate
+//     applies the identical update on every rank — bitwise equal to the
+//     unsharded single-host FEKF (see optimize.KalmanState for why the
+//     row form is bitwise).
 package pshard
 
 import (
@@ -18,13 +26,7 @@ import (
 
 // Shard is a contiguous row slab [RowLo,RowHi) of one P block: the owner
 // rank holds those rows of the Block-th block's n×n covariance.
-type Shard struct {
-	Block        int
-	RowLo, RowHi int
-}
-
-// Rows returns the slab's row count.
-func (s Shard) Rows() int { return s.RowHi - s.RowLo }
+type Shard = optimize.Slab
 
 // Assignment is a complete partition of the covariance across ranks.
 // Owners[r] lists rank r's shards sorted by (Block, RowLo); together the

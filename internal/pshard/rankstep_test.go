@@ -51,13 +51,13 @@ func chunk(idx []int, rank, size int) []int {
 // runShardedSteps drives `steps` full sharded FEKF steps at the given rank
 // count over the given ring and returns the rank-0 weights plus the
 // sharded states for P reassembly.
-func runShardedSteps(t *testing.T, ring *cluster.Ring, ds *dataset.Dataset, base *deepmd.Model, ranks, steps int, idx []int) ([]float64, []*State) {
+func runShardedSteps(t *testing.T, ring *cluster.Ring, ds *dataset.Dataset, base *deepmd.Model, ranks, steps int, idx []int) ([]float64, []*optimize.KalmanState) {
 	t.Helper()
 	cfg := shardedCfg()
 	blocks := optimize.SplitBlocks(base.Params.LayerSizes(), cfg.BlockSize)
 	assign := Partition(blocks, ranks)
 	var models []*deepmd.Model
-	var states []*State
+	var states []*optimize.KalmanState
 	for r := 0; r < ranks; r++ {
 		dev := device.New(fmt.Sprintf("psgpu%d", r), device.A100())
 		models = append(models, base.CloneFor(dev))
@@ -73,7 +73,7 @@ func runShardedSteps(t *testing.T, ring *cluster.Ring, ds *dataset.Dataset, base
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				_, errs[rank] = optimize.RankStep(ring, rank, models[rank], states[rank].Over(ring), p,
+				_, errs[rank] = optimize.RankStep(ring, rank, models[rank], Over(states[rank], rank, assign.Segments(), ring), p,
 					ds, chunk(idx, rank, ranks), nil)
 			}(r)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fekf/internal/cluster"
 	"fekf/internal/device"
 	"fekf/internal/optimize"
 	"fekf/internal/tensor"
@@ -54,7 +55,7 @@ func TestSlabDrainMatchesKernels(t *testing.T) {
 			for _, fused := range []bool{true, false} {
 				full := p0.Clone()
 				if fused {
-					tensor.PUpdateFused(full, k, a, lambda)
+					tensor.PUpdateFusedSlab(full, 0, k.Data, a, lambda)
 				} else {
 					tensor.PUpdateNaive(full, k, a, lambda)
 				}
@@ -68,7 +69,7 @@ func TestSlabDrainMatchesKernels(t *testing.T) {
 					if fused {
 						tensor.PUpdateFusedSlab(slab, lo, k.Data, a, lambda)
 					} else {
-						optimize.SlabDrainNaive(slab, lo, k.Data, a, lambda)
+						tensor.PUpdateNaiveSlab(slab, lo, k.Data, a, lambda)
 					}
 					copy(got.Data[lo*n:hi*n], slab.Data)
 				}
@@ -84,8 +85,7 @@ func TestSlabDrainMatchesKernels(t *testing.T) {
 // scratch vectors exactly as Ring.AllgatherSegments would over a real
 // transport (both transports are bit-transparent; the collective itself
 // is covered by the cluster tests and TestRankStep).
-func exchangeInProc(states []*State, pgs [][]float64) {
-	segs := states[0].Segments()
+func exchangeInProc(segs []cluster.Segment, pgs [][]float64) {
 	for _, sg := range segs {
 		src := pgs[sg.Owner][sg.Lo:sg.Hi]
 		for r := range pgs {
@@ -113,9 +113,9 @@ func kalmanVariants(base optimize.KalmanConfig) []optimize.KalmanConfig {
 
 // runSharded applies `steps` synthetic measurements to R sharded states
 // (manual in-process exchange) and returns the states plus the deltas.
-func runSharded(cfg optimize.KalmanConfig, blocks []optimize.Block, ranks, steps int, seed int64) ([]*State, [][]float64) {
+func runSharded(cfg optimize.KalmanConfig, blocks []optimize.Block, ranks, steps int, seed int64) ([]*optimize.KalmanState, [][]float64) {
 	assign := Partition(blocks, ranks)
-	var states []*State
+	var states []*optimize.KalmanState
 	for r := 0; r < ranks; r++ {
 		states = append(states, NewState(cfg, assign, r, device.New(fmt.Sprintf("ps%d", r), device.A100())))
 	}
@@ -133,7 +133,7 @@ func runSharded(cfg optimize.KalmanConfig, blocks []optimize.Block, ranks, steps
 		for r, st := range states {
 			pgs[r] = st.GainOwned(g)
 		}
-		exchangeInProc(states, pgs)
+		exchangeInProc(assign.Segments(), pgs)
 		var delta []float64
 		for _, st := range states {
 			d, drain := st.FinishUpdate(g, abe, scale)
@@ -185,14 +185,14 @@ func assembleP(ck *Checkpoint) []*tensor.Dense {
 	return ps
 }
 
-func assertStatesMatchKalman(t *testing.T, states []*State, ks *optimize.KalmanState) {
+func assertStatesMatchKalman(t *testing.T, states []*optimize.KalmanState, ks *optimize.KalmanState) {
 	t.Helper()
-	for _, st := range states {
+	for r, st := range states {
 		if math.Float64bits(st.Lambda) != math.Float64bits(ks.Lambda) {
-			t.Fatalf("rank %d λ %v, unsharded %v", st.Rank, st.Lambda, ks.Lambda)
+			t.Fatalf("rank %d λ %v, unsharded %v", r, st.Lambda, ks.Lambda)
 		}
 		if st.Updates != ks.Updates {
-			t.Fatalf("rank %d updates %d, unsharded %d", st.Rank, st.Updates, ks.Updates)
+			t.Fatalf("rank %d updates %d, unsharded %d", r, st.Updates, ks.Updates)
 		}
 	}
 	ck, err := BuildCheckpoint(states)
@@ -248,7 +248,7 @@ func TestCheckpointRepartitionBitwise(t *testing.T) {
 	}
 	for _, newRanks := range []int{2, 4} {
 		assign := Partition(blocks, newRanks)
-		var states []*State
+		var states []*optimize.KalmanState
 		for r := 0; r < newRanks; r++ {
 			st, err := NewStateFrom(ck, assign, r, device.New(fmt.Sprintf("re%d", r), device.A100()))
 			if err != nil {
@@ -274,7 +274,7 @@ func TestCheckpointRepartitionBitwise(t *testing.T) {
 			for r, st := range states {
 				pgs[r] = st.GainOwned(g)
 			}
-			exchangeInProc(states, pgs)
+			exchangeInProc(assign.Segments(), pgs)
 			for _, st := range states {
 				_, drain := st.FinishUpdate(g, abe, scale)
 				drain()

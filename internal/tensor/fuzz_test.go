@@ -61,9 +61,11 @@ func FuzzGEMMParallelMatchesSerial(f *testing.F) {
 	})
 }
 
-// FuzzPUpdateFusedParallelMatchesSerial also checks the row walk against
-// the triangle walk it replaced (triangleWalk), over the full P and over
-// a fuzzed row slab [lo,hi).
+// FuzzPUpdateFusedParallelMatchesSerial checks the fused row walk on the
+// full P at 1 and 6 workers against the triangle walk it replaced
+// (triangleWalk), and both row kernels on a fuzzed row slab [lo,hi):
+// PUpdateFusedSlab against the triangle walk, PUpdateNaiveSlab against
+// the framework-style PUpdateNaive.
 func FuzzPUpdateFusedParallelMatchesSerial(f *testing.F) {
 	f.Add(int64(1), 8, 0.5, 0.98, 2, 5)
 	f.Add(int64(3), 96, 2.0, 0.9, 0, 96) // the whole P as one slab
@@ -89,30 +91,39 @@ func FuzzPUpdateFusedParallelMatchesSerial(f *testing.F) {
 		pSerial := p.Clone()
 		pParallel := p.Clone()
 		pRef := p.Clone()
+		pNaive := p.Clone()
 		prev := SetWorkers(1)
-		PUpdateFused(pSerial, k, a, lambda)
+		PUpdateFusedSlab(pSerial, 0, k.Data, a, lambda)
 		SetWorkers(6)
-		PUpdateFused(pParallel, k, a, lambda)
+		PUpdateFusedSlab(pParallel, 0, k.Data, a, lambda)
 		slab := FromSlice(hi-lo, n, append([]float64(nil), p.Data[lo*n:hi*n]...))
 		PUpdateFusedSlab(slab, lo, k.Data, a, lambda)
+		naiveSlab := FromSlice(hi-lo, n, append([]float64(nil), p.Data[lo*n:hi*n]...))
+		PUpdateNaiveSlab(naiveSlab, lo, k.Data, a, lambda)
 		SetWorkers(prev)
 		triangleWalk(pRef, k, a, lambda)
+		PUpdateNaive(pNaive, k, a, lambda)
 
 		if i, ok := bitsEqual(pSerial.Data, pParallel.Data); !ok {
-			t.Fatalf("PUpdateFused n=%d a=%v λ=%v: elem %d diverged", n, a, lambda, i)
+			t.Fatalf("PUpdateFusedSlab n=%d a=%v λ=%v: elem %d diverged", n, a, lambda, i)
 		}
 		if i, ok := bitsEqual(pSerial.Data, pRef.Data); !ok {
-			t.Fatalf("PUpdateFused n=%d a=%v λ=%v: elem %d differs from the triangle walk", n, a, lambda, i)
+			t.Fatalf("PUpdateFusedSlab n=%d a=%v λ=%v: elem %d differs from the triangle walk", n, a, lambda, i)
 		}
 		if i, ok := bitsEqual(slab.Data, pRef.Data[lo*n:hi*n]); !ok {
 			t.Fatalf("PUpdateFusedSlab n=%d rows [%d,%d): elem %d differs from the triangle walk", n, lo, hi, i)
 		}
+		if i, ok := bitsEqual(naiveSlab.Data, pNaive.Data[lo*n:hi*n]); !ok {
+			t.Fatalf("PUpdateNaiveSlab n=%d rows [%d,%d): elem %d differs from PUpdateNaive", n, lo, hi, i)
+		}
 		if !IsSymmetric(pParallel, 0) {
-			t.Fatalf("PUpdateFused n=%d: result not bitwise symmetric", n)
+			t.Fatalf("PUpdateFusedSlab n=%d: result not bitwise symmetric", n)
 		}
 	})
 }
 
+// FuzzSymMatVecParallelMatchesSerial checks the P·g mat-vec on a symmetric
+// P at 1 and 5 workers.
 func FuzzSymMatVecParallelMatchesSerial(f *testing.F) {
 	f.Add(int64(1), 8)
 	f.Add(int64(2), 96)
@@ -124,16 +135,16 @@ func FuzzSymMatVecParallelMatchesSerial(f *testing.F) {
 		SymmetrizeInPlace(p)
 		x := RandNormal(n, 1, 1, rng)
 
-		ySerial := New(n, 1)
-		yParallel := New(n, 1)
+		ySerial := make([]float64, n)
+		yParallel := make([]float64, n)
 		prev := SetWorkers(1)
-		SymMatVecInto(ySerial, p, x)
+		MatVecInto(ySerial, p, x.Data)
 		SetWorkers(5)
-		SymMatVecInto(yParallel, p, x)
+		MatVecInto(yParallel, p, x.Data)
 		SetWorkers(prev)
 
-		if i, ok := bitsEqual(ySerial.Data, yParallel.Data); !ok {
-			t.Fatalf("SymMatVecInto n=%d: elem %d diverged", n, i)
+		if i, ok := bitsEqual(ySerial, yParallel); !ok {
+			t.Fatalf("MatVecInto n=%d: elem %d diverged", n, i)
 		}
 	})
 }

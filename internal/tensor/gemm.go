@@ -187,17 +187,6 @@ func matMulTBRows(out, a, b []float64, kd, n, lo, hi int) {
 	}
 }
 
-// SymMatVecInto computes y = P·x for symmetric P, writing into y (n×1).
-// It exists so that the optimizer's hot path allocates nothing.
-func SymMatVecInto(y, p, x *Dense) {
-	n := p.Rows
-	if p.Cols != n || x.Rows != n || x.Cols != 1 || y.Rows != n || y.Cols != 1 {
-		panic(fmt.Sprintf("tensor: SymMatVecInto P %dx%d x %dx%d y %dx%d",
-			p.Rows, p.Cols, x.Rows, x.Cols, y.Rows, y.Cols))
-	}
-	MatVecInto(y.Data, p, x.Data)
-}
-
 // MatVecInto computes dst = a·x with rows sharded across the worker
 // pool: each output is 0 plus a[i][k]·x[k] over ascending k, and a pass
 // over x fills 4 rows at once.  a may be a row slab of a larger matrix:

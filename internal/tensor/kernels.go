@@ -120,25 +120,15 @@ func PUpdateNaive(p, k *Dense, a, lambda float64) (tmpElems int64) {
 	return int64(2 * n * n)
 }
 
-// PUpdateFused is the handwritten single-pass kernel of Opt3.  It computes
-// the same update as PUpdateNaive — (1/λ)(P − (1/a)KKᵀ) followed by
-// symmetrization — in one pass over P that allocates nothing.  The full P
-// is the one-slab case of PUpdateFusedSlab.
-func PUpdateFused(p, k *Dense, a, lambda float64) {
-	n := p.Rows
-	if p.Cols != n || k.Rows != n || k.Cols != 1 {
-		panic(fmt.Sprintf("tensor: PUpdateFused P %dx%d k %dx%d", p.Rows, p.Cols, k.Rows, k.Cols))
-	}
-	PUpdateFusedSlab(p, 0, k.Data, a, lambda)
-}
-
-// PUpdateFusedSlab refreshes rows [rowLo,rowLo+slab.Rows) of one n×n
-// covariance in place, where slab holds those rows and k is the full gain
-// (length n = slab.Cols): P ← (1/λ)(P − (1/a)KKᵀ), symmetrized.  Each row
-// reads and writes only its own n contiguous elements, so row ranges
-// shard across the worker pool with bitwise identical results at every
-// worker count, and a rank owning a row slab reproduces those rows of the
-// full update exactly.
+// PUpdateFusedSlab is the handwritten single-pass kernel of Opt3.  It
+// refreshes rows [rowLo,rowLo+slab.Rows) of one n×n covariance in place,
+// where slab holds those rows and k is the full gain (length n =
+// slab.Cols): P ← (1/λ)(P − (1/a)KKᵀ), symmetrized — the update of
+// PUpdateNaive in one pass over P that allocates nothing.  The full P is
+// its one-slab case.  Each row reads and writes only its own n contiguous
+// elements, so row ranges shard across the worker pool with bitwise
+// identical results at every worker count, and a rank owning a row slab
+// reproduces those rows of the full update exactly.
 //
 // The symmetrization averages P[i][j] with its mirror P[j][i]; P is
 // bitwise symmetric (it starts as the identity, every drain writes equal
@@ -179,6 +169,35 @@ func PUpdateFusedSlab(slab *Dense, rowLo int, k []float64, a, lambda float64) {
 		}
 	})
 	Recycle(v)
+}
+
+// PUpdateNaiveSlab is the row-slab form of PUpdateNaive, the
+// framework-style update: the unfused outer-product step followed by the
+// symmetrization pass, over rows [rowLo,rowLo+slab.Rows) of one n×n
+// covariance, in place and without the n×n temporaries.  It keeps
+// PUpdateNaive's expression shape, so any fused-multiply-add contraction
+// the compiler applies applies identically.  The outer product is
+// k[row]·k[col] (row factor first, as Outer computes it), and the
+// symmetrization averages each element with its pre-averaged mirror,
+// which is bit-equal by symmetry and commutativity — hence 0.5·(u+u).
+func PUpdateNaiveSlab(slab *Dense, rowLo int, k []float64, a, lambda float64) {
+	n := slab.Cols
+	if len(k) != n || rowLo < 0 || rowLo+slab.Rows > n {
+		panic(fmt.Sprintf("tensor: PUpdateNaiveSlab slab %dx%d at row %d k %d", slab.Rows, n, rowLo, len(k)))
+	}
+	invA := 1 / a
+	invL := 1 / lambda
+	parallelRows(slab.Rows, 4*int64(slab.Rows)*int64(n), func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			ki := k[rowLo+r]
+			row := slab.Data[r*n:][:n]
+			for j, x := range row {
+				t := ki * k[j]
+				u := invL * (x - invA*t)
+				row[j] = 0.5 * (u + u)
+			}
+		}
+	})
 }
 
 // SymmetrizeInPlace replaces p with (p + pᵀ)/2 without temporaries.

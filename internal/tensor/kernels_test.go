@@ -60,8 +60,8 @@ func TestPUpdateFusedSlabMatchesTriangleWalk(t *testing.T) {
 		for _, w := range []int{1, 2, 3, 6} {
 			withWorkers(t, w, func() {
 				got := p0.Clone()
-				PUpdateFused(got, k, a, lambda)
-				bitwiseEqual(t, fmt.Sprintf("PUpdateFused n=%d workers=%d", n, w), got, want)
+				PUpdateFusedSlab(got, 0, k.Data, a, lambda)
+				bitwiseEqual(t, fmt.Sprintf("PUpdateFusedSlab n=%d workers=%d", n, w), got, want)
 				for _, cuts := range [][]int{{0, 1, n}, {0, n / 2, n}, {0, n / 3, 2 * n / 3, n}} {
 					bitwiseEqual(t, fmt.Sprintf("PUpdateFusedSlab n=%d workers=%d cuts=%v", n, w, cuts),
 						drainSlabs(p0, k, a, lambda, cuts), want)
@@ -80,10 +80,40 @@ func TestMatVecIntoSlabMatchesFull(t *testing.T) {
 		SymmetrizeInPlace(p)
 		x := randDense(n, 1, rng)
 		want := New(n, 1)
-		SymMatVecInto(want, p, x)
+		MatVecInto(want.Data, p, x.Data)
 		lo, hi := n/3, n
 		got := make([]float64, hi-lo)
 		MatVecInto(got, FromSlice(hi-lo, n, p.Data[lo*n:hi*n]), x.Data)
 		bitwiseEqual(t, fmt.Sprintf("MatVecInto n=%d", n), FromSlice(hi-lo, 1, got), FromSlice(hi-lo, 1, want.Data[lo:hi]))
+	}
+}
+
+// TestPUpdateNaiveSlabMatchesNaive pins the framework-style row kernel to
+// PUpdateNaive, which materializes K·Kᵀ and Pᵀ, bitwise on symmetric P —
+// over the full P and over slab row ranges, at several worker counts.
+func TestPUpdateNaiveSlabMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, n := range []int{1, 2, 5, 64, 257} {
+		p0 := randDense(n, n, rng)
+		SymmetrizeInPlace(p0)
+		k := randDense(n, 1, rng)
+		a := 0.5 + rng.Float64()
+		lambda := 0.9 + 0.1*rng.Float64()
+		want := p0.Clone()
+		PUpdateNaive(want, k, a, lambda)
+		for _, w := range []int{1, 3} {
+			withWorkers(t, w, func() {
+				for _, cuts := range [][]int{{0, n}, {0, n / 2, n}, {0, n / 3, 2 * n / 3, n}} {
+					got := p0.Clone()
+					for c := 0; c+1 < len(cuts); c++ {
+						lo, hi := cuts[c], cuts[c+1]
+						if lo < hi {
+							PUpdateNaiveSlab(FromSlice(hi-lo, n, got.Data[lo*n:hi*n]), lo, k.Data, a, lambda)
+						}
+					}
+					bitwiseEqual(t, fmt.Sprintf("PUpdateNaiveSlab n=%d workers=%d cuts=%v", n, w, cuts), got, want)
+				}
+			})
+		}
 	}
 }

@@ -17,7 +17,7 @@ package tensor
 //     goroutine simply runs the shard inline, so a worker can never block
 //     waiting on work that only itself could execute.
 //  3. Shared capacity.  One process-wide pool sized from GOMAXPROCS (or
-//     the FEKF_WORKERS environment variable) serves all callers, so the
+//     SetWorkers, which cmd's -workers flag sets) serves all callers, so the
 //     cluster simulation's rank goroutines compete for the same host
 //     cores they would on a real node.
 //
@@ -27,11 +27,7 @@ package tensor
 // serial execution (see DESIGN.md, "Host worker pool").
 
 import (
-	"fmt"
-	"io"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 )
 
@@ -52,27 +48,7 @@ var (
 )
 
 func init() {
-	poolWorkers = defaultWorkers()
-}
-
-// defaultWorkers resolves the initial pool size: FEKF_WORKERS if set and
-// positive, else GOMAXPROCS.  An invalid FEKF_WORKERS value is not
-// silently ignored: a warning naming the bad value and the fallback goes
-// to stderr.
-func defaultWorkers() int { return defaultWorkersTo(os.Stderr) }
-
-// defaultWorkersTo is defaultWorkers with an injectable warning sink (the
-// unit tests capture it).
-func defaultWorkersTo(warn io.Writer) int {
-	fallback := runtime.GOMAXPROCS(0)
-	if s := os.Getenv("FEKF_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-		fmt.Fprintf(warn, "fekf: invalid FEKF_WORKERS=%q (want a positive integer); falling back to GOMAXPROCS=%d\n",
-			s, fallback)
-	}
-	return fallback
+	poolWorkers = runtime.GOMAXPROCS(0)
 }
 
 // Workers returns the current worker count used to shard parallel kernels.
@@ -83,12 +59,12 @@ func Workers() int {
 }
 
 // SetWorkers sets the pool's worker count and returns the previous value.
-// n <= 0 resets to the default (FEKF_WORKERS or GOMAXPROCS).  A count of 1
+// n <= 0 resets to the default, GOMAXPROCS.  A count of 1
 // makes every kernel run serially on the calling goroutine; results are
 // bitwise identical at every setting.
 func SetWorkers(n int) int {
 	if n <= 0 {
-		n = defaultWorkers()
+		n = runtime.GOMAXPROCS(0)
 	}
 	poolMu.Lock()
 	defer poolMu.Unlock()

@@ -1,10 +1,7 @@
 package tensor
 
 import (
-	"bytes"
 	"math/rand"
-	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -84,22 +81,15 @@ func TestParallelGEMMBitwiseMatchesSerial(t *testing.T) {
 func TestParallelMatVecBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range []int{1, 2, 3, 5, 63, 129, 300} {
-		p := randDense(n, n, rng)
-		SymmetrizeInPlace(p)
 		x := randDense(n, 1, rng)
 		a := randDense(n, n, rng)
-		var wantSym, wantMV *Dense
+		var wantMV *Dense
 		withWorkers(t, 1, func() {
-			wantSym = New(n, 1)
-			SymMatVecInto(wantSym, p, x)
 			wantMV = New(n, 1)
 			MatVecInto(wantMV.Data, a, x.Data)
 		})
 		for _, w := range workerCounts {
 			withWorkers(t, w, func() {
-				y := New(n, 1)
-				SymMatVecInto(y, p, x)
-				bitwiseEqual(t, "SymMatVecInto", y, wantSym)
 				mv := New(n, 1)
 				MatVecInto(mv.Data, a, x.Data)
 				bitwiseEqual(t, "MatVecInto", mv, wantMV)
@@ -114,16 +104,21 @@ func TestParallelPUpdateFusedBitwiseMatchesSerial(t *testing.T) {
 		p0 := randDense(n, n, rng)
 		SymmetrizeInPlace(p0)
 		k := randDense(n, 1, rng)
-		var want *Dense
+		var want, wantNaive *Dense
 		withWorkers(t, 1, func() {
 			want = p0.Clone()
-			PUpdateFused(want, k, 1.3, 0.98)
+			PUpdateFusedSlab(want, 0, k.Data, 1.3, 0.98)
+			wantNaive = p0.Clone()
+			PUpdateNaiveSlab(wantNaive, 0, k.Data, 1.3, 0.98)
 		})
 		for _, w := range workerCounts {
 			withWorkers(t, w, func() {
 				got := p0.Clone()
-				PUpdateFused(got, k, 1.3, 0.98)
-				bitwiseEqual(t, "PUpdateFused", got, want)
+				PUpdateFusedSlab(got, 0, k.Data, 1.3, 0.98)
+				bitwiseEqual(t, "PUpdateFusedSlab", got, want)
+				got = p0.Clone()
+				PUpdateNaiveSlab(got, 0, k.Data, 1.3, 0.98)
+				bitwiseEqual(t, "PUpdateNaiveSlab", got, wantNaive)
 			})
 		}
 	}
@@ -142,7 +137,7 @@ func TestParallelPUpdateFusedMatchesNaive(t *testing.T) {
 	PUpdateNaive(ref, k, 1.1, 0.95)
 	withWorkers(t, 4, func() {
 		got := p0.Clone()
-		PUpdateFused(got, k, 1.1, 0.95)
+		PUpdateFusedSlab(got, 0, k.Data, 1.1, 0.95)
 		if !Equal(got, ref, 1e-12) {
 			t.Fatal("parallel fused P update diverges from naive reference")
 		}
@@ -205,34 +200,4 @@ func TestParallelForEmptyAndSingle(t *testing.T) {
 			t.Fatalf("fn called %d times want 1", calls)
 		}
 	})
-}
-
-// An invalid FEKF_WORKERS value must not be silently ignored: the resolver
-// falls back to GOMAXPROCS and says so on its warning sink, naming the bad
-// value and the fallback.
-func TestDefaultWorkersWarnsOnInvalidEnv(t *testing.T) {
-	check := func(env string, want int, wantWarn bool) {
-		t.Helper()
-		t.Setenv("FEKF_WORKERS", env)
-		var buf bytes.Buffer
-		if got := defaultWorkersTo(&buf); got != want {
-			t.Fatalf("FEKF_WORKERS=%q resolved to %d workers, want %d", env, got, want)
-		}
-		if wantWarn {
-			msg := buf.String()
-			if !strings.Contains(msg, "FEKF_WORKERS") || !strings.Contains(msg, env) ||
-				!strings.Contains(msg, "GOMAXPROCS") {
-				t.Fatalf("FEKF_WORKERS=%q warning does not name the bad value and fallback: %q", env, msg)
-			}
-		} else if buf.Len() != 0 {
-			t.Fatalf("FEKF_WORKERS=%q warned unexpectedly: %q", env, buf.String())
-		}
-	}
-	gmp := runtime.GOMAXPROCS(0)
-	check("banana", gmp, true) // not a number
-	check("-2", gmp, true)     // not positive
-	check("0", gmp, true)      // not positive
-	check("3.5", gmp, true)    // not an integer
-	check("3", 3, false)       // valid: used silently
-	check("", gmp, false)      // unset-equivalent: silent fallback
 }

@@ -64,18 +64,6 @@ func TestMatVec(t *testing.T) {
 	}
 }
 
-func TestSymMatVecInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := randMat(rng, 6, 6)
-	p := Add(m, Transpose(m)) // symmetric
-	x := randMat(rng, 6, 1)
-	y := New(6, 1)
-	SymMatVecInto(y, p, x)
-	if !Equal(y, MatMul(p, x), 1e-12) {
-		t.Fatal("SymMatVecInto mismatch")
-	}
-}
-
 func TestOuter(t *testing.T) {
 	x := Vector([]float64{1, 2})
 	y := Vector([]float64{3, 4, 5})
@@ -245,7 +233,7 @@ func TestPropPUpdateFusedEqualsNaive(t *testing.T) {
 		a := 0.1 + r.Float64()
 		lambda := 0.5 + 0.5*r.Float64()
 		PUpdateNaive(p1, k, a, lambda)
-		PUpdateFused(p2, k, a, lambda)
+		PUpdateFusedSlab(p2, 0, k.Data, a, lambda)
 		return Equal(p1, p2, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -317,7 +305,7 @@ func BenchmarkPUpdateFused512(b *testing.B) {
 	k := randMat(rng, 512, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PUpdateFused(p, k, 1.1, 0.98)
+		PUpdateFusedSlab(p, 0, k.Data, 1.1, 0.98)
 	}
 }
 
