@@ -9,7 +9,6 @@ import (
 	"fekf/internal/md"
 	"fekf/internal/online"
 	"fekf/internal/optimize"
-	"fekf/internal/pshard"
 )
 
 // ReplicaCheckpoint is one replica's private shard state: its replay
@@ -44,10 +43,22 @@ type Checkpoint struct {
 
 	// PShard records that the fleet ran with a sharded covariance; PCk
 	// then carries every P row slab exactly once — saved by its owner
-	// rank — plus the replicated scalar filter state.  Opt.Kalman is nil
-	// in this mode (no replica ever materializes the full P).
+	// rank — plus the replicated scalar filter state, and Opt.Kalman is
+	// nil.  A replicated fleet stores its P once, in Opt.Kalman.
 	PShard bool
-	PCk    *pshard.Checkpoint
+	PCk    *optimize.SlabCheckpoint
+}
+
+// covariance returns the P ck carries as a slab checkpoint, whichever
+// field holds it.
+func (ck *Checkpoint) covariance() (*optimize.SlabCheckpoint, error) {
+	switch {
+	case ck.PCk != nil:
+		return ck.PCk, nil
+	case ck.Opt != nil && ck.Opt.Kalman != nil:
+		return ck.Opt.Kalman.Slabs(), nil
+	}
+	return nil, fmt.Errorf("fleet: checkpoint holds no covariance")
 }
 
 // encodeModel serializes a model into the shared checkpoint stream.
@@ -104,39 +115,34 @@ func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 // running conductor writes its own periodic checkpoints.
 func (f *Fleet) WriteCheckpoint(path string) error { return f.loop.WriteCheckpoint(path) }
 
-// Resume reconstructs a fleet from a checkpoint: every replica gets the
-// shared model weights and Kalman filter (λ, update counter, every P row —
-// bitwise, replicated or sharded as the checkpoint was), plus its own
-// replay buffer with the sampling RNG at the checkpointed position, gate
-// and counters.  The replica count, shard policy and covariance placement
-// come from the checkpoint; cfg supplies the runtime knobs.  A covariance
-// that is not bitwise symmetric is rejected (optimize.RestoreKalmanState,
-// pshard.Checkpoint.Validate), and so is a replay stream that ingest would
-// not accept (validateReplays).
+// Resume reconstructs a fleet from a checkpoint: the fleet is built from
+// the checkpointed model and filter hyper-parameters, then restored the
+// way a rollback restores it (applyCheckpoint) — every replica's weights,
+// liveness, replay buffer with the sampling RNG at the checkpointed
+// position, gate and counters, and P (λ, update counter, every row,
+// bitwise) fit to the live replicas.  The replica count, shard policy and
+// whether P is sharded come from the checkpoint; cfg supplies the runtime
+// knobs.  A covariance that is not bitwise symmetric is rejected
+// (optimize.SlabCheckpoint.Validate), and so is a replay stream that
+// ingest would not accept (validateReplays).
 func Resume(ck *Checkpoint, cfg Config) (*Fleet, error) {
 	if len(ck.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: checkpoint has no replicas")
 	}
-	if ck.PCk != nil {
-		if err := ck.PCk.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	m, opt, err := online.RestoreModel(ck.Model, ck.Opt, nil)
+	m, opt, err := online.RestoreModel(ck.Model, filterConfig(ck.Opt), nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := ck.validateReplays(m.Cfg.Rc); err != nil {
 		return nil, err
 	}
 	cfg.Replicas = len(ck.Replicas)
 	cfg.ShardPolicy = ck.ShardPolicy
 	cfg.PShard = ck.PShard
-	f, err := build(m, opt, &dataset.Dataset{System: ck.System, Species: ck.Species}, cfg, ck)
+	f, err := build(m, opt, &dataset.Dataset{System: ck.System, Species: ck.Species}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	f.restoreStream(ck)
+	if _, err := f.applyCheckpoint(ck); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 

@@ -11,8 +11,8 @@
 // collective: each live replica samples a private minibatch from its
 // replay buffer, the per-replica gradients and absolute-error sums are
 // funnel-aggregated over the ring *before* the Kalman update (the step
-// schedule optimize.RankStep, over the covariance the fleet's placement
-// hands each rank: its full P when replicated, its row-slab share when
+// schedule optimize.RankStep, over the Kalman state the fleet holds for
+// each rank: every P block whole when replicated, its row-slab share when
 // sharded — see cov.go), and every replica then applies the identical
 // reduced update to its local weights and P.  Because the reduced buffers
 // are bit-identical on every rank, all replicas hold bitwise-identical
@@ -24,8 +24,8 @@
 // replica is drained from the rotation without failing in-flight
 // predictions (snapshots are immutable clones); survivors keep training
 // through a re-formed ring, and the dead replica rejoins via a
-// checkpoint of the shared state taken from any survivor — after which
-// drift is again exactly zero.
+// checkpoint of the shared state taken from any survivor, with P refit to
+// the new live set at once — after which drift is again exactly zero.
 //
 // Loop: the conductor is an online.Loop — the same loop the single trainer
 // runs — over the fleet's Backend hooks: Intake samples queue pressure,

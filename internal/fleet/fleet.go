@@ -31,13 +31,14 @@ type Config struct {
 	// ShardPolicy selects how ingest frames are partitioned.
 	ShardPolicy ShardPolicy
 	// PShard shards the Kalman covariance P across the replicas instead of
-	// replicating it: each replica holds only its assigned row slabs (see
-	// internal/pshard), the per-step P·g fragments are exchanged over the
-	// ring, and the weights stay bitwise identical to the replicated fleet.
-	// Use it when P does not fit one host; the per-replica resident P drops
-	// to ~1/R of the replicated footprint at the cost of one extra
-	// allgather per measurement update.  Read once, by New, to pick the
-	// covariance placement (cov.go).
+	// replicating it: each replica owns only its pshard.Partition row slabs
+	// rather than every block whole, the per-step P·g fragments are
+	// exchanged over the ring, and the weights stay bitwise identical to
+	// the replicated fleet.  Use it when P does not fit one host; the
+	// per-replica resident P drops to ~1/R of the replicated footprint at
+	// the cost of one extra allgather per measurement update.  It decides
+	// only which slabs each rank owns (cov.go); Resume takes it from the
+	// checkpoint.
 	PShard bool
 	// BatchSize is the per-replica minibatch drawn from each replica's
 	// replay buffer per lockstep step; the global batch is the union.
@@ -175,9 +176,9 @@ type Fleet struct {
 	retiredMu   sync.Mutex
 	retiredTr   cluster.TransportStats
 
-	// cov is where the Kalman covariance lives, replicated or sharded;
-	// fixed at build time.
-	cov placement
+	// cov holds the Kalman covariance: one state per live replica, each
+	// owning every block whole or its row-slab share.
+	cov *covariance
 
 	rr atomic.Uint64 // round-robin shard cursor
 
@@ -208,16 +209,32 @@ type Fleet struct {
 }
 
 // New builds a fleet of cfg.Replicas replicas cloned from an initialized
-// model and a prototype FEKF optimizer (its hyper-parameters — and Kalman
-// state, if any — are replicated bitwise).  proto supplies the system name
-// and species table every streamed frame must match.
+// model and a prototype FEKF optimizer: its hyper-parameters are
+// replicated bitwise, and its Kalman state, if it already stepped, seeds
+// the fleet's P (else P = I).  proto supplies the system name and species
+// table every streamed frame must match.
 func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config) (*Fleet, error) {
-	return build(m, opt, proto, cfg, nil)
+	f, err := build(m, opt, proto, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var seed *optimize.SlabCheckpoint
+	if ks := opt.State(); ks != nil {
+		if seed, err = optimize.GatherSlabs([]*optimize.KalmanState{ks}); err != nil {
+			return nil, err
+		}
+	}
+	live := f.liveIDs()
+	if err := f.cov.fit(seed, live, false); err != nil {
+		return nil, err
+	}
+	f.updateInvariants(live)
+	return f, nil
 }
 
-// build is New with the covariance loaded from ck — a fresh P = I when ck
-// is nil.
-func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config, ck *Checkpoint) (*Fleet, error) {
+// build assembles the fleet around the prototype, without P: New seeds
+// it, Resume restores it.
+func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config) (*Fleet, error) {
 	if m == nil || opt == nil {
 		return nil, fmt.Errorf("fleet: New needs a model and an optimizer")
 	}
@@ -257,8 +274,9 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 			live = ac.Max
 		}
 	}
+	hyper := filterConfig(opt.Checkpoint())
 	for i := 0; i < slots; i++ {
-		r, err := newReplica(i, m, opt, proto, cfg)
+		r, err := newReplica(i, m, hyper, proto, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -293,16 +311,7 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 		f.naPer.Store(int64(proto.Snapshots[0].NumAtoms()))
 	}
 	f.forceGroups = f.reps[0].opt.ForceGroups
-	cov, err := newPlacement(cfg.PShard, f.reps, m, opt)
-	if err != nil {
-		return nil, err
-	}
-	f.cov = cov
-	ids := f.liveIDs()
-	if err := cov.load(ck, ids); err != nil {
-		return nil, err
-	}
-	f.updateInvariants(ids)
+	f.cov = newCovariance(cfg.PShard, f.reps, m.Params.LayerSizes())
 	return f, nil
 }
 
@@ -372,10 +381,11 @@ func (f *Fleet) Start() { f.loop.Start() }
 func (f *Fleet) Stop(ctx context.Context) error { return f.loop.Stop(ctx) }
 
 // Kill marks a replica dead: the sharder and the predict router stop
-// routing to it, and the next step re-forms the ring over the survivors.
-// Frames already queued on its shard stay buffered for catch-up at rejoin.
-// In-flight predictions served from its snapshot complete normally
-// (snapshots are immutable).
+// routing to it, P is refit to the survivors at once (the replica's state
+// is freed; a sharded P's slabs move to the survivors), and the next step
+// re-forms the ring over them.  Frames already queued on its shard stay
+// buffered for catch-up at rejoin.  In-flight predictions served from its
+// snapshot complete normally (snapshots are immutable).
 func (f *Fleet) Kill(ctx context.Context, id int) error {
 	return f.loop.Do(ctx, func() error { return f.killLocked(id) })
 }
@@ -390,16 +400,33 @@ func (f *Fleet) killLocked(id int) error {
 		return fmt.Errorf("fleet: replica %d is already dead", id)
 	}
 	f.reps[id].alive.Store(false)
+	if err := f.refit(); err != nil {
+		f.reps[id].alive.Store(true)
+		return err
+	}
 	f.cfg.Metrics.Kills.Inc()
 	return nil
 }
 
-// Revive rejoins a dead replica through checkpoint catch-up: the shared
-// state (model weights + Kalman filter) is checkpointed from a live
-// survivor and restored into the replica, which therefore rejoins bitwise
-// identical — drift is exactly zero again — and then drains its backlog
-// queue on the next conductor pass.  A replicated P is copied here; a
-// sharded one is retiled when the next step re-forms the ring.
+// refit fits P to the current live set after a membership change and
+// refreshes the invariant gauges and mirrors.  Conductor only.
+func (f *Fleet) refit() error {
+	live := f.liveIDs()
+	if err := f.cov.refit(live); err != nil {
+		return err
+	}
+	if len(live) > 0 {
+		f.updateInvariants(live)
+	}
+	return nil
+}
+
+// Revive rejoins a dead replica through checkpoint catch-up: the weights
+// and filter hyper-parameters are checkpointed from a live survivor and
+// restored into the replica, and P is refit to the new live set (a
+// replicated P is copied into the replica; a sharded one is retiled), so
+// it rejoins bitwise identical — drift is exactly zero again — and then
+// drains its backlog queue on the next conductor pass.
 func (f *Fleet) Revive(ctx context.Context, id int) error {
 	return f.loop.Do(ctx, func() error { return f.reviveLocked(id) })
 }
@@ -422,6 +449,10 @@ func (f *Fleet) reviveLocked(id int) error {
 		return err
 	}
 	r.alive.Store(true)
+	if err := f.refit(); err != nil {
+		r.alive.Store(false)
+		return err
+	}
 	f.publish([]int{id}, f.loop.Steps.Load())
 	f.cfg.Metrics.Revives.Inc()
 	return nil
@@ -466,8 +497,8 @@ func (f *Fleet) notePressure() {
 
 // maybeAutoscale runs one autoscaler evaluation when the control interval
 // has elapsed, and applies the decision through the same membership paths
-// Kill and Revive use — the next step re-forms the ring over the new live
-// set and the drift invariants are refreshed as usual.  Conductor only.
+// Kill and Revive use, which refit P at once; the next step re-forms the
+// ring over the new live set.  Conductor only.
 func (f *Fleet) maybeAutoscale() {
 	if f.scaler == nil {
 		return
@@ -658,9 +689,8 @@ func (f *Fleet) retireRing() {
 // recoverRing handles a hard mid-step transport failure: the transport's
 // dead ranks map through ringIDs onto replica deaths, the broken ring is
 // retired, every surviving replica is reconciled bitwise from the first
-// survivor through the catch-up path Revive uses, and the placement
-// rebuilds P over the survivors — so the drift gauges read exactly zero
-// again.  A failure that takes every rank keeps the one detected last: the
+// survivor through the catch-up path Revive uses, and P is refit over the
+// survivors — so the drift gauges read exactly zero again.  A failure that takes every rank keeps the one detected last: the
 // cascade's final victim, never the stuck rank the watchdog declares
 // first.  It returns the surviving live set, never empty.  Conductor only.
 func (f *Fleet) recoverRing(ring *cluster.Ring) []int {
@@ -733,10 +763,6 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 		f.loop.SetErr(fmt.Errorf("fleet: form ring: %w", err))
 		return optimize.StepInfo{}, nil, false
 	}
-	if err := f.cov.settle(live); err != nil {
-		f.loop.SetErr(err)
-		return optimize.StepInfo{}, nil, false
-	}
 	params := f.reps[live[0]].opt.StepParams(total, na)
 	if rec != nil {
 		params.Spans = rec
@@ -798,7 +824,7 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 
 // updateInvariants refreshes the fleet's consistency gauges — the maximum
 // absolute weight difference between the first live replica and every
-// other live replica, and the placement's P drift; both must be exactly
+// other live replica, and the covariance's P drift; both must be exactly
 // zero under the funnel-aggregated schedule — and the mirrors the stats
 // readers see: the first live replica's λ and every replica's resident P.
 func (f *Fleet) updateInvariants(live []int) {

@@ -38,7 +38,7 @@ func assertFleetsBitwise(t *testing.T, a, b *Fleet, when string) {
 	}
 	if a.cfg.PShard {
 		for k, id := range la {
-			sa, sb := shardsOf(a).states[id], shardsOf(b).states[lb[k]]
+			sa, sb := a.cov.states[id], b.cov.states[lb[k]]
 			if sa == nil || sb == nil {
 				t.Fatalf("%s: missing shard state on rank %d", when, k)
 			}
@@ -55,7 +55,7 @@ func assertFleetsBitwise(t *testing.T, a, b *Fleet, when string) {
 				}
 			}
 		}
-	} else if d := ra.opt.State().PDrift(rb.opt.State()); d != 0 {
+	} else if d := a.cov.states[la[0]].PDrift(b.cov.states[lb[0]]); d != 0 {
 		t.Fatalf("%s: P drift %g between fleets, want exactly 0", when, d)
 	}
 }

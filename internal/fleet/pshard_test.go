@@ -13,7 +13,6 @@ import (
 	"fekf/internal/guard"
 	"fekf/internal/online"
 	"fekf/internal/optimize"
-	"fekf/internal/pshard"
 	"fekf/internal/tensor"
 )
 
@@ -30,15 +29,11 @@ func newPShardPair(t *testing.T, replicas int, cfg Config) (*dataset.Dataset, *F
 	return ds, fp, fr
 }
 
-// shardsOf returns a sharded fleet's covariance placement.
-func shardsOf(f *Fleet) *shardedP { return f.cov.(*shardedP) }
-
 // assemblePShardP reconstructs the full per-block covariance from the
 // fleet's live shard states.
 func assemblePShardP(t *testing.T, f *Fleet) []*tensor.Dense {
 	t.Helper()
-	s := shardsOf(f)
-	ck, err := pshard.BuildCheckpoint(s.held(s.liveIDs))
+	ck, err := f.cov.gather()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +66,9 @@ func assertPShardMatchesReplicated(t *testing.T, fp, fr *Fleet) {
 			}
 		}
 	}
-	refKS := fr.reps[lr[0]].opt.State()
+	refKS := fr.cov.states[lr[0]]
 	for _, id := range lp {
-		st := shardsOf(fp).states[id]
+		st := fp.cov.states[id]
 		if st == nil {
 			t.Fatalf("live replica %d holds no shard state", id)
 		}
@@ -227,7 +222,7 @@ func TestPShardKillReviveBitwise(t *testing.T) {
 	if err := fr.Kill(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	fp.loop.Step() // repartitions 3 → 2 before stepping
+	fp.loop.Step() // P was repartitioned 3 → 2 at the kill
 	fr.loop.Step()
 	assertPShardMatchesReplicated(t, fp, fr)
 	if ps := fp.FleetStats().PShard; ps.Ranks != 2 {
@@ -243,7 +238,7 @@ func TestPShardKillReviveBitwise(t *testing.T) {
 	if err := fr.Revive(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	fp.loop.Step() // repartitions 2 → 3
+	fp.loop.Step() // and 2 → 3 at the revive
 	fr.loop.Step()
 	assertPShardMatchesReplicated(t, fp, fr)
 	if ps := fp.FleetStats().PShard; ps.Ranks != 3 {
@@ -308,7 +303,7 @@ func TestPShardCheckpointResumeBitwise(t *testing.T) {
 			}
 		}
 	}
-	if shardsOf(f).states[0].Lambda != shardsOf(f2).states[0].Lambda {
+	if f.cov.states[0].Lambda != f2.cov.states[0].Lambda {
 		t.Fatal("λ diverged on the first post-resume step")
 	}
 }
@@ -329,19 +324,19 @@ func TestPShardRecoverShards(t *testing.T) {
 	f.loop.Step()
 
 	// Snapshot rank 0's slabs before the failure.
-	ck0, err := pshard.BuildCheckpoint([]*optimize.KalmanState{shardsOf(f).states[0]})
+	ck0, err := optimize.GatherSlabs([]*optimize.KalmanState{f.cov.states[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := shardsOf(f).states[0]
+	before := f.cov.states[0]
 
 	// Replica 2 dies hard; replica 1's scalar state diverges (it applied a
 	// measurement the others aborted).
 	f.reps[2].alive.Store(false)
-	shardsOf(f).states[1].Lambda = math.Nextafter(shardsOf(f).states[1].Lambda, 1)
-	shardsOf(f).recover(f.liveIDs())
+	f.cov.states[1].Lambda = math.Nextafter(f.cov.states[1].Lambda, 1)
+	f.cov.recover(f.liveIDs())
 
-	if ps := shardsOf(f).row(); ps.Ranks != 2 {
+	if ps := f.cov.row(); ps.Ranks != 2 {
 		t.Fatalf("recovered assignment has %d ranks, want 2", ps.Ranks)
 	}
 	rows := assemblePShardP(t, f)
@@ -393,12 +388,12 @@ func TestPShardRecoverShards(t *testing.T) {
 		}
 	}
 	// The λ epoch follows the reference survivor, not the diverged rank.
-	if shardsOf(f).states[0].Lambda != before.Lambda {
+	if f.cov.states[0].Lambda != before.Lambda {
 		t.Fatal("recovery moved the reference scalar state")
 	}
 	// And the fleet keeps stepping with zero drift.
 	f.loop.Step()
-	if d := shardsOf(f).drift(f.liveIDs()); d != 0 {
+	if d := f.cov.drift(f.liveIDs()); d != 0 {
 		t.Fatalf("post-recovery shard drift %g, want 0", d)
 	}
 }

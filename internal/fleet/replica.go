@@ -12,11 +12,12 @@ import (
 	"fekf/internal/optimize"
 )
 
-// replica is one member of the fleet: a full model + Kalman filter pair
-// (bitwise identical to every other live replica's) plus its own ingest
-// lane — the same queue, gate, replay buffer and published snapshot the
-// single trainer holds — that the shard router feeds and the predict
-// router reads.
+// replica is one member of the fleet: a full model and the filter
+// hyper-parameters (bitwise identical to every other live replica's; its
+// share of P lives in the fleet's covariance) plus its own ingest lane —
+// the same queue, gate, replay buffer and published snapshot the single
+// trainer holds — that the shard router feeds and the predict router
+// reads.
 //
 // The model, optimizer and the lane's gate and replay buffer are owned by
 // the fleet's conductor goroutine; the lane's queue, snapshot and mirrors,
@@ -37,13 +38,13 @@ type replica struct {
 	routed atomic.Int64
 }
 
-// newReplica clones the prototype model and optimizer onto a fresh
-// simulated device and builds the replica's private ingest lane.  The
-// covariance is the placement's to build.
-func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config) (*replica, error) {
+// newReplica clones the prototype model onto a fresh simulated device,
+// builds its filter from the hyper-parameters opt (filterConfig) and the
+// replica's private ingest lane.  P is the fleet covariance's to build.
+func newReplica(id int, m *deepmd.Model, opt *optimize.FEKFCheckpoint, proto *dataset.Dataset, cfg Config) (*replica, error) {
 	dev := device.New(fmt.Sprintf("fleet%d", id), device.A100())
 	model := m.CloneFor(dev)
-	ropt, err := optimize.RestoreFEKF(opt.Checkpoint(), model)
+	ropt, err := optimize.RestoreFEKF(opt, model)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %d optimizer: %w", id, err)
 	}
@@ -60,7 +61,7 @@ func newReplica(id int, m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Data
 }
 
 // admit runs one frame through the replica's lane, gating on the P
-// diagonal the placement gives it.  Conductor goroutine only.
+// diagonal of the replica's covariance state.  Conductor goroutine only.
 func (f *Fleet) admit(r *replica, s dataset.Snapshot) {
 	if err := r.Admit(s, r.model, f.cov.diag(r.id), f.loop.Recorder(), r.id); err != nil {
 		f.loop.SetErr(fmt.Errorf("replica %d gate: %w", r.id, err))
@@ -74,30 +75,38 @@ func (f *Fleet) admit(r *replica, s dataset.Snapshot) {
 func (f *Fleet) publish(ids []int, step int64) {
 	for _, id := range ids {
 		r := f.reps[id]
-		r.Publish(r.model, step, r.opt.Lambda(), f.clock.Now())
+		r.Publish(r.model, step, f.clock.Now())
 	}
 }
 
-// restoreShared replaces the replica's model and filter with the shared
-// state carried by a fleet checkpoint — the rejoin, catch-up and rollback
-// path — and frees the Kalman state it replaces from the replica's device.
-// Conductor goroutine only.
+// filterConfig returns ck without its Kalman state: the filter
+// hyper-parameters a replica's optimizer holds, while P lives in the
+// fleet's covariance.
+func filterConfig(ck *optimize.FEKFCheckpoint) *optimize.FEKFCheckpoint {
+	if ck == nil {
+		return nil
+	}
+	h := *ck
+	h.Kalman = nil
+	return &h
+}
+
+// restoreShared replaces the replica's model and filter hyper-parameters
+// with the shared state of a checkpoint — the rejoin, catch-up and
+// rollback path.  Conductor goroutine only.
 func (r *replica) restoreShared(modelBytes []byte, opt *optimize.FEKFCheckpoint) error {
-	m, ropt, err := online.RestoreModel(modelBytes, opt, r.dev)
+	m, ropt, err := online.RestoreModel(modelBytes, filterConfig(opt), r.dev)
 	if err != nil {
 		return fmt.Errorf("fleet: replica %d: %w", r.id, err)
-	}
-	if ks := r.opt.State(); ks != nil {
-		ks.Free()
 	}
 	r.model, r.opt = m, ropt
 	return nil
 }
 
-// catchUp copies live replica src's model and filter into every target
-// replica, bitwise: the one catch-up path of Revive and ring recovery.
-// Replicated P travels inside the filter; sharded slabs stay with the
-// placement.  Conductor goroutine only.
+// catchUp copies live replica src's weights and filter hyper-parameters
+// into every target replica, bitwise: the one catch-up path of Revive and
+// ring recovery.  P follows in the covariance refit.  Conductor goroutine
+// only.
 func (f *Fleet) catchUp(src int, targets []int) error {
 	s := f.reps[src]
 	modelBytes, err := encodeModel(s.model)

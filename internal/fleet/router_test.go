@@ -19,7 +19,7 @@ func routerFleet(m *deepmd.Model, alive []bool, published []int64) *Fleet {
 		r := &replica{id: i, Lane: online.NewLane("", nil, nil, online.NewReplay(1, 1, 0), online.GateConfig{})}
 		r.alive.Store(alive[i])
 		if published[i] > 0 {
-			r.Publish(m, published[i], 0, base.Add(time.Duration(published[i])*time.Second))
+			r.Publish(m, published[i], base.Add(time.Duration(published[i])*time.Second))
 		}
 		f.reps = append(f.reps, r)
 	}

@@ -142,7 +142,7 @@ func TestFleetTCPReconnectMidStep(t *testing.T) {
 }
 
 // A hard peer failure (severed rank) must map onto the replica-death path
-// in either covariance placement: the dead replica leaves the fleet, the
+// in either covariance mode: the dead replica leaves the fleet, the
 // survivors are reconciled to exactly zero drift with P still positive-
 // definite, stepping continues, and the stats report the peer failure.
 func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
@@ -177,7 +177,9 @@ func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
 
 			// Force a ring re-formation so the faulty ring (rings == 2) is built:
 			// kill and revive replica 2 cooperatively.
-			f.reps[2].alive.Store(false)
+			if err := f.killLocked(2); err != nil {
+				t.Fatal(err)
+			}
 			f.loop.Step() // ring 2 (size 2): severed mid-step → rank 1 = replica 1 dies
 			if !strings.Contains(f.Stats().LastError, "ring broken") {
 				t.Fatalf("sever not surfaced: %q", f.Stats().LastError)
@@ -197,8 +199,7 @@ func TestFleetTCPSeverMapsToReplicaDeath(t *testing.T) {
 			// The fleet keeps training on the survivor, and a revived replica
 			// catches up bitwise.
 			f.loop.Step()
-			f.reps[2].alive.Store(true)
-			if err := f.catchUp(0, []int{2}); err != nil {
+			if err := f.reviveLocked(2); err != nil {
 				t.Fatal(err)
 			}
 			f.loop.Step()

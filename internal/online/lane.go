@@ -81,8 +81,8 @@ func (l *Lane) Replay() *ReplayBuffer { return l.replay }
 
 // Publish swaps in a fresh copy-on-write snapshot of m taken at step.
 // Loop goroutine only (the clone must see quiescent weights).
-func (l *Lane) Publish(m *deepmd.Model, step int64, lambda float64, now time.Time) {
-	l.snap.Store(&ModelSnapshot{Model: m.Clone(), Step: step, Lambda: lambda, Published: now})
+func (l *Lane) Publish(m *deepmd.Model, step int64, now time.Time) {
+	l.snap.Store(&ModelSnapshot{Model: m.Clone(), Step: step, Published: now})
 }
 
 // Snapshot returns the latest published snapshot (nil before the first

@@ -100,7 +100,6 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 type ModelSnapshot struct {
 	Model     *deepmd.Model
 	Step      int64
-	Lambda    float64
 	Published time.Time
 }
 
@@ -338,7 +337,7 @@ func (t *Trainer) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.S
 // goroutine (or from Start/Stop while the loop is not running), so the
 // clone always sees a quiescent weight set.
 func (t *Trainer) publish() {
-	t.lane.Publish(t.model, t.loop.Steps.Load(), t.opt.Lambda(), time.Now())
+	t.lane.Publish(t.model, t.loop.Steps.Load(), time.Now())
 }
 
 // Stats is the observable state of the trainer, served at /v1/stats.

@@ -101,9 +101,7 @@ func (f *FEKF) Name() string { return f.name }
 func (f *FEKF) State() *KalmanState { return f.ks }
 
 // PBytes returns the device bytes resident in the covariance blocks (0
-// before the Kalman state exists).  Replicated and sharded fleets report
-// the same gauge off this method, making their memory footprints directly
-// comparable.
+// before the Kalman state exists).
 func (f *FEKF) PBytes() int64 {
 	if f.ks == nil {
 		return 0
@@ -112,10 +110,7 @@ func (f *FEKF) PBytes() int64 {
 }
 
 // InitState creates the Kalman state ahead of the first Step and returns
-// it (a no-op once initialized).  Fleet replicas initialize their filters
-// eagerly so the distributed step and the shared-state checkpoint can
-// address P before any local Step has run; NewKalmanState is
-// deterministic, so eagerly-built replicas start bit-identical.
+// it (a no-op once initialized).
 func (f *FEKF) InitState(m *deepmd.Model) *KalmanState {
 	if f.ks == nil {
 		f.ks = NewKalmanState(f.KCfg, m.Params.LayerSizes(), m.Dev)

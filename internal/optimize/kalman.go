@@ -52,9 +52,9 @@ type Slab struct {
 // Rows returns the slab's row count.
 func (s Slab) Rows() int { return s.RowHi - s.RowLo }
 
-// wholeBlocks returns one slab per block holding all of its rows: the
-// layout of a full, unsharded P.
-func wholeBlocks(blocks []Block) []Slab {
+// WholeSlabs returns one slab per block holding all of its rows: the
+// layout of a full P.
+func WholeSlabs(blocks []Block) []Slab {
 	out := make([]Slab, len(blocks))
 	for i, b := range blocks {
 		out[i] = Slab{Block: i, RowHi: b.Size()}
@@ -83,8 +83,7 @@ func wholeBlocks(blocks []Block) []Slab {
 // The row form is bitwise the full-block update because P is exactly
 // bitwise symmetric: it starts as the identity, both drain kernels write
 // bit-equal mirror elements (k[i]·k[j] == k[j]·k[i] in IEEE 754), and
-// restore rejects a checkpoint whose P is not (KalmanCheckpoint.Validate,
-// pshard.Checkpoint.Validate).  So where a full-matrix kernel would read
+// restore rejects a checkpoint whose P is not (SlabCheckpoint.Validate).  So where a full-matrix kernel would read
 // the mirror P[j][i], a row reads its own P[i][j] — the same bits.
 type KalmanState struct {
 	Cfg    KalmanConfig
@@ -110,7 +109,7 @@ type KalmanState struct {
 // counts and a full state with every P block the identity.
 func NewKalmanState(cfg KalmanConfig, layerSizes []int, dev *device.Device) *KalmanState {
 	blocks := SplitBlocks(layerSizes, cfg.BlockSize)
-	return NewSlabState(cfg, blocks, wholeBlocks(blocks), dev)
+	return NewSlabState(cfg, blocks, WholeSlabs(blocks), dev)
 }
 
 // NewSlabState builds a state owning the given row slabs of blocks, each
@@ -158,9 +157,13 @@ func (ks *KalmanState) PBytes() int64 {
 // vectors.
 func (ks *KalmanState) ScratchBytes() int64 { return 2 * int64(len(ks.pg)) * 8 }
 
-// Free releases everything NewSlabState allocated on the device.
+// Free releases everything NewSlabState allocated on the device and hands
+// the P slabs back to tensor.New's pool: nothing may read ks.P afterwards.
 func (ks *KalmanState) Free() {
 	ks.Dev.Free(ks.PBytes() + ks.ScratchBytes())
+	for _, p := range ks.P {
+		tensor.Recycle(p)
+	}
 	ks.P = nil
 	ks.pg = nil
 	ks.kv = nil
@@ -169,8 +172,8 @@ func (ks *KalmanState) Free() {
 // Draining reports whether a measurement's covariance drain is in flight.
 func (ks *KalmanState) Draining() bool { return ks.draining }
 
-// ownsAll reports whether the state holds every row of every block.
-func (ks *KalmanState) ownsAll() bool {
+// OwnsAll reports whether the state holds every row of every block.
+func (ks *KalmanState) OwnsAll() bool {
 	if len(ks.Slabs) != len(ks.Blocks) {
 		return false
 	}

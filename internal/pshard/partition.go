@@ -1,14 +1,12 @@
 // Package pshard shards the block-diagonal Kalman covariance P across
 // cluster ranks so the fleet can train models whose covariance exceeds a
-// single host's memory.  It holds no filter of its own: a rank's filter is
-// an optimize.KalmanState that owns only some row slabs of P, and this
-// package decides which.
+// single host's memory.  It holds no filter and no checkpoint of its own:
+// a rank's filter is an optimize.KalmanState that owns only some row slabs
+// of P, saved and moved as an optimize.SlabCheckpoint, and this package
+// decides which slabs and binds them to the ring.
 //
 //   - Partition deterministically assigns row slabs of the P blocks to
 //     ranks; Assignment reports their bytes and the exchange table.
-//   - NewState and NewStateFrom build one rank's KalmanState over its
-//     shards, fresh or from a Checkpoint (the slab form of a sharded P,
-//     restorable under any other assignment).
 //   - Over binds a rank's state to its ring: GainOwned computes the owned
 //     rows of P·g, AllgatherSegments exchanges them, and FinishUpdate
 //     applies the identical update on every rank — bitwise equal to the
@@ -195,45 +193,6 @@ func (a Assignment) ExchangeBytesPerCollective() int64 {
 		return 0
 	}
 	return int64(a.Blocks[len(a.Blocks)-1].Hi) * 8
-}
-
-// Validate checks that the assignment tiles every block's rows exactly
-// once with in-range owners; the partition tests and state restore both
-// run it.
-func (a Assignment) Validate() error {
-	covered := make([][]bool, len(a.Blocks))
-	for i, b := range a.Blocks {
-		covered[i] = make([]bool, b.Size())
-	}
-	for r, shards := range a.Owners {
-		if r >= a.Ranks {
-			return fmt.Errorf("pshard: owner row %d beyond %d ranks", r, a.Ranks)
-		}
-		for _, s := range shards {
-			if s.Block < 0 || s.Block >= len(a.Blocks) {
-				return fmt.Errorf("pshard: shard block %d out of range", s.Block)
-			}
-			n := a.Blocks[s.Block].Size()
-			if s.RowLo < 0 || s.RowHi > n || s.RowLo >= s.RowHi {
-				return fmt.Errorf("pshard: shard rows [%d,%d) outside block %d (n=%d)",
-					s.RowLo, s.RowHi, s.Block, n)
-			}
-			for i := s.RowLo; i < s.RowHi; i++ {
-				if covered[s.Block][i] {
-					return fmt.Errorf("pshard: block %d row %d covered twice", s.Block, i)
-				}
-				covered[s.Block][i] = true
-			}
-		}
-	}
-	for bi, rows := range covered {
-		for i, c := range rows {
-			if !c {
-				return fmt.Errorf("pshard: block %d row %d uncovered", bi, i)
-			}
-		}
-	}
-	return nil
 }
 
 // ReassignBytes returns the P bytes that must move when the partition

@@ -1,6 +1,7 @@
 package pshard
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -29,7 +30,7 @@ func checkPartition(t *testing.T, sizes []int, ranks int) {
 	t.Helper()
 	blocks := blocksOf(sizes)
 	a := Partition(blocks, ranks)
-	if err := a.Validate(); err != nil {
+	if err := validateAssignment(a); err != nil {
 		t.Fatalf("sizes %v ranks %d: %v", sizes, ranks, err)
 	}
 	if b := Partition(blocks, ranks); !reflect.DeepEqual(a, b) {
@@ -123,7 +124,7 @@ func TestPartitionPaperBound(t *testing.T) {
 // +Inf) while the coverage and bound invariants still hold.
 func TestPartitionMoreRanksThanRows(t *testing.T) {
 	a := Partition(blocksOf([]int{2}), 5)
-	if err := a.Validate(); err != nil {
+	if err := validateAssignment(a); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.ImbalanceRatio(); got != 0 {
@@ -169,4 +170,42 @@ func FuzzBlockPartition(f *testing.F) {
 		}
 		checkPartition(t, sizes, ranks)
 	})
+}
+
+// validateAssignment checks that a tiles every block's rows exactly once
+// with in-range owners.
+func validateAssignment(a Assignment) error {
+	covered := make([][]bool, len(a.Blocks))
+	for i, b := range a.Blocks {
+		covered[i] = make([]bool, b.Size())
+	}
+	for r, shards := range a.Owners {
+		if r >= a.Ranks {
+			return fmt.Errorf("pshard: owner row %d beyond %d ranks", r, a.Ranks)
+		}
+		for _, s := range shards {
+			if s.Block < 0 || s.Block >= len(a.Blocks) {
+				return fmt.Errorf("pshard: shard block %d out of range", s.Block)
+			}
+			n := a.Blocks[s.Block].Size()
+			if s.RowLo < 0 || s.RowHi > n || s.RowLo >= s.RowHi {
+				return fmt.Errorf("pshard: shard rows [%d,%d) outside block %d (n=%d)",
+					s.RowLo, s.RowHi, s.Block, n)
+			}
+			for i := s.RowLo; i < s.RowHi; i++ {
+				if covered[s.Block][i] {
+					return fmt.Errorf("pshard: block %d row %d covered twice", s.Block, i)
+				}
+				covered[s.Block][i] = true
+			}
+		}
+	}
+	for bi, rows := range covered {
+		for i, c := range rows {
+			if !c {
+				return fmt.Errorf("pshard: block %d row %d uncovered", bi, i)
+			}
+		}
+	}
+	return nil
 }

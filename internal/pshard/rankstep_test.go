@@ -61,7 +61,7 @@ func runShardedSteps(t *testing.T, ring *cluster.Ring, ds *dataset.Dataset, base
 	for r := 0; r < ranks; r++ {
 		dev := device.New(fmt.Sprintf("psgpu%d", r), device.A100())
 		models = append(models, base.CloneFor(dev))
-		states = append(states, NewState(cfg, assign, r, dev))
+		states = append(states, optimize.NewSlabState(cfg, assign.Blocks, assign.Owners[r], dev))
 	}
 	f := optimize.NewFEKF()
 	f.Pipeline = true

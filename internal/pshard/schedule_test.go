@@ -147,7 +147,7 @@ func TestStepSpans(t *testing.T) {
 				dev := device.New(fmt.Sprintf("span%d", r), device.A100())
 				models[r] = base.CloneFor(dev)
 				if sharded {
-					covs[r] = Over(NewState(cfg, assign, r, dev), r, assign.Segments(), ring)
+					covs[r] = Over(optimize.NewSlabState(cfg, assign.Blocks, assign.Owners[r], dev), r, assign.Segments(), ring)
 				} else {
 					covs[r] = optimize.NewKalmanState(cfg, models[r].Params.LayerSizes(), dev)
 				}

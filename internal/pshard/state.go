@@ -4,19 +4,8 @@ import (
 	"fmt"
 
 	"fekf/internal/cluster"
-	"fekf/internal/device"
 	"fekf/internal/optimize"
 )
-
-// NewState allocates rank's share of a fresh filter (every P block the
-// identity) under the given assignment: an optimize.KalmanState that owns
-// the rank's shards.
-func NewState(cfg optimize.KalmanConfig, assign Assignment, rank int, dev *device.Device) *optimize.KalmanState {
-	if rank < 0 || rank >= assign.Ranks {
-		panic(fmt.Sprintf("pshard: rank %d outside assignment of %d", rank, assign.Ranks))
-	}
-	return optimize.NewSlabState(cfg, assign.Blocks, assign.Owners[rank], dev)
-}
 
 // Over binds ks, the state of ring rank rank, to ring as the covariance
 // of the step schedule (optimize.RankStep); segs is the assignment's

@@ -117,7 +117,7 @@ func runSharded(cfg optimize.KalmanConfig, blocks []optimize.Block, ranks, steps
 	assign := Partition(blocks, ranks)
 	var states []*optimize.KalmanState
 	for r := 0; r < ranks; r++ {
-		states = append(states, NewState(cfg, assign, r, device.New(fmt.Sprintf("ps%d", r), device.A100())))
+		states = append(states, optimize.NewSlabState(cfg, assign.Blocks, assign.Owners[r], device.New(fmt.Sprintf("ps%d", r), device.A100())))
 	}
 	nParams := blocks[len(blocks)-1].Hi
 	rng := rand.New(rand.NewSource(seed))
@@ -173,7 +173,7 @@ func runKalman(cfg optimize.KalmanConfig, layerSizes []int, steps int, seed int6
 
 // assembleP reconstructs the full per-block covariance from a sharded
 // checkpoint.
-func assembleP(ck *Checkpoint) []*tensor.Dense {
+func assembleP(ck *optimize.SlabCheckpoint) []*tensor.Dense {
 	var ps []*tensor.Dense
 	for _, n := range ck.Sizes {
 		ps = append(ps, tensor.New(n, n))
@@ -195,7 +195,7 @@ func assertStatesMatchKalman(t *testing.T, states []*optimize.KalmanState, ks *o
 			t.Fatalf("rank %d updates %d, unsharded %d", r, st.Updates, ks.Updates)
 		}
 	}
-	ck, err := BuildCheckpoint(states)
+	ck, err := optimize.GatherSlabs(states)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCheckpointRepartitionBitwise(t *testing.T) {
 	blocks := ks.Blocks
 
 	states3, _ := runSharded(cfg, blocks, 3, half, 23)
-	ck, err := BuildCheckpoint(states3)
+	ck, err := optimize.GatherSlabs(states3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestCheckpointRepartitionBitwise(t *testing.T) {
 		assign := Partition(blocks, newRanks)
 		var states []*optimize.KalmanState
 		for r := 0; r < newRanks; r++ {
-			st, err := NewStateFrom(ck, assign, r, device.New(fmt.Sprintf("re%d", r), device.A100()))
+			st, err := optimize.NewStateFrom(ck, assign.Blocks, assign.Owners[r], device.New(fmt.Sprintf("re%d", r), device.A100()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -295,7 +295,7 @@ func TestStatePBytesMatchesAssignment(t *testing.T) {
 	assign := Partition(blocks, 4)
 	var sum int64
 	for r := 0; r < 4; r++ {
-		st := NewState(cfg, assign, r, device.New(fmt.Sprintf("pb%d", r), device.A100()))
+		st := optimize.NewSlabState(cfg, assign.Blocks, assign.Owners[r], device.New(fmt.Sprintf("pb%d", r), device.A100()))
 		if got, want := st.PBytes(), assign.RankBytes(r); got != want {
 			t.Fatalf("rank %d PBytes %d, assignment says %d", r, got, want)
 		}
