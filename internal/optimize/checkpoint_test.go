@@ -147,6 +147,70 @@ func TestRestoreKalmanStateValidates(t *testing.T) {
 	}
 }
 
+// identityRows returns rows [lo,hi) of the n×n identity, row-major.
+func identityRows(n, lo, hi int) []float64 {
+	rows := make([]float64, (hi-lo)*n)
+	for r := lo; r < hi; r++ {
+		rows[(r-lo)*n+r] = 1
+	}
+	return rows
+}
+
+// A slab checkpoint whose slabs do not tile each block exactly — rows held
+// twice, or a row missing — is rejected by Validate and by NewStateFrom
+// with an error, never a panic, and NewStateFrom allocates nothing.  The
+// overlap case hides row 5 from the binary row search, which read it as a
+// nil slab when overlaps passed the coverage check.
+func TestSlabCheckpointRejectsBadTiling(t *testing.T) {
+	const n = 10
+	blocks := []Block{{Lo: 0, Hi: n}}
+	slab := func(lo, hi int) SlabRows { return SlabRows{RowLo: lo, RowHi: hi, Rows: identityRows(n, lo, hi)} }
+	for _, tc := range []struct {
+		name   string
+		shards []SlabRows
+		want   string
+	}{
+		{"overlap", []SlabRows{slab(0, 10), slab(1, 2), slab(3, 4)}, "rows [1,2) do not follow row 10"},
+		{"duplicate", []SlabRows{slab(0, 5), slab(0, 5), slab(5, 10)}, "rows [0,5) do not follow row 5"},
+		{"gap", []SlabRows{slab(0, 4), slab(5, 10)}, "rows [5,10) do not follow row 4"},
+		{"missing tail", []SlabRows{slab(0, 4), slab(4, 9)}, "missing block 0 row 9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := &SlabCheckpoint{Cfg: DefaultKalmanConfig(), Lambda: 0.98, Sizes: []int{n}, Shards: tc.shards}
+			if err := ck.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate error = %v, want one containing %q", err, tc.want)
+			}
+			dev := device.New("tiling", device.A100())
+			if _, err := NewStateFrom(ck, blocks, WholeSlabs(blocks), dev); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewStateFrom error = %v, want one containing %q", err, tc.want)
+			}
+			if live := dev.Counters().LiveBytes; live != 0 {
+				t.Fatalf("rejected restore left %d live device bytes", live)
+			}
+		})
+	}
+	ck := &SlabCheckpoint{Cfg: DefaultKalmanConfig(), Lambda: 0.98, Sizes: []int{n},
+		Shards: []SlabRows{slab(4, 10), slab(0, 4)}}
+	if err := ck.Validate(); err != nil {
+		t.Fatalf("an exact tiling out of order was rejected: %v", err)
+	}
+	st, err := NewStateFrom(ck, blocks, []Slab{{RowLo: 2, RowHi: 7}}, device.New("tiling", device.A100()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 5; r++ {
+		for c := 0; c < n; c++ {
+			want := 0.0
+			if c == r+2 {
+				want = 1
+			}
+			if st.P[0].At(r, c) != want {
+				t.Fatalf("restored P[%d][%d] = %v, want %v", r+2, c, st.P[0].At(r, c), want)
+			}
+		}
+	}
+}
+
 func TestPDiagonalAlignedAndFinite(t *testing.T) {
 	ds, m := ckptSetup(t)
 	opt := NewFEKF()
