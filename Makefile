@@ -108,16 +108,18 @@ serve-smoke:
 
 # Short fuzz pass over the kernels whose parallel==serial bitwise contract
 # the pipeline relies on, plus the checkpoint and model loaders that read
-# untrusted files and the HTTP API's two JSON request decoders, whose
-# accepted inputs must build a neighbour environment in bounded time (go
-# test runs one fuzz target per invocation).  The loader, model and frames
-# targets' seeds are whole checkpoints or frame batches of several kB:
-# minimizing every new input byte by byte would eat the whole budget, so
-# they keep inputs as found.
+# untrusted files, the HTTP API's two JSON request decoders, whose
+# accepted inputs must build a neighbour environment in bounded time, and
+# the TCP ring's handshake acceptor (go test runs one fuzz target per
+# invocation).  The loader, model and frames targets' seeds are whole
+# checkpoints or frame batches of several kB: minimizing every new input
+# byte by byte would eat the whole budget, so they keep inputs as found;
+# so does the handshake target, each of whose runs crosses a net.Pipe
+# with two goroutines.
 fuzz:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGEMMParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzPUpdateFusedParallelMatchesSerial$$' -fuzztime 5s
-	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzSymMatVecParallelMatchesSerial$$' -fuzztime 5s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatVecParallelMatchesSerial$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzDenseKernelsMatchReference$$' -fuzztime 5s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime 5s
 	$(GO) test ./internal/pshard -run '^$$' -fuzz '^FuzzBlockPartition$$' -fuzztime 5s
@@ -125,6 +127,7 @@ fuzz:
 	$(GO) test ./internal/deepmd -run '^$$' -fuzz '^FuzzDecodeModel$$' -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzFramesRequest$$' -fuzztime 5s -fuzzminimizetime 1x
+	$(GO) test ./internal/cluster/tcptransport -run '^$$' -fuzz '^FuzzAcceptHandshake$$' -fuzztime 5s -fuzzminimizetime 1x
 
 # Host-parallelism speedup curve (Kalman block update, GEMM family, the
 # pipelined FEKF iteration).

@@ -43,31 +43,31 @@ const (
 	barrierRelease = 1
 )
 
+// SendTimeout is the per-frame write deadline, and the handshake's.
+const SendTimeout = 5 * time.Second
+
+// BackoffMax caps the exponential reconnect backoff.
+const BackoffMax = 250 * time.Millisecond
+
 // Options tunes one ring's TCP endpoints.  The zero value gets defaults
 // suitable for loopback fleets; fault-injection tests shrink the timeouts.
+// A data Recv has no deadline of its own: TCP does not lose frames on a
+// live connection, so a lost peer is found by PeerTimeout.
 type Options struct {
 	// RingID names the ring; handshakes from another ring are rejected.
 	RingID string
 	// DialTimeout bounds each connection attempt (default 2s).
 	DialTimeout time.Duration
-	// SendTimeout is the per-frame write deadline (default 5s).
-	SendTimeout time.Duration
 	// PeerTimeout is the failure detector: no frame (data, token or
 	// heartbeat) from the predecessor for this long, or a barrier token
-	// overdue by it, declares the peer dead (default 10s).
+	// overdue by it, declares the peer dead (default 10s).  An idle link
+	// sends four heartbeats per PeerTimeout.
 	PeerTimeout time.Duration
-	// HeartbeatEvery is the idle keep-alive period (default PeerTimeout/4).
-	HeartbeatEvery time.Duration
-	// RecvTimeout, when > 0, additionally bounds each data Recv.  The
-	// default 0 relies on connection-level detection alone — TCP does not
-	// lose frames on a live connection; only injected drops do, and those
-	// tests set it.
-	RecvTimeout time.Duration
 	// RetryMax is the send attempt budget, reconnects included (default 4).
 	RetryMax int
-	// BackoffBase and BackoffMax bound the exponential reconnect backoff
-	// (defaults 5ms and 250ms).
-	BackoffBase, BackoffMax time.Duration
+	// BackoffBase is the first reconnect backoff, doubled per attempt up
+	// to BackoffMax (default 5ms).
+	BackoffBase time.Duration
 	// StartupGrace extends the first accept's deadline so a peer process
 	// that boots slowly is not declared dead (default 30s).
 	StartupGrace time.Duration
@@ -82,23 +82,14 @@ func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
 	}
-	if o.SendTimeout <= 0 {
-		o.SendTimeout = 5 * time.Second
-	}
 	if o.PeerTimeout <= 0 {
 		o.PeerTimeout = 10 * time.Second
-	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = o.PeerTimeout / 4
 	}
 	if o.RetryMax < 1 {
 		o.RetryMax = 4
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 5 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 250 * time.Millisecond
 	}
 	if o.StartupGrace <= 0 {
 		o.StartupGrace = 30 * time.Second
@@ -417,7 +408,7 @@ func (e *Endpoint) handshake(conn net.Conn) error {
 	hs = append(hs, id...)
 	hs = binary.LittleEndian.AppendUint32(hs, uint32(e.rank))
 	hs = binary.LittleEndian.AppendUint64(hs, e.genOut)
-	conn.SetDeadline(time.Now().Add(e.opts.SendTimeout))
+	conn.SetDeadline(time.Now().Add(SendTimeout))
 	if _, err := conn.Write(hs); err != nil {
 		return fmt.Errorf("handshake write: %w", err)
 	}
@@ -444,7 +435,7 @@ func (e *Endpoint) writeFrame(kind byte, payload func([]byte) []byte) error {
 	if payload != nil {
 		e.wbuf = payload(e.wbuf)
 	}
-	e.conn.SetWriteDeadline(time.Now().Add(e.opts.SendTimeout))
+	e.conn.SetWriteDeadline(time.Now().Add(SendTimeout))
 	n, err := e.conn.Write(e.wbuf)
 	e.bytesSent.Add(int64(n))
 	if err != nil {
@@ -468,8 +459,8 @@ func (e *Endpoint) sendFrame(kind byte, payload func([]byte) []byte) error {
 		if attempt > 0 {
 			e.retries.Add(1)
 			backoff := e.opts.BackoffBase << (attempt - 1)
-			if backoff > e.opts.BackoffMax {
-				backoff = e.opts.BackoffMax
+			if backoff > BackoffMax {
+				backoff = BackoffMax
 			}
 			time.Sleep(backoff)
 		}
@@ -507,7 +498,7 @@ func (e *Endpoint) sendBarrier(phase byte, gen uint64) error {
 // detector fed while the ring idles between collectives.
 func (e *Endpoint) heartbeatLoop() {
 	defer e.wg.Done()
-	tick := time.NewTicker(e.opts.HeartbeatEvery)
+	tick := time.NewTicker(e.opts.PeerTimeout / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -600,7 +591,7 @@ func (e *Endpoint) acceptHandshake(conn net.Conn, lastGen uint64) (uint64, error
 	}
 	e.bytesRecv.Add(int64(len(rest)))
 	reject := func(why string) (uint64, error) {
-		conn.SetWriteDeadline(time.Now().Add(e.opts.SendTimeout))
+		conn.SetWriteDeadline(time.Now().Add(SendTimeout))
 		conn.Write([]byte{0})
 		return 0, errors.New(why)
 	}
@@ -615,7 +606,7 @@ func (e *Endpoint) acceptHandshake(conn net.Conn, lastGen uint64) (uint64, error
 	if gen <= lastGen {
 		return reject("stale connection generation")
 	}
-	conn.SetWriteDeadline(time.Now().Add(e.opts.SendTimeout))
+	conn.SetWriteDeadline(time.Now().Add(SendTimeout))
 	if _, err := conn.Write([]byte{1}); err != nil {
 		return 0, err
 	}
@@ -723,24 +714,10 @@ func (e *Endpoint) readFloats(conn net.Conn, dst []float64) error {
 
 // recvChunk returns the next data chunk from the predecessor.
 func (e *Endpoint) recvChunk() ([]float64, error) {
-	if e.opts.RecvTimeout <= 0 {
-		select {
-		case buf := <-e.dataCh:
-			return buf, nil
-		case <-e.brokenCh:
-			return nil, e.err()
-		}
-	}
-	timer := time.NewTimer(e.opts.RecvTimeout)
-	defer timer.Stop()
 	select {
 	case buf := <-e.dataCh:
 		return buf, nil
 	case <-e.brokenCh:
-		return nil, e.err()
-	case <-timer.C:
-		cause := fmt.Errorf("rank %d owed a chunk for %v", e.prev(), e.opts.RecvTimeout)
-		e.abort(e.prev(), cause)
 		return nil, e.err()
 	}
 }

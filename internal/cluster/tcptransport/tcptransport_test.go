@@ -1,7 +1,6 @@
 package tcptransport
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -165,30 +164,21 @@ func TestHandshakeRejectsImpostors(t *testing.T) {
 		}
 		return verdict[0]
 	}
-	mkHS := func(ringID string, rank uint32, gen uint64, m uint32) []byte {
-		id := []byte(ringID)
-		hs := binary.LittleEndian.AppendUint32(nil, m)
-		hs = append(hs, version)
-		hs = binary.LittleEndian.AppendUint16(hs, uint16(len(id)))
-		hs = append(hs, id...)
-		hs = binary.LittleEndian.AppendUint32(hs, rank)
-		return binary.LittleEndian.AppendUint64(hs, gen)
-	}
-	if v := dial(t, mkHS(opts.RingID, 99, 1, magic)); v != 0 {
+	if v := dial(t, handshakeBytes(opts.RingID, 99, 1, magic)); v != 0 {
 		t.Fatal("handshake from a non-predecessor rank accepted")
 	}
-	if v := dial(t, mkHS("other-ring", 0, 1, magic)); v != 0 {
+	if v := dial(t, handshakeBytes("other-ring", 0, 1, magic)); v != 0 {
 		t.Fatal("handshake from a foreign ring accepted")
 	}
-	if v := dial(t, mkHS(opts.RingID, 0, 1, 0xdeadbeef)); v != 0 {
+	if v := dial(t, handshakeBytes(opts.RingID, 0, 1, 0xdeadbeef)); v != 0 {
 		t.Fatal("handshake with bad magic accepted")
 	}
 	// The genuine predecessor (rank 0) with a fresh generation is accepted;
 	// replaying the same generation is stale and rejected.
-	if v := dial(t, mkHS(opts.RingID, 0, 5, magic)); v != 1 {
+	if v := dial(t, handshakeBytes(opts.RingID, 0, 5, magic)); v != 1 {
 		t.Fatal("genuine predecessor rejected")
 	}
-	if v := dial(t, mkHS(opts.RingID, 0, 5, magic)); v != 0 {
+	if v := dial(t, handshakeBytes(opts.RingID, 0, 5, magic)); v != 0 {
 		t.Fatal("stale generation accepted")
 	}
 }

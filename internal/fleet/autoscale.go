@@ -24,29 +24,31 @@ type AutoscaleConfig struct {
 	// a fleet pushed outside it (replica deaths, a resumed checkpoint
 	// with a different width) is scaled back one replica per decision.
 	Min, Max int
+}
+
+// The controller's fixed settings.
+const (
 	// ScaleUpAt and ScaleDownAt are the hysteresis band edges on the
 	// pressure score: pressure >= ScaleUpAt grows the fleet, pressure <=
 	// ScaleDownAt shrinks it, anything between holds (the dead-band).
-	// Defaults 0.75 and 0.20.
-	ScaleUpAt, ScaleDownAt float64
-	// UpCooldown (default 2s) is the minimum time after any scale event
-	// before the next scale-up; DownCooldown (default 5s) likewise for
-	// scale-downs.  Measuring both from the last event in either
-	// direction prevents up→down flapping when a burst ends right after
-	// a scale-up.
-	UpCooldown, DownCooldown time.Duration
-	// Interval is the sampling period of the control loop (default
-	// 250ms); between evaluations the conductor records the peak
-	// per-replica queue occupancy so short bursts are not missed.
-	Interval time.Duration
+	ScaleUpAt, ScaleDownAt = 0.75, 0.20
+	// UpCooldown is the minimum time after any scale event before the
+	// next scale-up; DownCooldown likewise for scale-downs.  Measuring
+	// both from the last event in either direction prevents up→down
+	// flapping when a burst ends right after a scale-up.
+	UpCooldown, DownCooldown = 2 * time.Second, 5 * time.Second
+	// AutoscaleInterval is the sampling period of the control loop;
+	// between evaluations the conductor records the peak per-replica
+	// queue occupancy so short bursts are not missed.
+	AutoscaleInterval = 250 * time.Millisecond
 	// ReassignBytesPerSec models the bandwidth available for migrating
-	// covariance shards when a pshard fleet resizes (default 1 GiB/s).
-	// The modeled transfer time of a candidate transition (its
+	// covariance shards when a pshard fleet resizes (1 GiB/s).  The
+	// modeled transfer time of a candidate transition (its
 	// Sample.ReassignBytes, divided by this rate) extends the matching
 	// cooldown, so expensive repartitions happen less often than cheap
 	// ones.  Replicated fleets move no shards and are unaffected.
-	ReassignBytesPerSec float64
-}
+	ReassignBytesPerSec = 1 << 30
+)
 
 func (c AutoscaleConfig) withDefaults(replicas int) AutoscaleConfig {
 	if c.Min < 1 {
@@ -59,32 +61,7 @@ func (c AutoscaleConfig) withDefaults(replicas int) AutoscaleConfig {
 			c.Max = c.Min
 		}
 	}
-	if c.ScaleUpAt <= 0 {
-		c.ScaleUpAt = 0.75
-	}
-	if c.ScaleDownAt <= 0 {
-		c.ScaleDownAt = 0.20
-	}
-	if c.UpCooldown <= 0 {
-		c.UpCooldown = 2 * time.Second
-	}
-	if c.DownCooldown <= 0 {
-		c.DownCooldown = 5 * time.Second
-	}
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.ReassignBytesPerSec <= 0 {
-		c.ReassignBytesPerSec = 1 << 30 // 1 GiB/s
-	}
 	return c
-}
-
-func (c AutoscaleConfig) validate() error {
-	if c.ScaleDownAt >= c.ScaleUpAt {
-		return fmt.Errorf("fleet: autoscale band inverted: down %.3f >= up %.3f", c.ScaleDownAt, c.ScaleUpAt)
-	}
-	return nil
 }
 
 // Sample is one autoscaler observation, gathered by the conductor between
@@ -171,15 +148,11 @@ type Autoscaler struct {
 
 // NewAutoscaler builds a controller over cfg (defaults applied against
 // replicas as the fallback Max) and a clock (nil means the system clock).
-func NewAutoscaler(cfg AutoscaleConfig, replicas int, clock online.Clock) (*Autoscaler, error) {
-	cfg = cfg.withDefaults(replicas)
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+func NewAutoscaler(cfg AutoscaleConfig, replicas int, clock online.Clock) *Autoscaler {
 	if clock == nil {
 		clock = online.SystemClock
 	}
-	return &Autoscaler{cfg: cfg, clock: clock}, nil
+	return &Autoscaler{cfg: cfg.withDefaults(replicas), clock: clock}
 }
 
 // Config returns the controller's effective (defaulted) configuration.
@@ -214,7 +187,7 @@ func (a *Autoscaler) Pressure(s Sample) float64 {
 	gate := 0.5 + 0.5*clamp01(s.GateAcceptRate)
 	lat := 1.0
 	if s.StepLatency > 0 {
-		lat += math.Min(1, float64(s.StepLatency)/float64(a.cfg.Interval))
+		lat += math.Min(1, float64(s.StepLatency)/float64(AutoscaleInterval))
 	}
 	return clamp01(s.QueueOccupancy) * gate * lat
 }
@@ -234,20 +207,20 @@ func (a *Autoscaler) Evaluate(s Sample) Verdict {
 		a.try(&v, ScaleUp, s, now, fmt.Sprintf("live %d below min %d", s.Live, a.cfg.Min))
 	case s.Live > a.cfg.Max:
 		a.try(&v, ScaleDown, s, now, fmt.Sprintf("live %d above max %d", s.Live, a.cfg.Max))
-	case p >= a.cfg.ScaleUpAt:
+	case p >= ScaleUpAt:
 		if s.Live == a.cfg.Max {
-			v.Reason = fmt.Sprintf("pressure %.3f >= %.2f but already at max %d", p, a.cfg.ScaleUpAt, a.cfg.Max)
+			v.Reason = fmt.Sprintf("pressure %.3f >= %.2f but already at max %d", p, ScaleUpAt, a.cfg.Max)
 		} else {
-			a.try(&v, ScaleUp, s, now, fmt.Sprintf("pressure %.3f >= %.2f", p, a.cfg.ScaleUpAt))
+			a.try(&v, ScaleUp, s, now, fmt.Sprintf("pressure %.3f >= %.2f", p, ScaleUpAt))
 		}
-	case p <= a.cfg.ScaleDownAt:
+	case p <= ScaleDownAt:
 		if s.Live == a.cfg.Min {
-			v.Reason = fmt.Sprintf("pressure %.3f <= %.2f but already at min %d", p, a.cfg.ScaleDownAt, a.cfg.Min)
+			v.Reason = fmt.Sprintf("pressure %.3f <= %.2f but already at min %d", p, ScaleDownAt, a.cfg.Min)
 		} else {
-			a.try(&v, ScaleDown, s, now, fmt.Sprintf("pressure %.3f <= %.2f", p, a.cfg.ScaleDownAt))
+			a.try(&v, ScaleDown, s, now, fmt.Sprintf("pressure %.3f <= %.2f", p, ScaleDownAt))
 		}
 	default:
-		v.Reason = fmt.Sprintf("pressure %.3f in dead-band (%.2f, %.2f)", p, a.cfg.ScaleDownAt, a.cfg.ScaleUpAt)
+		v.Reason = fmt.Sprintf("pressure %.3f in dead-band (%.2f, %.2f)", p, ScaleDownAt, ScaleUpAt)
 	}
 	a.record(v)
 	return v
@@ -257,9 +230,9 @@ func (a *Autoscaler) Evaluate(s Sample) Verdict {
 // cooldown — extended by the modeled shard-transfer time of the
 // transition — still runs.
 func (a *Autoscaler) try(v *Verdict, d Decision, s Sample, now time.Time, why string) {
-	cooldown, bytes, step, count := a.cfg.UpCooldown, s.ReassignBytesUp, 1, &a.ups
+	cooldown, bytes, step, count := UpCooldown, s.ReassignBytesUp, 1, &a.ups
 	if d == ScaleDown {
-		cooldown, bytes, step, count = a.cfg.DownCooldown, s.ReassignBytesDown, -1, &a.downs
+		cooldown, bytes, step, count = DownCooldown, s.ReassignBytesDown, -1, &a.downs
 	}
 	cost := a.transferCost(bytes)
 	if wait := a.cooldownLeft(now, cooldown+cost); wait > 0 {
@@ -277,12 +250,12 @@ func (a *Autoscaler) try(v *Verdict, d Decision, s Sample, now time.Time, why st
 }
 
 // transferCost converts a shard-migration volume into the modeled wall
-// time at the configured reassignment bandwidth.
+// time at ReassignBytesPerSec.
 func (a *Autoscaler) transferCost(bytes int64) time.Duration {
 	if bytes <= 0 {
 		return 0
 	}
-	return time.Duration(float64(bytes) / a.cfg.ReassignBytesPerSec * float64(time.Second))
+	return time.Duration(float64(bytes) / ReassignBytesPerSec * float64(time.Second))
 }
 
 // cooldownLeft returns how much of cd is still pending since the last

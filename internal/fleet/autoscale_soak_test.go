@@ -8,26 +8,27 @@ import (
 	"time"
 
 	"fekf/internal/deepmd"
+	"fekf/internal/fleet/clocktest"
 	"fekf/internal/online"
 )
 
 // Race soak for the autoscaler (run under -race via make race-autoscale):
 // bursty producers slam tiny DropNewest queues while predict and stats
 // traffic runs concurrently, forcing the conductor through full scale-up
-// and scale-down cycles.  At every stats sample — and bitwise at the end —
-// the replica drift must read exactly 0: membership changes driven by the
-// controller must be as invisible to the training invariant as manual
-// Kill/Revive.
+// and scale-down cycles.  The controller runs on a fake clock that the
+// stats sampler advances by one control interval per sample, so its
+// intervals and cooldowns pass in fake time only, while producers,
+// predicts and steps interleave in real time.  At every stats sample —
+// and bitwise at the end — the replica drift must read exactly 0:
+// membership changes driven by the controller must be as invisible to the
+// training invariant as manual Kill/Revive.
 func TestAutoscaleRaceSoak(t *testing.T) {
+	clk := clocktest.New(time.Unix(0, 0))
 	ds, f := newTestFleet(t, 1, Config{
 		SnapshotEvery: 1, QueueSize: 4, QueuePolicy: online.DropNewest,
-		Seed: 37,
-		Gate: online.GateConfig{Enabled: false},
-		Autoscale: AutoscaleConfig{
-			Enabled: true, Min: 1, Max: 3,
-			Interval:   2 * time.Millisecond,
-			UpCooldown: 5 * time.Millisecond, DownCooldown: 10 * time.Millisecond,
-		},
+		Seed: 37, Clock: clk,
+		Gate:      online.GateConfig{Enabled: false},
+		Autoscale: AutoscaleConfig{Enabled: true, Min: 1, Max: 3},
 	})
 	f.Start()
 
@@ -84,7 +85,8 @@ func TestAutoscaleRaceSoak(t *testing.T) {
 	}()
 
 	// waitFor polls the fleet stats until cond holds, asserting exactly
-	// zero replica drift at every sample along the way.
+	// zero replica drift at every sample along the way and advancing the
+	// fake clock by one control interval after each.
 	waitFor := func(what string, cond func(Stats) bool) {
 		deadline := time.After(90 * time.Second)
 		tick := time.NewTicker(5 * time.Millisecond)
@@ -100,6 +102,7 @@ func TestAutoscaleRaceSoak(t *testing.T) {
 			if cond(st) {
 				return
 			}
+			clk.Advance(AutoscaleInterval)
 			select {
 			case <-deadline:
 				t.Fatalf("%s did not happen before the deadline: %+v", what, st.Autoscale)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fekf/internal/fleet/clocktest"
 	"fekf/internal/online"
 )
 
@@ -38,15 +39,12 @@ func BenchmarkFleetScaling(b *testing.B) {
 // BenchmarkAutoscaleDecision measures one controller evaluation — the
 // pure-decision cost the conductor pays every sampling interval, scale
 // event or not.  The sample mix walks through up, down and dead-band
-// verdicts so cooldown bookkeeping is exercised too.
+// verdicts, and a fake clock advanced past both cooldowns between
+// evaluations lets every up and down commit, so the cooldown bookkeeping
+// is exercised too (the advance, a locked time add, is timed with it).
 func BenchmarkAutoscaleDecision(b *testing.B) {
-	a, err := NewAutoscaler(AutoscaleConfig{
-		Enabled: true, Min: 1, Max: 8,
-		UpCooldown: time.Microsecond, DownCooldown: time.Microsecond,
-	}, 4, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	clk := clocktest.New(time.Unix(0, 0))
+	a := NewAutoscaler(AutoscaleConfig{Enabled: true, Min: 1, Max: 8}, 4, clk)
 	samples := []Sample{
 		{Live: 4, QueueOccupancy: 0.95, GateAcceptRate: 1, StepLatency: 40 * time.Millisecond},
 		{Live: 4, QueueOccupancy: 0.5, GateAcceptRate: 0.8},
@@ -54,6 +52,7 @@ func BenchmarkAutoscaleDecision(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		clk.Advance(DownCooldown)
 		_ = a.Evaluate(samples[i%len(samples)])
 	}
 }

@@ -70,9 +70,9 @@ func encodeModel(m *deepmd.Model) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// buildCheckpoint captures the fleet state, taking the shared model and
-// filter from the first live replica (any would do — they are bitwise
-// identical).  Conductor goroutine only (or after the loop has exited).
+// buildCheckpoint captures the fleet state, taking the shared model from
+// the first live replica (any would do — they are bitwise identical).
+// Conductor goroutine only (or after the loop has exited).
 func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 	live := f.liveIDs()
 	if len(live) == 0 {
@@ -91,7 +91,7 @@ func (f *Fleet) buildCheckpoint() (*Checkpoint, error) {
 		ShardPolicy: f.cfg.ShardPolicy,
 		RR:          f.rr.Load(),
 		Model:       modelBytes,
-		Opt:         src.opt.Checkpoint(),
+		Opt:         f.opt.Checkpoint(),
 	}
 	for _, r := range f.reps {
 		replay, gate, accepted, gatedOut := r.Checkpoint()

@@ -84,7 +84,7 @@ func fuzzSeeds(f testing.TB) [][]byte {
 	ds, m, opt := fleetSetup(f)
 	opt.KCfg.BlockSize = 4
 	opt.InitState(m)
-	tr, err := online.NewTrainer(m, opt, ds, online.TrainerConfig{BatchSize: 2, MinFrames: 1, Seed: 3})
+	tr, err := online.NewTrainer(m, opt, ds, online.TrainerConfig{BatchSize: 2, Seed: 3})
 	if err != nil {
 		f.Fatal(err)
 	}

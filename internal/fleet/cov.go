@@ -60,8 +60,7 @@ type covariance struct {
 	stats       atomic.Pointer[PShardStats]
 }
 
-func newCovariance(sharded bool, reps []*replica, layerSizes []int) *covariance {
-	opt := reps[0].opt
+func newCovariance(sharded bool, opt *optimize.FEKF, reps []*replica, layerSizes []int) *covariance {
 	c := &covariance{
 		sharded:     sharded,
 		cfg:         opt.KCfg,

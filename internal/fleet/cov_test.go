@@ -12,14 +12,13 @@ import (
 	"fekf/internal/tensor"
 )
 
-// assertNoReplicaState fails if any replica's optimizer holds a Kalman
-// state: every P of the fleet lives in its covariance, in both modes.
+// assertNoReplicaState fails if the fleet's filter settings hold a Kalman
+// state: every P of the fleet lives in its covariance, in both modes, and
+// no replica carries an optimizer of its own.
 func assertNoReplicaState(t *testing.T, f *Fleet, when string) {
 	t.Helper()
-	for _, r := range f.reps {
-		if r.opt.State() != nil {
-			t.Fatalf("%s: replica %d's optimizer holds a Kalman state", when, r.id)
-		}
+	if f.opt.State() != nil {
+		t.Fatalf("%s: the fleet's optimizer holds a Kalman state", when)
 	}
 }
 
@@ -59,6 +58,16 @@ func TestRollbackRejectsAsymmetricP(t *testing.T) {
 // rows.
 func TestRollbackRejectsOverlappingSlabs(t *testing.T) {
 	assertRollbackRejected(t, overlapPSlabs)
+}
+
+// A rollback must reject a checkpoint whose filter settings differ from
+// the ones the fleet runs: they are fixed at build, and a checkpoint the
+// fleet wrote always carries them.
+func TestRollbackRejectsOtherFilterSettings(t *testing.T) {
+	assertRollbackRejected(t, func(ck *Checkpoint) string {
+		ck.Opt.ForceGroups++
+		return "filter settings"
+	})
 }
 
 // assertRollbackRejected rolls a stepped 3-replica sharded fleet back to
@@ -122,7 +131,7 @@ func TestNewSeedsFromSteppedPrototype(t *testing.T) {
 				}
 			}
 			ks := opt.State()
-			f, err := New(m, opt, ds, Config{Replicas: 3, PShard: mode.pshard, BatchSize: 2, MinFrames: 2,
+			f, err := New(m, opt, ds, Config{Replicas: 3, PShard: mode.pshard, BatchSize: 2,
 				Seed: 31, Gate: online.GateConfig{Enabled: false}})
 			if err != nil {
 				t.Fatal(err)
@@ -151,7 +160,7 @@ func TestNewSeedsFromSteppedPrototype(t *testing.T) {
 	}
 }
 
-// No replica's optimizer holds a Kalman state at any point of the fleet's
+// No optimizer of the fleet holds a Kalman state at any point of its
 // life: after New, a step, Kill and Revive, a rollback, and Resume.
 func TestReplicaOptimizersHoldNoKalmanState(t *testing.T) {
 	for _, mode := range covModes {

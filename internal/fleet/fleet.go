@@ -48,9 +48,6 @@ type Config struct {
 	QueuePolicy online.Policy
 	// WindowSize and ReservoirSize size each replica's replay buffer.
 	WindowSize, ReservoirSize int
-	// MinFrames is the fleet-total replay population required before
-	// stepping starts (defaults to BatchSize).
-	MinFrames int
 	// SnapshotEvery publishes fresh per-replica snapshots every that many
 	// steps (default 8; initial snapshots are published at Start).
 	SnapshotEvery int
@@ -125,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.ReservoirSize < 1 {
 		c.ReservoirSize = 256
 	}
-	if c.MinFrames < 1 {
-		c.MinFrames = c.BatchSize
-	}
 	if c.SnapshotEvery < 1 {
 		c.SnapshotEvery = 8
 	}
@@ -186,11 +180,10 @@ type Fleet struct {
 	wDriftBits atomic.Uint64
 	pDriftBits atomic.Uint64
 
-	// forceGroups is the optimizer's force-group count, cached at build
-	// time: it is invariant for the fleet's lifetime, and reading it off a
-	// live replica's optimizer would race with a guard rollback swapping
-	// that optimizer out (Stats runs from any goroutine).
-	forceGroups int
+	// opt holds the filter settings every rank runs — hyper-parameters
+	// only, never a Kalman state (P lives in cov).  Set once at build and
+	// never replaced, so any goroutine may read it.
+	opt *optimize.FEKF
 
 	// Fault-injection seams for the package tests; nil in production.
 	//
@@ -209,10 +202,10 @@ type Fleet struct {
 }
 
 // New builds a fleet of cfg.Replicas replicas cloned from an initialized
-// model and a prototype FEKF optimizer: its hyper-parameters are
-// replicated bitwise, and its Kalman state, if it already stepped, seeds
-// the fleet's P (else P = I).  proto supplies the system name and species
-// table every streamed frame must match.
+// model and a prototype FEKF optimizer: its hyper-parameters become the
+// fleet's filter settings, and its Kalman state, if it already stepped,
+// seeds the fleet's P (else P = I).  proto supplies the system name and
+// species table every streamed frame must match.
 func New(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Config) (*Fleet, error) {
 	f, err := build(m, opt, proto, cfg)
 	if err != nil {
@@ -258,12 +251,8 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 	// the checkpoint catch-up path when pressure demands them.
 	slots, live := cfg.Replicas, cfg.Replicas
 	if cfg.Autoscale.Enabled {
-		scaler, err := NewAutoscaler(cfg.Autoscale, cfg.Replicas, cfg.Clock)
-		if err != nil {
-			return nil, err
-		}
-		f.scaler = scaler
-		ac := scaler.Config()
+		f.scaler = NewAutoscaler(cfg.Autoscale, cfg.Replicas, cfg.Clock)
+		ac := f.scaler.Config()
 		if ac.Max > slots {
 			slots = ac.Max
 		}
@@ -274,12 +263,13 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 			live = ac.Max
 		}
 	}
-	hyper := filterConfig(opt.Checkpoint())
+	fopt, err := optimize.RestoreFEKF(filterConfig(opt.Checkpoint()), m)
+	if err != nil {
+		return nil, err
+	}
+	f.opt = fopt
 	for i := 0; i < slots; i++ {
-		r, err := newReplica(i, m, hyper, proto, cfg)
-		if err != nil {
-			return nil, err
-		}
+		r := newReplica(i, m, proto, cfg)
 		r.alive.Store(i < live)
 		f.reps = append(f.reps, r)
 	}
@@ -300,7 +290,7 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 	}
 	f.loop = online.NewLoop(online.Backend[Checkpoint]{
 		Intake:  f.intake,
-		Ready:   func() bool { return f.replayTotal() >= f.cfg.MinFrames },
+		Ready:   func() bool { return f.replayTotal() >= f.cfg.BatchSize },
 		Step:    f.step,
 		Publish: func() { f.publish(f.liveIDs(), f.loop.Steps.Load()) },
 		Build:   f.buildCheckpoint,
@@ -310,8 +300,7 @@ func build(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg Conf
 	if proto.Len() > 0 {
 		f.naPer.Store(int64(proto.Snapshots[0].NumAtoms()))
 	}
-	f.forceGroups = f.reps[0].opt.ForceGroups
-	f.cov = newCovariance(cfg.PShard, f.reps, m.Params.LayerSizes())
+	f.cov = newCovariance(cfg.PShard, f.opt, f.reps, m.Params.LayerSizes())
 	return f, nil
 }
 
@@ -422,11 +411,11 @@ func (f *Fleet) refit() error {
 }
 
 // Revive rejoins a dead replica through checkpoint catch-up: the weights
-// and filter hyper-parameters are checkpointed from a live survivor and
-// restored into the replica, and P is refit to the new live set (a
-// replicated P is copied into the replica; a sharded one is retiled), so
-// it rejoins bitwise identical — drift is exactly zero again — and then
-// drains its backlog queue on the next conductor pass.
+// are checkpointed from a live survivor and restored into the replica,
+// and P is refit to the new live set (a replicated P is copied into the
+// replica; a sharded one is retiled), so it rejoins bitwise identical —
+// drift is exactly zero again — and then drains its backlog queue on the
+// next conductor pass.
 func (f *Fleet) Revive(ctx context.Context, id int) error {
 	return f.loop.Do(ctx, func() error { return f.reviveLocked(id) })
 }
@@ -474,7 +463,7 @@ func (f *Fleet) intake(final bool) (int, time.Time) {
 	if f.scaler == nil {
 		return got, time.Time{}
 	}
-	return got, f.lastEval.Add(f.scaler.Config().Interval)
+	return got, f.lastEval.Add(AutoscaleInterval)
 }
 
 // notePressure records the peak per-replica queue occupancy since the
@@ -504,7 +493,7 @@ func (f *Fleet) maybeAutoscale() {
 		return
 	}
 	now := f.clock.Now()
-	if !f.lastEval.IsZero() && now.Sub(f.lastEval) < f.scaler.Config().Interval {
+	if !f.lastEval.IsZero() && now.Sub(f.lastEval) < AutoscaleInterval {
 		return
 	}
 	f.lastEval = now
@@ -763,7 +752,7 @@ func (f *Fleet) step(rec *obs.StepRecorder) (optimize.StepInfo, func() guard.Sam
 		f.loop.SetErr(fmt.Errorf("fleet: form ring: %w", err))
 		return optimize.StepInfo{}, nil, false
 	}
-	params := f.reps[live[0]].opt.StepParams(total, na)
+	params := f.opt.StepParams(total, na)
 	if rec != nil {
 		params.Spans = rec
 	}
@@ -973,7 +962,7 @@ func (f *Fleet) Stats() online.Stats {
 	st := f.loop.Stats()
 	st.System = f.system
 	st.Lambda = math.Float64frombits(f.lambdaBits.Load())
-	st.KalmanUpdates = st.Steps * int64(1+f.forceGroups)
+	st.KalmanUpdates = st.Steps * int64(1+f.opt.ForceGroups)
 	var emaSum float64
 	var emaN int64
 	for _, r := range f.reps {

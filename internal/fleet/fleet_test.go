@@ -51,9 +51,6 @@ func newTestFleet(t testing.TB, replicas int, cfg Config) (*dataset.Dataset, *Fl
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 2
 	}
-	if cfg.MinFrames == 0 {
-		cfg.MinFrames = 2
-	}
 	f, err := New(m, opt, ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +237,7 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.ckpt")
 	// BatchSize is explicit: Resume must see the same sampling width the
 	// original fleet used, or the replay RNG streams fan apart.
-	cfg := Config{BatchSize: 2, MinFrames: 2, Seed: 9, CheckpointPath: path, Gate: online.GateConfig{Enabled: false}}
+	cfg := Config{BatchSize: 2, Seed: 9, CheckpointPath: path, Gate: online.GateConfig{Enabled: false}}
 	ds, f := newTestFleet(t, 3, cfg)
 	for i := 0; i < 12; i++ {
 		if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
@@ -295,7 +292,7 @@ func TestFleetCheckpointResumeBitwise(t *testing.T) {
 			}
 		}
 	}
-	if f.reps[0].opt.Lambda() != f2.reps[0].opt.Lambda() {
+	if f.Stats().Lambda != f2.Stats().Lambda {
 		t.Fatal("λ diverged on the first post-resume step")
 	}
 }
@@ -424,7 +421,7 @@ func TestRestoreRejectsBadReplay(t *testing.T) {
 func TestFleetConcurrentSoak(t *testing.T) {
 	ds, f := newTestFleet(t, 3, Config{
 		SnapshotEvery: 1, TrainIdle: true, QueueSize: 8, QueuePolicy: online.DropNewest,
-		Seed: 5, Gate: online.GateConfig{Enabled: true, Threshold: 0.5, Decay: 0.9, Warmup: 4},
+		Seed: 5, Gate: online.GateConfig{Enabled: true, Threshold: 0.5},
 	})
 	f.Start()
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"fekf/internal/cluster"
+	"fekf/internal/optimize"
 )
 
 // This file is what the fleet adds to the shared self-healing layer (the
@@ -78,14 +79,17 @@ func (f *Fleet) awaitStep(wg *sync.WaitGroup, ring *cluster.Ring, live []int, st
 }
 
 // applyCheckpoint restores a fleet checkpoint in place — the rollback
-// path, and Resume's on a fresh fleet: the checkpointed P is validated and
+// path, and Resume's on a fresh fleet: a checkpoint whose filter settings
+// differ from the fleet's is rejected, the checkpointed P is validated and
 // fit to the checkpoint's live replicas before anything else is replaced,
 // then the in-flight ring is retired (aborting anything still on the
-// wire), every replica gets the checkpointed weights and filter
-// hyper-parameters bitwise, the lanes rewind to their checkpointed
-// positions, and clean snapshots are republished.  It returns the
-// restored step.  Conductor only.
+// wire), every replica gets the checkpointed weights bitwise, the lanes
+// rewind to their checkpointed positions, and clean snapshots are
+// republished.  It returns the restored step.  Conductor only.
 func (f *Fleet) applyCheckpoint(ck *Checkpoint) (int64, error) {
+	if err := f.sameFilter(ck.Opt); err != nil {
+		return 0, err
+	}
 	if err := ck.validateReplays(f.cutoff); err != nil {
 		return 0, err
 	}
@@ -116,7 +120,7 @@ func (f *Fleet) applyCheckpoint(ck *Checkpoint) (int64, error) {
 	}
 	f.retireRing()
 	for _, r := range f.reps {
-		if err := r.restoreShared(ck.Model, ck.Opt); err != nil {
+		if err := r.restoreModel(ck.Model); err != nil {
 			return 0, err
 		}
 	}
@@ -126,4 +130,21 @@ func (f *Fleet) applyCheckpoint(ck *Checkpoint) (int64, error) {
 	f.publish(live, ck.Steps)
 	f.updateInvariants(live)
 	return ck.Steps, nil
+}
+
+// sameFilter fails unless ck restores to the filter settings the fleet
+// runs: they are fixed at build, so a checkpoint the fleet wrote always
+// matches.
+func (f *Fleet) sameFilter(ck *optimize.FEKFCheckpoint) error {
+	if ck == nil {
+		return fmt.Errorf("fleet: checkpoint has no optimizer state")
+	}
+	o, err := optimize.RestoreFEKF(filterConfig(ck), f.reps[0].model)
+	if err != nil {
+		return err
+	}
+	if got, want := *o.Checkpoint(), *f.opt.Checkpoint(); got != want {
+		return fmt.Errorf("fleet: checkpoint filter settings %+v differ from the fleet's %+v", got, want)
+	}
+	return nil
 }

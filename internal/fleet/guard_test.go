@@ -109,9 +109,9 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 				trace := obs.NewTracer(16)
 				cfg := Config{
 					Transport: transport, PShard: mode.pshard, Seed: 11,
-					BatchSize: 2, MinFrames: 2,
+					BatchSize:      2,
 					CheckpointPath: path, CheckpointEvery: 2, CheckpointKeep: 3,
-					Guard: guard.SentinelConfig{Enabled: true, SampleStride: 1},
+					Guard: guard.SentinelConfig{Enabled: true},
 					Trace: trace,
 				}
 				ds, f := newTestFleet(t, 3, cfg)
@@ -206,9 +206,9 @@ func TestFleetGuardRollbackBitwiseTwin(t *testing.T) {
 func TestFleetRollbackSkipsCorruptGeneration(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.gob")
 	cfg := Config{
-		Seed: 3, BatchSize: 2, MinFrames: 2,
+		Seed: 3, BatchSize: 2,
 		CheckpointPath: path, CheckpointEvery: 2, CheckpointKeep: 3,
-		Guard: guard.SentinelConfig{Enabled: true, SampleStride: 1},
+		Guard: guard.SentinelConfig{Enabled: true},
 	}
 	ds, f := newTestFleet(t, 2, cfg)
 	poisonAt(f, guard.ChaosConfig{PoisonStep: 5, PoisonInf: true})

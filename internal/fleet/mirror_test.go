@@ -64,11 +64,11 @@ type mirrorKind struct {
 
 func mirrorTrainerConfig(k mirrorKnobs) online.TrainerConfig {
 	return online.TrainerConfig{
-		BatchSize: 2, MinFrames: 1, Seed: 5,
+		BatchSize: 2, Seed: 5,
 		WindowSize: k.windowSize, ReservoirSize: 3,
-		Gate:           online.GateConfig{Enabled: true, Threshold: 1.5, Warmup: 2},
+		Gate:           online.GateConfig{Enabled: true, Threshold: 1.5},
 		CheckpointPath: k.path, CheckpointEvery: 2, CheckpointKeep: k.keep,
-		Guard:         guard.SentinelConfig{Enabled: k.poisonStep > 0, SampleStride: 1},
+		Guard:         guard.SentinelConfig{Enabled: k.poisonStep > 0},
 		Chaos:         guard.ChaosConfig{PoisonStep: k.poisonStep},
 		SnapshotEvery: k.snapshotEvery, OnStep: k.onStep, Trace: k.trace,
 	}
@@ -77,11 +77,11 @@ func mirrorTrainerConfig(k mirrorKnobs) online.TrainerConfig {
 func mirrorFleetConfig(k mirrorKnobs, pshard bool) Config {
 	return Config{
 		Replicas: 2, PShard: pshard,
-		BatchSize: 2, MinFrames: 1, Seed: 5,
+		BatchSize: 2, Seed: 5,
 		WindowSize: k.windowSize, ReservoirSize: 3,
-		Gate:           online.GateConfig{Enabled: true, Threshold: 1.5, Warmup: 2},
+		Gate:           online.GateConfig{Enabled: true, Threshold: 1.5},
 		CheckpointPath: k.path, CheckpointEvery: 2, CheckpointKeep: k.keep,
-		Guard:         guard.SentinelConfig{Enabled: k.poisonStep > 0, SampleStride: 1},
+		Guard:         guard.SentinelConfig{Enabled: k.poisonStep > 0},
 		SnapshotEvery: k.snapshotEvery, OnStep: k.onStep, Trace: k.trace,
 	}
 }
@@ -97,6 +97,7 @@ func mirrorKinds() []mirrorKind {
 					t.Fatal(err)
 				}
 				poisonAt(f, guard.ChaosConfig{PoisonStep: k.poisonStep})
+				queueWarmup(t, ds, f, f.Replicas())
 				return ds, f
 			},
 			resume: func(t *testing.T, path string, k mirrorKnobs) mirrorSubject {
@@ -150,10 +151,12 @@ func mirrorKinds() []mirrorKind {
 			name: "trainer",
 			build: func(t *testing.T, k mirrorKnobs) (*dataset.Dataset, mirrorSubject) {
 				ds, m, opt := fleetSetup(t)
+				opt.InitState(m) // P = I before step 1, so the warm-up frames are scored
 				tr, err := online.NewTrainer(m, opt, ds, mirrorTrainerConfig(k))
 				if err != nil {
 					t.Fatal(err)
 				}
+				queueWarmup(t, ds, tr, 1)
 				return ds, tr
 			},
 			resume: func(t *testing.T, path string, k mirrorKnobs) mirrorSubject {
@@ -192,16 +195,37 @@ func mirrorKinds() []mirrorKind {
 	}
 }
 
-// feedOneStepEach ingests frames one at a time, waiting after each for the
-// step it triggers (or, for the poisoned step, for the rollback it
-// triggers), so the loop state at the end is deterministic.
+// queueWarmup queues online.GateWarmup frames per lane before Start.  The
+// first conductor pass scores every one of them inside the gate's warm-up
+// and takes step 1 on them, so from step 2 on each frame is gated on its
+// score and the replay buffers always hold a batch.
+func queueWarmup(t *testing.T, ds *dataset.Dataset, s mirrorSubject, lanes int) {
+	t.Helper()
+	for i := 0; i < online.GateWarmup*lanes; i++ {
+		if ok, err := s.Ingest(ds.Snapshots[i%ds.Len()]); !ok || err != nil {
+			t.Fatalf("warm-up ingest %d: %v %v", i, ok, err)
+		}
+	}
+}
+
+// startWarm starts s and waits for step 1, which drains the warm-up burst.
+func startWarm(t *testing.T, s mirrorSubject) {
+	t.Helper()
+	s.Start()
+	awaitSteps(t, s, 1)
+}
+
+// feedOneStepEach ingests frames one at a time after the warm-up step,
+// waiting after each for the step it triggers (frame i, step i+2; or, for
+// the poisoned step, for the rollback it triggers), so the loop state at
+// the end is deterministic.
 func feedOneStepEach(t *testing.T, ds *dataset.Dataset, s mirrorSubject, n int, poisonStep int64) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if ok, err := s.Ingest(ds.Snapshots[i]); !ok || err != nil {
 			t.Fatalf("ingest %d: %v %v", i, ok, err)
 		}
-		want := int64(i + 1)
+		want := int64(i + 2)
 		deadline := time.Now().Add(60 * time.Second)
 		for {
 			st := s.Stats()
@@ -301,7 +325,7 @@ func TestStatsMirrorsMatchRecount(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "ckpt.gob")
 				k := mirrorKnobs{path: path, windowSize: 4}
 				ds, s := kind.build(t, k)
-				s.Start()
+				startWarm(t, s)
 				feedOneStepEach(t, ds, s, 9, 0)
 				stopSubject(t, s)
 				lanes, rows := kind.recount(t, s)
@@ -321,8 +345,8 @@ func TestStatsMirrorsMatchRecount(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "ckpt.gob")
 				k := mirrorKnobs{path: path, keep: 3, poisonStep: 5, windowSize: 4}
 				ds, s := kind.build(t, k)
-				s.Start()
-				feedOneStepEach(t, ds, s, 5, 5)
+				startWarm(t, s)
+				feedOneStepEach(t, ds, s, 4, 5)
 				stopSubject(t, s)
 				if st := s.Stats(); st.Steps != 4 {
 					t.Fatalf("rollback did not rewind: steps=%d", st.Steps)
@@ -409,9 +433,10 @@ func TestLoopContract(t *testing.T) {
 				}
 
 				const fed = 9
+				awaitSteps(t, s, 1) // the warm-up burst
 				prev := kind.snapSteps(s)
 				for i := 0; i < fed; i++ {
-					ingestAndAwaitStep(t, s, ds.Snapshots[i], int64(i+1))
+					ingestAndAwaitStep(t, s, ds.Snapshots[i], int64(i+2))
 					cur := kind.snapSteps(s)
 					for lane, step := range cur {
 						if step < prev[lane] || step%every != 0 {
@@ -440,8 +465,8 @@ func TestLoopContract(t *testing.T) {
 						t.Fatalf("lane %d final snapshot at step %d, want %d", lane, step, st.Steps)
 					}
 				}
-				if got := kind.scored(t, path); got != fed+extra {
-					t.Fatalf("final checkpoint gated %d frames, %d were pushed", got, fed+extra)
+				if got, want := kind.scored(t, path), int64(fed+extra+online.GateWarmup*len(prev)); got != want {
+					t.Fatalf("final checkpoint gated %d frames, %d were pushed", got, want)
 				}
 			})
 			t.Run("rollback", func(t *testing.T) {
@@ -450,8 +475,8 @@ func TestLoopContract(t *testing.T) {
 				trace := obs.NewTracer(256)
 				ds, s := kind.build(t, mirrorKnobs{path: path, keep: 3, poisonStep: 5, windowSize: 4,
 					onStep: log.onStep, trace: trace})
-				s.Start()
-				feedOneStepEach(t, ds, s, 5, 5)
+				startWarm(t, s)
+				feedOneStepEach(t, ds, s, 4, 5)
 				st := s.Stats()
 				if st.Steps != 4 || st.Guard == nil || st.Guard.Rollbacks != 1 || st.LastError == "" {
 					t.Fatalf("after the poisoned step: steps=%d guard=%+v last_error=%q", st.Steps, st.Guard, st.LastError)

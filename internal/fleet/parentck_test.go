@@ -99,7 +99,7 @@ func TestResumeParentCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := readDigest(t, filepath.Join("testdata", name+".digest.json"))
-			f, err := Resume(ck, Config{BatchSize: 2, MinFrames: 2, Seed: 3, Gate: online.GateConfig{Enabled: false}})
+			f, err := Resume(ck, Config{BatchSize: 2, Seed: 3, Gate: online.GateConfig{Enabled: false}})
 			if err != nil {
 				t.Fatal(err)
 			}

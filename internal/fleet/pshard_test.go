@@ -252,7 +252,7 @@ func TestPShardKillReviveBitwise(t *testing.T) {
 // the uninterrupted one.
 func TestPShardCheckpointResumeBitwise(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pshard-fleet.ckpt")
-	cfg := Config{PShard: true, BatchSize: 2, MinFrames: 2, Seed: 9,
+	cfg := Config{PShard: true, BatchSize: 2, Seed: 9,
 		CheckpointPath: path, Gate: online.GateConfig{Enabled: false}}
 	ds, f := newTestFleet(t, 3, cfg)
 	for i := 0; i < 12; i++ {
@@ -403,20 +403,17 @@ func TestPShardRecoverShards(t *testing.T) {
 // modeled transfer time has also elapsed.
 func TestAutoscaleReassignCostExtendsCooldown(t *testing.T) {
 	clk := clocktest.New(time.Unix(0, 0))
-	cfg := AutoscaleConfig{Enabled: true, Min: 1, Max: 4,
-		UpCooldown: 2 * time.Second, ReassignBytesPerSec: 1 << 20} // 1 MiB/s
-	a, err := NewAutoscaler(cfg, 2, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := Sample{Live: 2, QueueOccupancy: 0.9, GateAcceptRate: 1, ReassignBytesUp: 3 << 20} // 3s of transfer
+	a := NewAutoscaler(AutoscaleConfig{Enabled: true, Min: 1, Max: 4}, 2, clk)
+	const transfer = 3 * time.Second
+	hot := Sample{Live: 2, QueueOccupancy: 0.9, GateAcceptRate: 1,
+		ReassignBytesUp: int64(transfer.Seconds() * ReassignBytesPerSec)}
 	if v := a.Evaluate(hot); v.Decision != ScaleUp {
 		t.Fatalf("first verdict %+v, want immediate up", v)
 	} else if !strings.Contains(v.Reason, "shard bytes") {
 		t.Fatalf("reason %q does not mention the repartition cost", v.Reason)
 	}
 	// Past the base cooldown but inside cooldown+transfer: still held.
-	clk.Advance(4 * time.Second)
+	clk.Advance(UpCooldown + transfer/2)
 	if v := a.Evaluate(hot); v.Decision != Hold || !strings.Contains(v.Reason, "cooldown") {
 		t.Fatalf("verdict %+v, want hold on extended cooldown", v)
 	}
@@ -427,7 +424,7 @@ func TestAutoscaleReassignCostExtendsCooldown(t *testing.T) {
 		t.Fatalf("verdict %+v, want up for the zero-cost transition", v)
 	}
 	// And past cooldown+transfer the expensive one commits too.
-	clk.Advance(6 * time.Second)
+	clk.Advance(UpCooldown + transfer)
 	if v := a.Evaluate(hot); v.Decision != ScaleUp {
 		t.Fatalf("verdict %+v, want up after the transfer window", v)
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -12,23 +13,22 @@ import (
 	"fekf/internal/optimize"
 )
 
-// replica is one member of the fleet: a full model and the filter
-// hyper-parameters (bitwise identical to every other live replica's; its
-// share of P lives in the fleet's covariance) plus its own ingest lane —
-// the same queue, gate, replay buffer and published snapshot the single
-// trainer holds — that the shard router feeds and the predict router
-// reads.
+// replica is one member of the fleet: a full model (bitwise identical to
+// every other live replica's; its share of P lives in the fleet's
+// covariance, its filter settings in the fleet's opt) plus its own ingest
+// lane — the same queue, gate, replay buffer and published snapshot the
+// single trainer holds — that the shard router feeds and the predict
+// router reads.
 //
-// The model, optimizer and the lane's gate and replay buffer are owned by
-// the fleet's conductor goroutine; the lane's queue, snapshot and mirrors,
-// and the atomics below are the concurrent surface.
+// The model and the lane's gate and replay buffer are owned by the
+// fleet's conductor goroutine; the lane's queue, snapshot and mirrors, and
+// the atomics below are the concurrent surface.
 type replica struct {
 	*online.Lane
 
 	id    int
 	dev   *device.Device
 	model *deepmd.Model
-	opt   *optimize.FEKF
 
 	alive atomic.Bool
 	// pBytes mirrors the replica's resident covariance bytes (full P
@@ -38,26 +38,20 @@ type replica struct {
 	routed atomic.Int64
 }
 
-// newReplica clones the prototype model onto a fresh simulated device,
-// builds its filter from the hyper-parameters opt (filterConfig) and the
-// replica's private ingest lane.  P is the fleet covariance's to build.
-func newReplica(id int, m *deepmd.Model, opt *optimize.FEKFCheckpoint, proto *dataset.Dataset, cfg Config) (*replica, error) {
+// newReplica clones the prototype model onto a fresh simulated device and
+// builds the replica's private ingest lane.  P is the fleet covariance's
+// to build.
+func newReplica(id int, m *deepmd.Model, proto *dataset.Dataset, cfg Config) *replica {
 	dev := device.New(fmt.Sprintf("fleet%d", id), device.A100())
-	model := m.CloneFor(dev)
-	ropt, err := optimize.RestoreFEKF(opt, model)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %d optimizer: %w", id, err)
-	}
 	r := &replica{
 		Lane: online.NewLane(proto.System, proto.Species, online.NewQueue(cfg.QueueSize, cfg.QueuePolicy),
 			online.NewReplay(cfg.WindowSize, cfg.ReservoirSize, cfg.Seed+int64(id)), cfg.Gate),
 		id:    id,
 		dev:   dev,
-		model: model,
-		opt:   ropt,
+		model: m.CloneFor(dev),
 	}
 	r.alive.Store(true)
-	return r, nil
+	return r
 }
 
 // admit runs one frame through the replica's lane, gating on the P
@@ -80,8 +74,8 @@ func (f *Fleet) publish(ids []int, step int64) {
 }
 
 // filterConfig returns ck without its Kalman state: the filter
-// hyper-parameters a replica's optimizer holds, while P lives in the
-// fleet's covariance.
+// hyper-parameters the fleet's opt holds, while P lives in the fleet's
+// covariance.
 func filterConfig(ck *optimize.FEKFCheckpoint) *optimize.FEKFCheckpoint {
 	if ck == nil {
 		return nil
@@ -91,32 +85,30 @@ func filterConfig(ck *optimize.FEKFCheckpoint) *optimize.FEKFCheckpoint {
 	return &h
 }
 
-// restoreShared replaces the replica's model and filter hyper-parameters
-// with the shared state of a checkpoint — the rejoin, catch-up and
-// rollback path.  Conductor goroutine only.
-func (r *replica) restoreShared(modelBytes []byte, opt *optimize.FEKFCheckpoint) error {
-	m, ropt, err := online.RestoreModel(modelBytes, filterConfig(opt), r.dev)
+// restoreModel replaces the replica's model with the shared model stream
+// of a checkpoint — the rejoin, catch-up and rollback path.  Conductor
+// goroutine only.
+func (r *replica) restoreModel(modelBytes []byte) error {
+	m, err := deepmd.DecodeModel(bytes.NewReader(modelBytes))
 	if err != nil {
 		return fmt.Errorf("fleet: replica %d: %w", r.id, err)
 	}
-	r.model, r.opt = m, ropt
+	m.Dev = r.dev
+	r.model = m
 	return nil
 }
 
-// catchUp copies live replica src's weights and filter hyper-parameters
-// into every target replica, bitwise: the one catch-up path of Revive and
-// ring recovery.  P follows in the covariance refit.  Conductor goroutine
-// only.
+// catchUp copies live replica src's weights into every target replica,
+// bitwise: the one catch-up path of Revive and ring recovery.  P follows
+// in the covariance refit.  Conductor goroutine only.
 func (f *Fleet) catchUp(src int, targets []int) error {
-	s := f.reps[src]
-	modelBytes, err := encodeModel(s.model)
+	modelBytes, err := encodeModel(f.reps[src].model)
 	if err != nil {
 		return fmt.Errorf("fleet: checkpoint survivor %d: %w", src, err)
 	}
-	ck := s.opt.Checkpoint()
 	var errs []error
 	for _, id := range targets {
-		errs = append(errs, f.reps[id].restoreShared(modelBytes, ck))
+		errs = append(errs, f.reps[id].restoreModel(modelBytes))
 	}
 	return errors.Join(errs...)
 }

@@ -82,7 +82,7 @@ func TestFleetBitwiseChanVsTCP(t *testing.T) {
 			t.Fatalf("%s: no measured transport bytes: %+v", transport, st.Transport)
 		}
 		f.retireRing()
-		return fleetWeights(f), f.reps[0].opt.Lambda()
+		return fleetWeights(f), f.Stats().Lambda
 	}
 	chanW, chanL := run("chan")
 	tcpW, tcpL := run("tcp")

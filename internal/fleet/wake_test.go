@@ -32,7 +32,7 @@ func awaitSteps(t *testing.T, s mirrorSubject, want int64) {
 }
 
 // A frame posted to an idle loop must wake it: with TrainIdle off and the
-// fleet on a fake clock nobody advances, ingesting MinFrames frames must
+// fleet on a fake clock nobody advances, ingesting BatchSize frames must
 // still produce a step promptly.  The single trainer obeys the same rule.
 func TestIngestWakesIdleLoop(t *testing.T) {
 	t.Run("fleet", func(t *testing.T) {
@@ -41,7 +41,7 @@ func TestIngestWakesIdleLoop(t *testing.T) {
 		f.Start()
 		defer f.Stop(context.Background())
 		awaitParked(clk)
-		for i := 0; i < f.cfg.MinFrames; i++ {
+		for i := 0; i < f.cfg.BatchSize; i++ {
 			if ok, err := f.Ingest(ds.Snapshots[i]); !ok || err != nil {
 				t.Fatalf("ingest %d: %v %v", i, ok, err)
 			}
@@ -50,7 +50,7 @@ func TestIngestWakesIdleLoop(t *testing.T) {
 	})
 	t.Run("trainer", func(t *testing.T) {
 		ds, m, opt := fleetSetup(t)
-		tr, err := online.NewTrainer(m, opt, ds, online.TrainerConfig{BatchSize: 2, MinFrames: 2, Seed: 3})
+		tr, err := online.NewTrainer(m, opt, ds, online.TrainerConfig{BatchSize: 2, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,14 +67,14 @@ func TestIngestWakesIdleLoop(t *testing.T) {
 }
 
 // An idle autoscaling fleet still runs one controller evaluation per
-// Autoscale.Interval of fake time — the autoscaler deadline is the only
+// AutoscaleInterval of fake time — the autoscaler deadline is the only
 // thing its idle wait times.
 func TestAutoscaleIdleEvaluatesPerInterval(t *testing.T) {
 	clk := clocktest.New(time.Unix(0, 0))
-	const interval = 100 * time.Millisecond
+	const interval = AutoscaleInterval
 	_, f := newTestFleet(t, 1, Config{
 		Seed: 3, Clock: clk,
-		Autoscale: AutoscaleConfig{Enabled: true, Min: 1, Max: 2, Interval: interval},
+		Autoscale: AutoscaleConfig{Enabled: true, Min: 1, Max: 2},
 	})
 	evals := func() int64 { return f.FleetStats().Autoscale.Evals }
 	awaitEvals := func(want int64) {

@@ -48,54 +48,35 @@ func (e *DivergenceEvent) Error() string {
 		e.Step, e.Reason, e.Detail, e.Value, e.Index)
 }
 
-// SentinelConfig bounds the invariants the sentinel checks after every
-// step.  The zero value is disabled; NewSentinel fills the thresholds.
+// SentinelConfig switches the per-step health check.  The zero value is
+// disabled; the invariants it checks are the package's fixed bounds.
 type SentinelConfig struct {
 	// Enabled turns the per-step health check on.
 	Enabled bool
-	// MaxAbsWeight bounds |w_i| (default 1e6): trained interatomic
-	// potentials live within a few orders of magnitude of unity, so a
-	// million is far past any recoverable state.
-	MaxAbsWeight float64
-	// MaxAbsUpdate bounds the per-step change |w_i - w_i'| over the
-	// sampled entries (default 1e3): a Kalman gain that moves a weight by
-	// a thousand in one step has lost the plot even if the value is still
-	// finite.
-	MaxAbsUpdate float64
-	// MaxPDiag bounds the covariance diagonal (default 1e8): P starts at
-	// the identity prior and contracts; growth past this is the EKF
-	// covariance blow-up failure mode.
-	MaxPDiag float64
-	// LambdaMin/LambdaMax bound the memory factor (defaults 1e-6 and 1.0):
-	// the schedule drives λ monotonically toward 1 from below.
-	LambdaMin, LambdaMax float64
-	// SampleStride checks every SampleStride-th entry of the weight and
-	// P-diagonal views (default 64), keeping the check O(n/stride) so it
-	// can run after every step.  Stride 1 checks everything.
-	SampleStride int
 }
 
-func (c SentinelConfig) withDefaults() SentinelConfig {
-	if c.MaxAbsWeight <= 0 {
-		c.MaxAbsWeight = 1e6
-	}
-	if c.MaxAbsUpdate <= 0 {
-		c.MaxAbsUpdate = 1e3
-	}
-	if c.MaxPDiag <= 0 {
-		c.MaxPDiag = 1e8
-	}
-	if c.LambdaMin <= 0 {
-		c.LambdaMin = 1e-6
-	}
-	if c.LambdaMax <= 0 {
-		c.LambdaMax = 1.0
-	}
-	if c.SampleStride < 1 {
-		c.SampleStride = 64
-	}
-	return c
-}
+// The sentinel's bounds.
+const (
+	// MaxAbsWeight bounds |w_i|: trained interatomic potentials live
+	// within a few orders of magnitude of unity, so a million is far past
+	// any recoverable state.
+	MaxAbsWeight = 1e6
+	// MaxAbsUpdate bounds the per-step change |w_i - w_i'| over the
+	// sampled entries: a Kalman gain that moves a weight by a thousand in
+	// one step has lost the plot even if the value is still finite.
+	MaxAbsUpdate = 1e3
+	// MaxPDiag bounds the covariance diagonal: P starts at the identity
+	// prior and contracts; growth past this is the EKF covariance
+	// blow-up failure mode.
+	MaxPDiag = 1e8
+	// LambdaMin and LambdaMax bound the memory factor: the schedule
+	// drives λ monotonically toward 1 from below.
+	LambdaMin, LambdaMax = 1e-6, 1.0
+	// SampleStride is the stride of the check's reads: every
+	// SampleStride-th entry of the weight and P-diagonal views, index 0
+	// first, keeping it O(n/stride) so it can run after every step.
+	SampleStride = 64
+)
 
 // Sample is one step's health view: the scalar filter state plus flat
 // float64 windows onto the weights and the covariance diagonal.  The
@@ -109,19 +90,14 @@ type Sample struct {
 	Aux []float64
 }
 
-// Sentinel runs the cheap post-step health check.  Not safe for
-// concurrent use: one sentinel belongs to one conductor or trainer loop.
+// Sentinel runs the cheap post-step health check; the zero value is ready.
+// Not safe for concurrent use: one sentinel belongs to one conductor or
+// trainer loop.
 type Sentinel struct {
-	cfg  SentinelConfig
 	prev []float64 // strided weight sample from the last healthy check
 }
 
-// NewSentinel builds a sentinel with defaulted thresholds.
-func NewSentinel(cfg SentinelConfig) *Sentinel {
-	return &Sentinel{cfg: cfg.withDefaults()}
-}
-
-// Check validates one step's sample against the configured invariants,
+// Check validates one step's sample against the package's bounds,
 // returning nil when healthy.  On a healthy check the strided weight
 // sample is retained as the baseline for the next update-norm check; on a
 // divergence the baseline is left untouched (call Reset after rolling
@@ -133,9 +109,9 @@ func (s *Sentinel) Check(step int64, smp Sample) *DivergenceEvent {
 	if math.IsNaN(smp.Lambda) || math.IsInf(smp.Lambda, 0) {
 		return ev(ReasonLambdaNonFinite, "memory factor λ is non-finite", smp.Lambda, -1)
 	}
-	if smp.Lambda < s.cfg.LambdaMin || smp.Lambda > s.cfg.LambdaMax {
+	if smp.Lambda < LambdaMin || smp.Lambda > LambdaMax {
 		return ev(ReasonLambdaRange,
-			fmt.Sprintf("memory factor λ outside [%g, %g]", s.cfg.LambdaMin, s.cfg.LambdaMax),
+			fmt.Sprintf("memory factor λ outside [%g, %g]", LambdaMin, LambdaMax),
 			smp.Lambda, -1)
 	}
 	for i, v := range smp.Aux {
@@ -143,15 +119,15 @@ func (s *Sentinel) Check(step int64, smp Sample) *DivergenceEvent {
 			return ev(ReasonAuxNonFinite, "per-step scalar output is non-finite", v, i)
 		}
 	}
-	stride := s.cfg.SampleStride
+	const stride = SampleStride
 	for i := 0; i < len(smp.PDiag); i += stride {
 		v := smp.PDiag[i]
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return ev(ReasonPDiagNonFinite, "covariance diagonal entry is non-finite", v, i)
 		}
-		if v > s.cfg.MaxPDiag {
+		if v > MaxPDiag {
 			return ev(ReasonPDiagBlowup,
-				fmt.Sprintf("covariance diagonal entry exceeds %g", s.cfg.MaxPDiag), v, i)
+				fmt.Sprintf("covariance diagonal entry exceeds %g", MaxPDiag), v, i)
 		}
 	}
 	// One pass over the strided weights: finiteness, magnitude, and the
@@ -169,14 +145,14 @@ func (s *Sentinel) Check(step int64, smp Sample) *DivergenceEvent {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return ev(ReasonWeightNonFinite, "weight is non-finite", v, i)
 		}
-		if math.Abs(v) > s.cfg.MaxAbsWeight {
+		if math.Abs(v) > MaxAbsWeight {
 			return ev(ReasonWeightBlowup,
-				fmt.Sprintf("|weight| exceeds %g", s.cfg.MaxAbsWeight), v, i)
+				fmt.Sprintf("|weight| exceeds %g", MaxAbsWeight), v, i)
 		}
 		if havePrev {
-			if d := math.Abs(v - next[k]); d > s.cfg.MaxAbsUpdate {
+			if d := math.Abs(v - next[k]); d > MaxAbsUpdate {
 				return ev(ReasonUpdateBlowup,
-					fmt.Sprintf("per-step weight update exceeds %g", s.cfg.MaxAbsUpdate), d, i)
+					fmt.Sprintf("per-step weight update exceeds %g", MaxAbsUpdate), d, i)
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func NewKeeper(path string, keep int, cfg SentinelConfig, now func() time.Time) 
 		k.ring = NewRing(path, keep)
 	}
 	if cfg.Enabled {
-		k.sentinel = NewSentinel(cfg)
+		k.sentinel = &Sentinel{}
 	}
 	return k
 }

@@ -6,17 +6,24 @@ import (
 	"time"
 )
 
+// healthySample's weight and P-diagonal views span three strides, so the
+// check reads indices 0, SampleStride and 2*SampleStride of each.
 func healthySample() Sample {
-	return Sample{
+	smp := Sample{
 		Lambda:  0.994,
-		Weights: []float64{0.1, -0.2, 0.3},
-		PDiag:   []float64{1, 0.5, 2},
+		Weights: make([]float64, 3*SampleStride),
+		PDiag:   make([]float64, 3*SampleStride),
 		Aux:     []float64{0.01, 0.02},
 	}
+	for i := range smp.Weights {
+		smp.Weights[i] = 0.1 * float64(i%3-1)
+		smp.PDiag[i] = 0.5 + float64(i%4)
+	}
+	return smp
 }
 
 func TestSentinelHealthyPasses(t *testing.T) {
-	s := NewSentinel(SentinelConfig{Enabled: true, SampleStride: 1})
+	s := new(Sentinel)
 	for step := int64(1); step <= 5; step++ {
 		if ev := s.Check(step, healthySample()); ev != nil {
 			t.Fatalf("step %d: unexpected divergence: %v", step, ev)
@@ -33,16 +40,16 @@ func TestSentinelCatchesEachInvariant(t *testing.T) {
 		{"lambda NaN", func(s *Sample) { s.Lambda = math.NaN() }, ReasonLambdaNonFinite},
 		{"lambda low", func(s *Sample) { s.Lambda = 1e-9 }, ReasonLambdaRange},
 		{"lambda high", func(s *Sample) { s.Lambda = 1.5 }, ReasonLambdaRange},
-		{"weight NaN", func(s *Sample) { s.Weights[1] = math.NaN() }, ReasonWeightNonFinite},
-		{"weight Inf", func(s *Sample) { s.Weights[2] = math.Inf(-1) }, ReasonWeightNonFinite},
+		{"weight NaN", func(s *Sample) { s.Weights[SampleStride] = math.NaN() }, ReasonWeightNonFinite},
+		{"weight Inf", func(s *Sample) { s.Weights[2*SampleStride] = math.Inf(-1) }, ReasonWeightNonFinite},
 		{"weight blowup", func(s *Sample) { s.Weights[0] = 2e6 }, ReasonWeightBlowup},
 		{"pdiag NaN", func(s *Sample) { s.PDiag[0] = math.NaN() }, ReasonPDiagNonFinite},
-		{"pdiag blowup", func(s *Sample) { s.PDiag[2] = 1e9 }, ReasonPDiagBlowup},
+		{"pdiag blowup", func(s *Sample) { s.PDiag[2*SampleStride] = 1e9 }, ReasonPDiagBlowup},
 		{"aux NaN", func(s *Sample) { s.Aux[0] = math.NaN() }, ReasonAuxNonFinite},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSentinel(SentinelConfig{Enabled: true, SampleStride: 1})
+			s := new(Sentinel)
 			smp := healthySample()
 			tc.mutate(&smp)
 			ev := s.Check(7, smp)
@@ -60,17 +67,21 @@ func TestSentinelCatchesEachInvariant(t *testing.T) {
 }
 
 func TestSentinelUpdateNormNeedsBaseline(t *testing.T) {
-	s := NewSentinel(SentinelConfig{Enabled: true, SampleStride: 1, MaxAbsUpdate: 0.5})
+	s := new(Sentinel)
 	big := healthySample()
-	big.Weights = []float64{100, 100, 100}
+	for i := range big.Weights {
+		big.Weights[i] = 1e5
+	}
 	// First check has no baseline: a large (but finite, in-bounds) weight
 	// set passes.
 	if ev := s.Check(1, big); ev != nil {
 		t.Fatalf("first check should pass: %v", ev)
 	}
-	// A jump of 2.0 against the captured baseline must trip.
-	big2 := big
-	big2.Weights = []float64{100, 102, 100}
+	// A jump of 2*MaxAbsUpdate at a sampled entry against the captured
+	// baseline must trip.
+	big2 := healthySample()
+	copy(big2.Weights, big.Weights)
+	big2.Weights[SampleStride] += 2 * MaxAbsUpdate
 	ev := s.Check(2, big2)
 	if ev == nil || ev.Reason != ReasonUpdateBlowup {
 		t.Fatalf("expected update_blowup, got %v", ev)
@@ -84,13 +95,17 @@ func TestSentinelUpdateNormNeedsBaseline(t *testing.T) {
 }
 
 func TestSentinelStrideSkipsEntries(t *testing.T) {
-	s := NewSentinel(SentinelConfig{Enabled: true, SampleStride: 2})
+	s := new(Sentinel)
 	smp := healthySample()
-	smp.Weights = []float64{0, math.NaN(), 0, math.NaN()} // odd indices skipped
-	if ev := s.Check(1, smp); ev != nil {
-		t.Fatalf("strided check should skip odd entries: %v", ev)
+	for i := range smp.Weights {
+		if i%SampleStride != 0 { // unsampled entries are skipped
+			smp.Weights[i] = math.NaN()
+		}
 	}
-	smp.Weights[2] = math.NaN() // even index: caught
+	if ev := s.Check(1, smp); ev != nil {
+		t.Fatalf("strided check should skip unsampled entries: %v", ev)
+	}
+	smp.Weights[SampleStride] = math.NaN() // sampled index: caught
 	if ev := s.Check(2, smp); ev == nil || ev.Reason != ReasonWeightNonFinite {
 		t.Fatalf("expected weight_non_finite at sampled index, got %v", ev)
 	}

@@ -13,17 +13,21 @@ type GateConfig struct {
 	// Threshold is the fraction of the running mean score below which a
 	// frame is considered low-information and discarded (0 accepts all).
 	Threshold float64
-	// Decay is the EMA decay of the running mean score.
-	Decay float64
-	// Warmup is the number of frames always accepted while the filter's
-	// covariance and the score EMA spin up.
-	Warmup int
 }
+
+// GateDecay is the EMA decay of the gate's running mean score.  It is a
+// typed float64 so that 1−GateDecay is the float64 difference the EMA
+// has always used, not the exact 0.05.
+const GateDecay float64 = 0.95
+
+// GateWarmup is the number of scored frames the gate always accepts while
+// the filter's covariance and the score EMA spin up.
+const GateWarmup = 32
 
 // DefaultGateConfig returns the gating defaults: on, with frames admitted
 // unless their uncertainty score falls below half the recent mean.
 func DefaultGateConfig() GateConfig {
-	return GateConfig{Enabled: true, Threshold: 0.5, Decay: 0.95, Warmup: 32}
+	return GateConfig{Enabled: true, Threshold: 0.5}
 }
 
 // Gate scores streamed frames against the Kalman filter's error
@@ -49,12 +53,8 @@ type Gate struct {
 	rejected int64
 }
 
-// NewGate returns a gate with the given configuration (zero Decay falls
-// back to the default).
+// NewGate returns a gate with the given configuration.
 func NewGate(cfg GateConfig) *Gate {
-	if cfg.Decay <= 0 || cfg.Decay >= 1 {
-		cfg.Decay = DefaultGateConfig().Decay
-	}
 	return &Gate{cfg: cfg}
 }
 
@@ -98,10 +98,10 @@ func (g *Gate) Admit(m *deepmd.Model, pd []float64, ds *dataset.Dataset, idx int
 	if g.n == 0 {
 		g.ema = score
 	} else {
-		g.ema = g.cfg.Decay*g.ema + (1-g.cfg.Decay)*score
+		g.ema = GateDecay*g.ema + (1-GateDecay)*score
 	}
 	g.n++
-	if prevN < int64(g.cfg.Warmup) || score >= g.cfg.Threshold*prevEMA {
+	if prevN < GateWarmup || score >= g.cfg.Threshold*prevEMA {
 		g.accepted++
 		return true, score, nil
 	}

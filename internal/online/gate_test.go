@@ -21,7 +21,7 @@ func TestGateAdmitsWhenDisabledOrBlind(t *testing.T) {
 
 func TestGateScoresAgainstPDiagonal(t *testing.T) {
 	ds, m, _ := onlineSetup(t)
-	g := NewGate(GateConfig{Enabled: true, Threshold: 0.5, Decay: 0.9, Warmup: 1})
+	g := NewGate(GateConfig{Enabled: true, Threshold: 0.5})
 	n := m.NumParams()
 	high := make([]float64, n) // filter claims high variance everywhere
 	for i := range high {
@@ -29,28 +29,37 @@ func TestGateScoresAgainstPDiagonal(t *testing.T) {
 	}
 	low := make([]float64, n) // filter claims it has learned everything
 
-	// frame 1: warmup — always admitted, seeds the EMA near 1
-	ok, score, err := g.Admit(m, high, ds, 0)
-	if err != nil || !ok {
-		t.Fatalf("warmup frame rejected: %v %v", ok, err)
+	// warm-up: always admitted, seeds the EMA near 1 — even a frame the
+	// filter claims to know scores 0 and still gets in
+	for i := 0; i < GateWarmup; i++ {
+		known := i == GateWarmup-1
+		pd := high
+		if known {
+			pd = low
+		}
+		ok, score, err := g.Admit(m, pd, ds, i%ds.Len())
+		if err != nil || !ok {
+			t.Fatalf("warm-up frame %d rejected: %v %v", i, ok, err)
+		}
+		if !known && (score < 0.999 || score > 1.001) { // Σg²·1/Σg² ≡ 1
+			t.Fatalf("uniform P diagonal must score 1, got %v", score)
+		}
 	}
-	if score < 0.999 || score > 1.001 { // Σg²·1/Σg² ≡ 1
-		t.Fatalf("uniform P diagonal must score 1, got %v", score)
-	}
-	// frame 2: zero predicted variance → score 0 → far below the EMA → out
-	ok, score, err = g.Admit(m, low, ds, 1)
+	// past the warm-up: zero predicted variance → score 0 → far below the
+	// EMA → out
+	ok, score, err := g.Admit(m, low, ds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok || score != 0 {
 		t.Fatalf("zero-variance frame admitted (score %v)", score)
 	}
-	// frame 3: informative again → back above threshold·EMA → admitted
+	// informative again → back above threshold·EMA → admitted
 	ok, _, err = g.Admit(m, high, ds, 2)
 	if err != nil || !ok {
 		t.Fatalf("informative frame rejected: %v %v", ok, err)
 	}
-	if g.accepted != 2 || g.rejected != 1 {
+	if g.accepted != GateWarmup+1 || g.rejected != 1 {
 		t.Fatalf("counters: accepted %d rejected %d", g.accepted, g.rejected)
 	}
 	if !(g.EMA() > 0 && g.EMA() < 1) {

@@ -44,9 +44,9 @@ func TestGuardRollbackBitwiseTwin(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.gob")
 	trace := obs.NewTracer(16)
 	cfg := TrainerConfig{
-		BatchSize: 2, MinFrames: 2, Seed: 9,
+		BatchSize: 2, Seed: 9,
 		CheckpointPath: path, CheckpointEvery: 2, CheckpointKeep: 3,
-		Guard: guard.SentinelConfig{Enabled: true, SampleStride: 1},
+		Guard: guard.SentinelConfig{Enabled: true},
 		Chaos: guard.ChaosConfig{PoisonStep: 5},
 		Gate:  GateConfig{Enabled: false},
 		Trace: trace,
@@ -143,7 +143,7 @@ func TestLoadNewestCheckpointQuarantinesAndFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.gob")
 	cfg := TrainerConfig{
-		BatchSize: 2, MinFrames: 2, Seed: 4,
+		BatchSize: 2, Seed: 4,
 		CheckpointPath: path, CheckpointEvery: 1, CheckpointKeep: 3,
 		Gate: GateConfig{Enabled: false},
 	}
@@ -209,8 +209,8 @@ func TestLoadNewestCheckpointQuarantinesAndFallsBack(t *testing.T) {
 func TestGuardDivergenceWithoutRingDegrades(t *testing.T) {
 	ds, m, opt := onlineSetup(t)
 	tr, err := NewTrainer(m, opt, ds, TrainerConfig{
-		BatchSize: 2, MinFrames: 2, Seed: 6,
-		Guard: guard.SentinelConfig{Enabled: true, SampleStride: 1},
+		BatchSize: 2, Seed: 6,
+		Guard: guard.SentinelConfig{Enabled: true},
 		Chaos: guard.ChaosConfig{PoisonStep: 2, PoisonInf: true},
 		Gate:  GateConfig{Enabled: false},
 	})

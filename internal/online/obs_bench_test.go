@@ -29,7 +29,6 @@ func benchStep(b *testing.B, cfg TrainerConfig) {
 func benchTrainer(tb testing.TB, cfg TrainerConfig) *Trainer {
 	ds, m, opt := onlineSetup(tb)
 	cfg.BatchSize = 2
-	cfg.MinFrames = 2
 	cfg.SnapshotEvery = 8
 	cfg.Seed = 9
 	cfg.Gate = GateConfig{Enabled: false}
@@ -67,7 +66,7 @@ func TestInstrumentationOverheadBudget(t *testing.T) {
 	tracer := obs.NewTracer(128)
 	ds, m, opt := onlineSetup(t)
 	cfg := TrainerConfig{
-		BatchSize: 2, MinFrames: 2, SnapshotEvery: 8, Seed: 9,
+		BatchSize: 2, SnapshotEvery: 8, Seed: 9,
 		Gate:    GateConfig{Enabled: false},
 		Metrics: NewMetrics(reg),
 		Trace:   tracer,

@@ -73,7 +73,7 @@ func TestResumeParentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, err := ResumeTrainer(ck, device.New("resume", device.A100()),
-		TrainerConfig{BatchSize: 2, MinFrames: 2, Seed: 3, Gate: GateConfig{Enabled: false}})
+		TrainerConfig{BatchSize: 2, Seed: 3, Gate: GateConfig{Enabled: false}})
 	if err != nil {
 		t.Fatal(err)
 	}

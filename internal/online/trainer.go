@@ -26,9 +26,6 @@ type TrainerConfig struct {
 	QueuePolicy Policy
 	// WindowSize and ReservoirSize size the replay buffer.
 	WindowSize, ReservoirSize int
-	// MinFrames is the number of buffered frames required before training
-	// starts (defaults to BatchSize).
-	MinFrames int
 	// SnapshotEvery publishes a fresh model snapshot every that many steps
 	// (default 8; the initial snapshot is always published at Start).
 	SnapshotEvery int
@@ -83,9 +80,6 @@ func (c TrainerConfig) withDefaults() TrainerConfig {
 	}
 	if c.ReservoirSize < 1 {
 		c.ReservoirSize = 256
-	}
-	if c.MinFrames < 1 {
-		c.MinFrames = c.BatchSize
 	}
 	if c.SnapshotEvery < 1 {
 		c.SnapshotEvery = 8
@@ -177,7 +171,7 @@ func NewTrainer(m *deepmd.Model, opt *optimize.FEKF, proto *dataset.Dataset, cfg
 	}
 	t.loop = NewLoop(Backend[Checkpoint]{
 		Intake:  t.intake,
-		Ready:   func() bool { return t.lane.Replay().Len() >= t.cfg.MinFrames },
+		Ready:   func() bool { return t.lane.Replay().Len() >= t.cfg.BatchSize },
 		Step:    t.step,
 		Publish: t.publish,
 		Build:   t.buildCheckpoint,

@@ -82,7 +82,7 @@ func TestValidateFrame(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	ds, m, opt := onlineSetup(t)
 	tr, err := NewTrainer(m, opt, ds, TrainerConfig{
-		BatchSize: 2, MinFrames: 2, Seed: 5,
+		BatchSize: 2, Seed: 5,
 		Gate: GateConfig{Enabled: false},
 	})
 	if err != nil {
@@ -135,9 +135,9 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestConcurrentIngestPredictSoak(t *testing.T) {
 	ds, m, opt := onlineSetup(t)
 	tr, err := NewTrainer(m, opt, ds, TrainerConfig{
-		BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true,
+		BatchSize: 2, SnapshotEvery: 1, TrainIdle: true,
 		QueueSize: 8, QueuePolicy: DropNewest, Seed: 5,
-		Gate: GateConfig{Enabled: true, Threshold: 0.5, Decay: 0.9, Warmup: 4},
+		Gate: GateConfig{Enabled: true, Threshold: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "online.ckpt")
 	cfg := TrainerConfig{
-		BatchSize: 2, MinFrames: 2, CheckpointPath: path, Seed: 9,
+		BatchSize: 2, CheckpointPath: path, Seed: 9,
 		Gate: GateConfig{Enabled: false},
 	}
 	tr, err := NewTrainer(m, opt, ds, cfg)
@@ -301,7 +301,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 func TestResumeTrainerRejectsAsymmetricP(t *testing.T) {
 	ds, m, opt := onlineSetup(t)
 	path := filepath.Join(t.TempDir(), "online.ckpt")
-	cfg := TrainerConfig{BatchSize: 2, MinFrames: 2, Seed: 9, Gate: GateConfig{Enabled: false}}
+	cfg := TrainerConfig{BatchSize: 2, Seed: 9, Gate: GateConfig{Enabled: false}}
 	tr, err := NewTrainer(m, opt, ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestResumeTrainerRejectsAsymmetricP(t *testing.T) {
 func TestResumeTrainerRejectsBadReplay(t *testing.T) {
 	ds, m, opt := onlineSetup(t)
 	path := filepath.Join(t.TempDir(), "online.ckpt")
-	cfg := TrainerConfig{BatchSize: 2, MinFrames: 2, Seed: 9, Gate: GateConfig{Enabled: false}}
+	cfg := TrainerConfig{BatchSize: 2, Seed: 9, Gate: GateConfig{Enabled: false}}
 	tr, err := NewTrainer(m, opt, ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestGracefulStopDrainsAndCheckpoints(t *testing.T) {
 	ds, m, opt := onlineSetup(t)
 	path := filepath.Join(t.TempDir(), "final.ckpt")
 	tr, err := NewTrainer(m, opt, ds, TrainerConfig{
-		BatchSize: 2, MinFrames: 2, CheckpointPath: path, Seed: 3,
+		BatchSize: 2, CheckpointPath: path, Seed: 3,
 		Gate: GateConfig{Enabled: false},
 	})
 	if err != nil {

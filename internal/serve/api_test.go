@@ -67,7 +67,7 @@ func TestCheckBoxAcceptsSystems(t *testing.T) {
 // decodeBody runs the handlers' bounded JSON decode over raw bytes.
 func decodeBody(body []byte, v any) bool {
 	r := httptest.NewRequest("POST", "/", bytes.NewReader(body))
-	return decodeJSON(httptest.NewRecorder(), r, Config{}.withDefaults().MaxBodyBytes, v)
+	return decodeJSON(httptest.NewRecorder(), r, v)
 }
 
 // requireQuickEnv builds the environment of an accepted configuration,

@@ -22,7 +22,7 @@ func TestServerObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(32)
 	ds, tr, srv := serveSetup(t,
-		online.TrainerConfig{BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
+		online.TrainerConfig{BatchSize: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
 			Gate:    online.GateConfig{Enabled: false},
 			Metrics: online.NewMetrics(reg), Trace: tracer},
 		Config{Metrics: reg, Trace: tracer})
@@ -100,7 +100,7 @@ func TestServerObservability(t *testing.T) {
 // or tracer the endpoints 404 and handlers run uninstrumented.
 func TestServerNoMetricsConfigured(t *testing.T) {
 	_, _, srv := serveSetup(t,
-		online.TrainerConfig{BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, Seed: 5,
+		online.TrainerConfig{BatchSize: 2, SnapshotEvery: 1, Seed: 5,
 			Gate: online.GateConfig{Enabled: false}},
 		Config{})
 	base := "http://" + srv.Addr()

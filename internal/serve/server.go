@@ -54,10 +54,6 @@ type Config struct {
 	// Addr is the listen address; ":0" or "127.0.0.1:0" picks a random
 	// free port (see Server.Addr).
 	Addr string
-	// RequestTimeout bounds each request end to end (default 10s).
-	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 16 MiB).
-	MaxBodyBytes int64
 	// Metrics, when non-nil, is served at GET /metrics in Prometheus text
 	// format and populated with the serving tier's request metrics plus
 	// scrape-time func metrics over the backend's stats (one consistent
@@ -78,15 +74,15 @@ type Config struct {
 	EnablePprof bool
 }
 
+// RequestTimeout bounds each request end to end.
+const RequestTimeout = 10 * time.Second
+
+// MaxBodyBytes bounds request bodies.
+const MaxBodyBytes = 16 << 20
+
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
 	}
 	return c
 }
@@ -146,7 +142,7 @@ func New(be Backend, cfg Config) *Server {
 	if cfg.Trace != nil {
 		mux.Handle("GET /v1/trace", cfg.Trace.Handler())
 	}
-	handler := http.Handler(http.TimeoutHandler(mux, cfg.RequestTimeout, `{"error":"request timed out"}`))
+	handler := http.Handler(http.TimeoutHandler(mux, RequestTimeout, `{"error":"request timed out"}`))
 	if cfg.EnablePprof {
 		// pprof streams for the caller-chosen capture window, so it lives
 		// outside the per-request timeout wrapper.
@@ -158,8 +154,8 @@ func New(be Backend, cfg Config) *Server {
 	s.http = &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       cfg.RequestTimeout,
-		WriteTimeout:      cfg.RequestTimeout + 5*time.Second,
+		ReadTimeout:       RequestTimeout,
+		WriteTimeout:      RequestTimeout + 5*time.Second,
 		IdleTimeout:       60 * time.Second,
 	}
 	return s
@@ -244,7 +240,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	s.frameN.Add(1)
 	var req FramesRequest
-	if !decodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Frames) == 0 {
@@ -293,7 +289,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.predictN.Add(1)
 	var req PredictRequest
-	if !decodeJSON(w, r, s.cfg.MaxBodyBytes, &req) {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	sys, err := req.System(s.be.Species(), s.be.Cutoff())
@@ -346,8 +342,8 @@ func (s *Server) predict(sys *md.System) (PredictResponse, error) {
 }
 
 // decodeJSON reads a bounded JSON body into v, answering 400 on failure.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false

@@ -164,7 +164,7 @@ func framePayload(ds *dataset.Dataset, i int) FramePayload {
 
 func TestServerEndpoints(t *testing.T) {
 	ds, _, srv := serveSetup(t,
-		online.TrainerConfig{BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
+		online.TrainerConfig{BatchSize: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
 			Gate: online.GateConfig{Enabled: false}},
 		Config{})
 	base := "http://" + srv.Addr()
@@ -238,7 +238,7 @@ func TestServerEndpoints(t *testing.T) {
 // forward pass.  Run under -race via make ci.
 func TestServerConcurrentPredict(t *testing.T) {
 	ds, _, srv := serveSetup(t,
-		online.TrainerConfig{BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
+		online.TrainerConfig{BatchSize: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
 			Gate: online.GateConfig{Enabled: false}},
 		Config{})
 	base := "http://" + srv.Addr()
@@ -507,7 +507,7 @@ func TestServerShutdownReportsListenerFailure(t *testing.T) {
 func TestServerGracefulShutdown(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "final.ckpt")
 	ds, tr, srv := serveSetup(t,
-		online.TrainerConfig{BatchSize: 2, MinFrames: 2, CheckpointPath: path, Seed: 5,
+		online.TrainerConfig{BatchSize: 2, CheckpointPath: path, Seed: 5,
 			Gate: online.GateConfig{Enabled: false}},
 		Config{})
 	base := "http://" + srv.Addr()
@@ -542,7 +542,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 // acceptance-rate fields, and they must reconcile with the traffic.
 func TestStatsReplayAndGateFields(t *testing.T) {
 	ds, _, srv := serveSetup(t,
-		online.TrainerConfig{BatchSize: 2, MinFrames: 2, WindowSize: 8, ReservoirSize: 8, Seed: 5,
+		online.TrainerConfig{BatchSize: 2, WindowSize: 8, ReservoirSize: 8, Seed: 5,
 			Gate: online.GateConfig{Enabled: false}},
 		Config{})
 	base := "http://" + srv.Addr()
@@ -591,7 +591,7 @@ func TestStatsReplayAndGateFields(t *testing.T) {
 // per-replica fleet section.
 func TestServerFleetBackend(t *testing.T) {
 	ds, _, srv := fleetSetup(t, fleet.Config{
-		Replicas: 3, BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
+		Replicas: 3, BatchSize: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
 		Gate: online.GateConfig{Enabled: false}, Transport: "tcp",
 		// Autoscaling enabled but held at the band floor (the trickle of 9
 		// frames into 256-slot queues never nears the scale-up edge), so
@@ -682,7 +682,7 @@ func TestServerFleetBackend(t *testing.T) {
 // /metrics exports the per-rank gauges.
 func TestServerPShardBackend(t *testing.T) {
 	ds, _, srv := fleetSetup(t, fleet.Config{
-		Replicas: 3, BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
+		Replicas: 3, BatchSize: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
 		PShard: true, Gate: online.GateConfig{Enabled: false},
 	}, Config{Metrics: obs.NewRegistry()})
 	base := "http://" + srv.Addr()
@@ -793,8 +793,8 @@ func metricValue(t *testing.T, exposition, name string) float64 {
 func TestServerGuardDegradedHealthz(t *testing.T) {
 	reg := obs.NewRegistry()
 	ds, tr, srv := serveSetup(t,
-		online.TrainerConfig{BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
-			Guard: guard.SentinelConfig{Enabled: true, SampleStride: 1},
+		online.TrainerConfig{BatchSize: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 5,
+			Guard: guard.SentinelConfig{Enabled: true},
 			Chaos: guard.ChaosConfig{PoisonStep: 2, PoisonInf: true},
 			Gate:  online.GateConfig{Enabled: false}},
 		Config{Metrics: reg, Degraded503: true})
@@ -892,9 +892,9 @@ func TestServerGuardRollbackMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	path := filepath.Join(t.TempDir(), "ckpt.gob")
 	ds, _, srv := serveSetup(t,
-		online.TrainerConfig{BatchSize: 2, MinFrames: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 7,
+		online.TrainerConfig{BatchSize: 2, SnapshotEvery: 1, TrainIdle: true, Seed: 7,
 			CheckpointPath: path, CheckpointEvery: 2, CheckpointKeep: 3,
-			Guard: guard.SentinelConfig{Enabled: true, SampleStride: 1},
+			Guard: guard.SentinelConfig{Enabled: true},
 			Chaos: guard.ChaosConfig{PoisonStep: 5},
 			Gate:  online.GateConfig{Enabled: false}},
 		Config{Metrics: reg})

@@ -122,9 +122,9 @@ func FuzzPUpdateFusedParallelMatchesSerial(f *testing.F) {
 	})
 }
 
-// FuzzSymMatVecParallelMatchesSerial checks the P·g mat-vec on a symmetric
-// P at 1 and 5 workers.
-func FuzzSymMatVecParallelMatchesSerial(f *testing.F) {
+// FuzzMatVecParallelMatchesSerial checks the P·g mat-vec (MatVecInto) on
+// a symmetric P at 1 and 5 workers.
+func FuzzMatVecParallelMatchesSerial(f *testing.F) {
 	f.Add(int64(1), 8)
 	f.Add(int64(2), 96)
 	f.Add(int64(13), 1)
